@@ -1,9 +1,11 @@
-"""Ablation — bin-aided free-space index vs flat scan (Section III-D, [28]).
+"""Ablation — array-backed free-site query vs a Python scan (Section III-D, [28]).
 
-The integration-aware legalizer's inner loop is the nearest-free-site
-query.  The bin-aided index answers it via per-row bisects with an
-outward row sweep (O(log n) per probed row); the naive alternative scans
-every free site.  This bench times both on an Eagle-sized occupancy.
+The integration-aware legalizer falls back to the nearest-free-site
+query when a block has no free neighbour next to its cluster.  The index
+answers it with one vectorized ``argmin`` over the free sites of the
+flat ``kind_flat`` occupancy array; the naive alternative loops over
+every free site in Python.  This bench times both on an Eagle-sized
+occupancy.
 """
 
 from __future__ import annotations

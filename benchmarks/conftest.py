@@ -66,8 +66,6 @@ def engine_evaluations(eval_config):
     Feeds Fig. 9, Table II and Table III; computed once.
     """
     return {
-        name: evaluate_engines(
-            name, PAPER_ENGINE_ORDER, eval_config, with_dp_for=("qgdp",)
-        )
+        name: evaluate_engines(name, PAPER_ENGINE_ORDER, eval_config)
         for name in PAPER_TOPOLOGIES
     }

@@ -26,9 +26,7 @@ def main(topology: str = "aspen11") -> None:
     eval_config = EvaluationConfig(num_seeds=10, config=QGDPConfig())
 
     print(f"== layout metrics on {topology} ==")
-    evaluations = evaluate_engines(
-        topology, PAPER_ENGINE_ORDER, eval_config, with_dp_for=("qgdp",)
-    )
+    evaluations = evaluate_engines(topology, PAPER_ENGINE_ORDER, eval_config)
     header = f"{'engine':<10}{'Iedge':>9}{'X':>5}{'Ph(%)':>8}{'HQ':>5}{'qviol':>7}{'tq(ms)':>9}{'te(ms)':>9}"
     print(header)
     for engine in PAPER_ENGINE_ORDER:

@@ -172,7 +172,6 @@ def _cmd_tables(args) -> int:
             args.topologies,
             PAPER_ENGINE_ORDER,
             eval_config,
-            with_dp_for=("qgdp",),
             store=store,
             workers=args.workers,
             resume=args.resume and (cache_dir or cache_url) is not None,
@@ -1287,10 +1286,10 @@ def build_parser() -> argparse.ArgumentParser:
         "lint",
         help="static invariant checks: determinism, key purity, locks",
         description="Run the AST-based invariant checker over the "
-        "repository (see docs/lint.md): RPR001 nondeterminism on the "
-        "content-key path, RPR002 content-key purity, RPR003 lock "
-        "discipline, RPR004 process-boundary safety, RPR005 flat-array "
-        "probes.  Suppress a finding in place with "
+        "repository (see docs/lint.md): RPR001 nondeterminism (unseeded "
+        "RNG, wall clock, set order, id()), RPR002 content-key purity, "
+        "RPR003 lock discipline, RPR004 process-boundary safety.  "
+        "Suppress a finding in place with "
         "`# repro: lint-ignore[RPR001]`; unused suppressions are "
         "reported as RPR000.  Exit code 0 = clean, 1 = findings, "
         "2 = usage error.",

@@ -133,14 +133,15 @@ def greedy_mapping(circuit: QuantumCircuit, topology: Topology) -> dict:
     return mapping
 
 
-_PATH_CACHE = {}
-
-
 def _shortest_path_cache(graph, a: int, b: int) -> list:
-    """Memoized shortest path; topology graphs are static per run."""
-    key = (id(graph), a, b)
-    if key not in _PATH_CACHE:
+    """Memoized shortest path; topology graphs are static per run.
+
+    The memo lives in the graph's own attribute dict, so it is freed with
+    its graph and can never serve one topology's paths to another.
+    """
+    memo = graph.graph.setdefault("_shortest_paths", {})
+    if (a, b) not in memo:
         import networkx as nx
 
-        _PATH_CACHE[key] = nx.shortest_path(graph, a, b)
-    return _PATH_CACHE[key]
+        memo[(a, b)] = nx.shortest_path(graph, a, b)
+    return memo[(a, b)]

@@ -91,6 +91,7 @@ class QGDPFlow:
         outcome = run_legalization(
             self.netlist, self.grid, get_engine(engine), cfg
         )
+        lg_time_s = time.perf_counter() - t0
         self.bins = outcome.bins
         lg_metrics = self._metrics_dict()
         lg_metrics.update(
@@ -104,7 +105,7 @@ class QGDPFlow:
         result.stages.append(
             StageReport(
                 stage="lg",
-                runtime_s=time.perf_counter() - t0,
+                runtime_s=lg_time_s,
                 positions=self.netlist.snapshot(),
                 metrics=lg_metrics,
             )
@@ -113,6 +114,7 @@ class QGDPFlow:
         if detailed:
             t0 = time.perf_counter()
             dp_summary = DetailedPlacer(cfg).run(self.netlist, self.bins)
+            dp_time_s = time.perf_counter() - t0
             dp_metrics = self._metrics_dict()
             dp_metrics.update(
                 {
@@ -124,7 +126,7 @@ class QGDPFlow:
             result.stages.append(
                 StageReport(
                     stage="dp",
-                    runtime_s=time.perf_counter() - t0,
+                    runtime_s=dp_time_s,
                     positions=self.netlist.snapshot(),
                     metrics=dp_metrics,
                 )

@@ -32,7 +32,7 @@ from repro.orchestration.stages import (
     noise_to_dict,
 )
 from repro.orchestration.store import ArtifactStore, resolve_store
-from repro.orchestration.sweep import SweepSpec, run_sweep
+from repro.orchestration.sweep import SweepSpec, add_layout_jobs, run_sweep
 
 
 @dataclass
@@ -112,21 +112,16 @@ def plan_engine_evaluations(
     topology_names: list,
     engine_names: list,
     eval_config: EvaluationConfig = None,
-    with_dp_for: tuple = ("qgdp",),
 ) -> tuple:
     """Plan the Fig. 9 / Table II–III job graph.
 
-    Per topology: one ``gp`` job, one ``lg`` job per engine, a ``dp``
-    job for engines in ``with_dp_for``, and one ``metrics`` job per
-    (topology, engine) that assembles the layout-quality report from the
-    stage payloads.  The gp/lg/dp params are **identical** to the ones
-    :func:`~repro.orchestration.sweep.plan_sweep` emits, so tables and
-    fidelity sweeps sharing a cache directory share those artifacts.
-    For DP engines that means both an ``lg`` and a ``dp`` job (the dp
-    runner replays legalization internally): a deliberate trade — one
-    duplicated legalization on a cold cache, in exchange for cache hits
-    against both detailed and non-detailed sweeps and an unchanged dp
-    payload schema.
+    Per topology: the gp → lg → dp layout jobs of
+    :func:`~repro.orchestration.sweep.add_layout_jobs` (a ``dp`` job for
+    qGDP only, as in the paper) and one ``metrics`` job per (topology,
+    engine) that assembles the layout-quality report from the engine's
+    ``lg`` and, for qGDP, ``dp`` payloads.  Fidelity sweeps plan their
+    layout jobs through the same function, so tables and sweeps sharing
+    a cache directory share those artifacts.
 
     Returns ``(graph, keys)`` with ``keys`` mapping
     ``(topology, engine) -> metrics job key``.
@@ -136,29 +131,16 @@ def plan_engine_evaluations(
     graph = JobGraph()
     keys = {}
     for topology_name in topology_names:
-        gp = graph.add(
-            Job.create(
-                "gp",
-                {
-                    "topology": topology_name,
-                    "config": cfg_dict,
-                    "seed": eval_config.config.seed,
-                },
-            )
+        chains = add_layout_jobs(
+            graph, topology_name, engine_names, cfg_dict, detailed=True
         )
-        for engine_name in engine_names:
-            layout_params = {
-                "topology": topology_name,
-                "engine": engine_name,
-                "config": cfg_dict,
-            }
-            lg = graph.add(Job.create("lg", layout_params, deps=(gp.key,)))
-            deps = [lg.key]
-            if engine_name in with_dp_for:
-                dp = graph.add(Job.create("dp", layout_params, deps=(gp.key,)))
-                deps.append(dp.key)
+        for engine_name, chain in chains.items():
             metrics = graph.add(
-                Job.create("metrics", layout_params, deps=tuple(deps))
+                Job.create(
+                    "metrics",
+                    chain[0].params,
+                    deps=tuple(job.key for job in chain),
+                )
             )
             keys[(topology_name, engine_name)] = metrics.key
     return (graph, keys)
@@ -200,7 +182,6 @@ def run_engine_evaluations(
     topology_names: list,
     engine_names: list,
     eval_config: EvaluationConfig = None,
-    with_dp_for: tuple = ("qgdp",),
     cache_dir: Optional[str] = None,
     workers: int = 0,
     resume: bool = False,
@@ -225,7 +206,7 @@ def run_engine_evaluations(
     """
     eval_config = eval_config or EvaluationConfig()
     graph, keys = plan_engine_evaluations(
-        topology_names, engine_names, eval_config, with_dp_for
+        topology_names, engine_names, eval_config
     )
     owns_store = store is None
     if owns_store:
@@ -265,7 +246,6 @@ def run_engine_evaluations(
         "kind": "tables",
         "topologies": list(topology_names),
         "engines": list(engine_names),
-        "with_dp_for": list(with_dp_for),
         "config": config_to_dict(eval_config.config),
     }
     run_id = hashlib.sha256(
@@ -290,19 +270,16 @@ def evaluate_engines(
     topology_name: str,
     engines: list,
     eval_config: EvaluationConfig = None,
-    with_dp_for: tuple = ("qgdp",),
 ) -> dict:
     """Legalize one topology with every engine; return layout evaluations.
 
-    ``with_dp_for`` lists engines that additionally get a detailed
-    placement pass (reported separately as ``dp_metrics``); the paper only
-    runs qGDP-DP on top of qGDP-LG.  This is the in-process serial facade
-    over :func:`run_engine_evaluations`; pass a cache there for warm-cache
+    qGDP additionally gets a detailed placement pass, reported separately
+    as ``dp_metrics`` — the paper only runs qGDP-DP on top of qGDP-LG.
+    This is the in-process serial facade over
+    :func:`run_engine_evaluations`; pass a cache there for warm-cache
     table regeneration.
     """
-    outcome = run_engine_evaluations(
-        [topology_name], engines, eval_config, with_dp_for
-    )
+    outcome = run_engine_evaluations([topology_name], engines, eval_config)
     return outcome.evaluations[topology_name]
 
 
@@ -311,21 +288,10 @@ def evaluate_fidelity(
     benchmark_names: list,
     engine_names: list,
     eval_config: EvaluationConfig = None,
-    progress=None,
 ) -> dict:
     """Full Fig. 8 sweep.
 
-    Returns ``{(topology, benchmark, engine): FidelityCell}``.  ``progress``
-    is an optional callable ``(topology, engine) -> None`` for reporting.
+    Returns ``{(topology, benchmark, engine): FidelityCell}``.
     """
     spec = sweep_spec(topology_names, benchmark_names, engine_names, eval_config)
-
-    job_progress = None
-    if progress is not None:
-
-        def job_progress(job, status):
-            if job.kind in ("lg", "dp") and status in ("start", "cached"):
-                progress(job.params["topology"], job.params["engine"])
-
-    outcome = run_sweep(spec, progress=job_progress)
-    return cells_from_sweep(outcome.cells)
+    return cells_from_sweep(run_sweep(spec).cells)

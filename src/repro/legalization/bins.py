@@ -1,17 +1,11 @@
-"""Bin-aided free-space index (paper Section III-D, after [28]).
+"""Site occupancy index for legalization (paper Section III-D).
 
 Resonator legalization repeatedly asks "which free site is nearest to this
-point?"  A flat scan is O(sites) per query; following the mixed-cell-height
-legalization of Yang et al. [28], sites are organized into per-row sorted
-structures so a query bisects within a row (O(log n)) and rows are visited
-outward from the target with a best-distance prune.
-
-The index also serves the *adjacent available* set ``Baa`` of Algorithm 1
-cheaply: free 4-neighbours of a site are O(log n) membership probes.
-
-Occupancy itself is held in flat NumPy arrays (DREAMPlace-style) so the
-maze router and the crossing counter can probe/classify sites with O(1)
-array reads and build whole-grid cost overlays with vectorized gathers:
+point?", and Algorithm 1's *adjacent available* set ``Baa`` asks whether
+the 4-neighbours of a site are free.  Both are answered from occupancy
+held in flat NumPy arrays (DREAMPlace-style), which also let the maze
+router and the crossing counter probe/classify sites with O(1) array
+reads and build whole-grid cost overlays with vectorized gathers:
 
 * ``kind_flat``      — int8 per site: 0 free, 1 qubit macro, 2 wire block,
   3 other owner;
@@ -23,14 +17,12 @@ array reads and build whole-grid cost overlays with vectorized gathers:
 Sites are flattened **column-major** (``flat = col * rows + row``) so that
 ascending flat index matches ascending ``(col, row)`` tuple order — the
 router relies on this to reproduce the exact tie-breaking of a tuple-keyed
-Dijkstra.  The legacy dict / per-row bisect structures are kept in sync
-(they still serve ``nearest_free`` and iteration) and
-:meth:`check_consistency` asserts the two representations never diverge.
+Dijkstra.  These arrays are the only occupancy state: free-site queries
+(``nearest_free``, ``free_sites``, ``num_free``) are vectorized scans of
+``kind_flat``.
 """
 
 from __future__ import annotations
-
-import bisect
 
 import numpy as np
 
@@ -65,9 +57,6 @@ class BinGrid:
 
     def __init__(self, grid: SiteGrid) -> None:
         self.grid = grid
-        # Per-row sorted list of free columns; site membership mirrors it.
-        self._free_rows = [list(range(grid.cols)) for _ in range(grid.rows)]
-        self._occupant = {}
         n = grid.num_sites
         self._kind = np.zeros(n, dtype=np.int8)
         self._owner_idx = np.full(n, -1, dtype=np.int32)
@@ -155,23 +144,15 @@ class BinGrid:
         self._owner_idx[flat] = self._intern_owner(owner)
         if kind == KIND_BLOCK:
             self._res_idx[flat] = self._intern_res_key(res_key)
-        self._occupant[(col, row)] = owner
-        free = self._free_rows[row]
-        idx = bisect.bisect_left(free, col)
-        if idx >= len(free) or free[idx] != col:
-            raise AssertionError(f"free-row index out of sync at ({col}, {row})")
-        free.pop(idx)
 
     def release(self, col: int, row: int) -> None:
         """Return an occupied site to the free pool."""
-        if (col, row) not in self._occupant:
+        if not self.grid.in_grid(col, row) or self.is_free(col, row):
             raise ValueError(f"site ({col}, {row}) is not occupied")
         flat = self.grid.flat_index(col, row)
         self._kind[flat] = KIND_FREE
         self._owner_idx[flat] = -1
         self._res_idx[flat] = -1
-        del self._occupant[(col, row)]
-        bisect.insort(self._free_rows[row], col)
 
     def occupy_rect(self, rect: Rect, owner) -> list:
         """Occupy every site covered by ``rect`` (used for qubit macros).
@@ -200,44 +181,34 @@ class BinGrid:
         owner2d[lo_col : hi_col + 1, lo_row : hi_row + 1] = owner_idx
         res2d = self._res_idx.reshape(self.grid.cols, rows)
         res2d[lo_col : hi_col + 1, lo_row : hi_row + 1] = res_idx
-        for site in sites:
-            self._occupant[site] = owner
-        for row in range(lo_row, hi_row + 1):
-            free = self._free_rows[row]
-            i_lo = bisect.bisect_left(free, lo_col)
-            i_hi = bisect.bisect_left(free, hi_col + 1)
-            del free[i_lo:i_hi]
         return sites
 
     @property
     def num_free(self) -> int:
         """Number of free sites remaining."""
-        return self.grid.num_sites - len(self._occupant)
+        return int(np.count_nonzero(self._kind == KIND_FREE))
+
+    def _free_rows_cols(self) -> tuple:
+        """``(rows, cols)`` arrays of the free sites, in row-major order."""
+        by_row = self._kind.reshape(self.grid.cols, self.grid.rows).T
+        return np.nonzero(by_row == KIND_FREE)
 
     def free_sites(self) -> list:
         """All free sites (row-major); O(sites), for tests and small grids."""
-        return [
-            (col, row)
-            for row in range(self.grid.rows)
-            for col in self._free_rows[row]
-        ]
+        rows, cols = self._free_rows_cols()
+        return list(zip(cols.tolist(), rows.tolist()))
 
     # -- queries -----------------------------------------------------------
     def free_cols_in_row(self, row: int) -> np.ndarray:
         """Ascending free columns of ``row``, read from the flat arrays.
 
         One vectorized scan of the column-major ``kind_flat`` stride for
-        the row — the probe legalizers should use instead of reaching
-        into the legacy per-row free lists.
+        the row.
         """
         return np.flatnonzero(self._kind[row :: self.grid.rows] == KIND_FREE)
 
     def first_free_col_at_or_after(self, row: int, col: int):
-        """Smallest free column ``>= col`` in ``row``, or None.
-
-        Equivalent to ``bisect_left`` on the sorted per-row free list,
-        but answered from ``kind_flat`` directly.
-        """
+        """Smallest free column ``>= col`` in ``row``, or None."""
         row_kinds = self._kind[row :: self.grid.rows]
         start = max(col, 0)
         offsets = np.flatnonzero(row_kinds[start:] == KIND_FREE)
@@ -251,85 +222,16 @@ class BinGrid:
         Ties break toward smaller row, then smaller column, making the
         scan deterministic.  Returns None when the grid is full.
         """
-        best = None
-        best_d2 = None
-        max_offset = max(row, self.grid.rows - 1 - row)
-        for offset in range(max_offset + 1):
-            if best_d2 is not None and offset * offset > best_d2:
-                break
-            rows = (row - offset, row + offset) if offset else (row,)
-            for r in rows:
-                if not (0 <= r < self.grid.rows):
-                    continue
-                candidate = self._nearest_in_row(r, col)
-                if candidate is None:
-                    continue
-                dc = candidate - col
-                d2 = dc * dc + offset * offset
-                if best_d2 is None or d2 < best_d2 or (
-                    d2 == best_d2 and (r, candidate) < (best[1], best[0])
-                ):
-                    best = (candidate, r)
-                    best_d2 = d2
-        return best
-
-    def _nearest_in_row(self, row: int, col: int):
-        """Free column in ``row`` closest to ``col`` (bisect; None if empty)."""
-        free = self._free_rows[row]
-        if not free:
+        rows, cols = self._free_rows_cols()
+        if rows.size == 0:
             return None
-        idx = bisect.bisect_left(free, col)
-        candidates = []
-        if idx < len(free):
-            candidates.append(free[idx])
-        if idx > 0:
-            candidates.append(free[idx - 1])
-        return min(candidates, key=lambda c: (abs(c - col), c))
+        # The sites are in row-major order and argmin returns the first
+        # minimum, so distance ties go to the smaller row, then column.
+        best = int(np.argmin((cols - col) ** 2 + (rows - row) ** 2))
+        return (int(cols[best]), int(rows[best]))
 
     def free_neighbors(self, col: int, row: int) -> list:
         """Free 4-neighbours of a site — the ``f(·)`` update of Algorithm 1."""
         return [
             (c, r) for c, r in self.grid.neighbors4(col, row) if self.is_free(c, r)
         ]
-
-    # -- invariants --------------------------------------------------------
-    def check_consistency(self) -> None:
-        """Assert the array state matches the dict/bisect state exactly.
-
-        Test hook: raises AssertionError on the first divergence between
-        the flat arrays, the occupant dict and the per-row free lists.
-        """
-        rows = self.grid.rows
-        occupied_flat = np.flatnonzero(self._kind != KIND_FREE)
-        assert len(occupied_flat) == len(self._occupant), (
-            f"array says {len(occupied_flat)} occupied, "
-            f"dict says {len(self._occupant)}"
-        )
-        for flat in occupied_flat:
-            col, row = self.grid.site_of_flat(int(flat))
-            owner = self._occupant.get((col, row))
-            assert owner is not None, f"array-occupied ({col}, {row}) not in dict"
-            interned = self._owners[self._owner_idx[flat]]
-            assert interned == owner or interned is owner, (
-                f"owner mismatch at ({col}, {row}): {interned!r} != {owner!r}"
-            )
-            kind, res_key = _classify(owner)
-            assert self._kind[flat] == kind, f"kind mismatch at ({col}, {row})"
-            if kind == KIND_BLOCK:
-                assert self._res_keys[self._res_idx[flat]] == res_key, (
-                    f"resonator key mismatch at ({col}, {row})"
-                )
-            else:
-                assert self._res_idx[flat] == -1, (
-                    f"stale res_idx at ({col}, {row})"
-                )
-        for row, free in enumerate(self._free_rows):
-            assert free == sorted(free), f"free row {row} unsorted"
-            for col in free:
-                assert self._kind[col * rows + row] == KIND_FREE, (
-                    f"free-list site ({col}, {row}) marked occupied in array"
-                )
-        total_free = sum(len(free) for free in self._free_rows)
-        assert total_free == self.grid.num_sites - len(self._occupant), (
-            "free-list count disagrees with occupant dict"
-        )

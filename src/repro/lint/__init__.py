@@ -3,7 +3,7 @@
 The dynamic suites (hypothesis parity, the chaos harness) prove the
 determinism / purity / lock / process-boundary invariants hold on the
 paths they exercise; this package checks them *statically*, on every
-path, at review time.  Five rules are wired to the repo's real
+path, at review time.  Four rules are wired to the repo's real
 invariants — see ``docs/lint.md`` for the catalog and rationale:
 
 =========  ==================================================
@@ -11,7 +11,6 @@ RPR001     nondeterminism on the content-key path
 RPR002     content-key purity in ``orchestration/``
 RPR003     lock discipline (``# guarded-by`` / ``# holds``)
 RPR004     process-boundary safety (picklable submissions)
-RPR005     flat-array probes in ``detailed/``/``legalization/``
 =========  ==================================================
 
 Plus two driver-level diagnostics: ``RPR000`` (a ``# repro:
@@ -41,7 +40,6 @@ from repro.lint.core import (
 from repro.lint import (  # noqa: F401  (imported for registration)
     rules_determinism,
     rules_locks,
-    rules_probes,
     rules_process,
     rules_purity,
 )

@@ -17,9 +17,9 @@ This module owns everything rule-independent:
 Rules see files through *display paths*: forward-slash, relative to the
 lint root, e.g. ``src/repro/orchestration/store.py``.  A rule's
 ``scope`` / ``exempt`` tuples are substring prefixes matched against
-that form, which is what lets RPR001 apply only to content-key-path
-modules while RPR005 exempts ``bins.py`` (the owner of the legacy
-occupancy state).  See ``docs/lint.md`` for the rule catalog.
+that form, which is what lets RPR001 skip the CLI and visualization
+modules while RPR002 applies only to ``orchestration/``.  See
+``docs/lint.md`` for the rule catalog.
 """
 
 from __future__ import annotations
@@ -297,7 +297,7 @@ def lint_source(
         s
         for s in _collect_suppressions(ctx.text, ctx.lines)
         # Only judge suppressions for rules this run actually executed:
-        # a --rule RPR005 pass must not report RPR001 ignores as unused.
+        # a --rule RPR002 pass must not report RPR001 ignores as unused.
         if any(rule_id in active_ids for rule_id in s.rules)
     ]
     findings = _apply_suppressions(findings, suppressions, display)

@@ -24,6 +24,10 @@ output feeds content-addressed payloads:
   Wrapping the set in ``sorted(...)`` — or an order-insensitive
   reduction such as ``min`` / ``max`` / ``sum`` / ``any`` / ``all`` —
   satisfies the rule.
+* **object identity** — builtin ``id(...)``.  Ids are process-specific
+  and reused once an object is freed, so an id in a key, a param dict
+  or a memo can point at a different object than the one it was taken
+  from.  Key by value, or keep per-object state on the object.
 """
 
 from __future__ import annotations
@@ -94,7 +98,7 @@ def _is_set_expr(node: ast.AST) -> bool:
 
 @register
 class NondeterminismRule(Rule):
-    """Unseeded RNG, wall-clock reads, and set-ordered iteration."""
+    """Unseeded RNG, wall-clock reads, set-ordered iteration, id()."""
 
     id = "RPR001"
     name = "nondeterminism"
@@ -118,11 +122,21 @@ class NondeterminismRule(Rule):
                 findings.extend(self._check_iteration(ctx, node))
         return findings
 
-    # -- unseeded RNG / wall clock ---------------------------------------
+    # -- unseeded RNG / wall clock / identity ----------------------------
     def _check_call(self, ctx: FileContext, node: ast.Call) -> List[Finding]:
         dotted = _dotted(node.func)
         if dotted is None:
             return []
+        if dotted == "id" and len(node.args) == 1:
+            return [
+                self._finding(
+                    ctx,
+                    node,
+                    "builtin id() is process-specific and reused after an "
+                    "object is freed — never key params, payloads or memos "
+                    "by it; key by value or keep state on the object",
+                )
+            ]
         if dotted in _WALL_CLOCK:
             return [
                 self._finding(

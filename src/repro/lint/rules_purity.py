@@ -13,8 +13,6 @@ non-canonical leaking into params, keys or payload text.  Inside
   (whose round-trip ``put`` deliberately preserves payload insertion
   order) are exempt; protocol/IO sites that must not re-order bytes
   carry an explicit ``lint-ignore`` with their justification;
-* builtin ``id(...)`` — object identity is process-specific; an id in
-  a param dict keys a different artifact every run;
 * builtin ``hash(...)`` — salted per process for strings
   (``PYTHONHASHSEED``); stable keys come from ``hashlib`` over
   canonical JSON, nothing else;
@@ -53,7 +51,7 @@ def _dotted(node: ast.AST) -> Optional[str]:
 
 @register
 class ContentKeyPurityRule(Rule):
-    """json.dumps canonicality, id()/hash() bans, clock-free key params."""
+    """json.dumps canonicality, hash() ban, clock-free key params."""
 
     id = "RPR002"
     name = "content-key-purity"
@@ -91,17 +89,6 @@ class ContentKeyPurityRule(Rule):
                             "these bytes must keep payload order",
                         )
                     )
-            elif isinstance(node.func, ast.Name) and node.func.id == "id" \
-                    and len(node.args) == 1:
-                findings.append(
-                    self._finding(
-                        ctx,
-                        node,
-                        "builtin id() is process-specific — an object "
-                        "identity can never appear in job params, keys or "
-                        "payloads",
-                    )
-                )
             elif isinstance(node.func, ast.Name) and node.func.id == "hash" \
                     and len(node.args) == 1:
                 findings.append(

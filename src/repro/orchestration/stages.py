@@ -268,36 +268,21 @@ def run_lg_job(params: dict, deps: list) -> dict:
 def run_dp_job(params: dict, deps: list) -> dict:
     """Detailed placement on top of one engine's legalization.
 
-    Replays legalization from the GP snapshot rather than restoring the
-    LG snapshot: the detailed placer consumes the legalizer's live
-    occupancy index, and re-running the (deterministic) legalizer is the
-    bit-exact way to reproduce it.  Because the legalization outcome is
-    in hand anyway, the payload carries the LG timing fields alongside
-    the DP results.
+    ``deps[0]`` is the engine's ``lg`` payload.  A legal layout fixes its
+    occupancy completely, so the occupancy index the placer refines is
+    rebuilt from that snapshot (:func:`rebuild_occupancy`).
     """
     netlist, grid, config = _restored_layout(params, deps[0])
-    outcome = run_legalization(
-        netlist, grid, get_engine(params["engine"]), config
-    )
-    payload = {
-        "qubit_time_s": outcome.qubit_time_s,
-        "resonator_time_s": outcome.resonator_time_s,
-        "qubit_displacement": outcome.qubit_displacement,
-        "qubit_spacing_used": outcome.qubit_spacing_used,
-        "qubit_attempts": outcome.qubit_attempts,
-    }
+    bins = rebuild_occupancy(netlist, grid)
     t0 = time.perf_counter()
-    summary = DetailedPlacer(config).run(netlist, outcome.bins)
-    payload.update(
-        {
-            "positions": encode_snapshot(netlist.snapshot()),
-            "dp_time_s": time.perf_counter() - t0,
-            "flagged": summary.flagged,
-            "accepted": summary.accepted,
-            "reverted": summary.reverted,
-        }
-    )
-    return payload
+    summary = DetailedPlacer(config).run(netlist, bins)
+    return {
+        "positions": encode_snapshot(netlist.snapshot()),
+        "dp_time_s": time.perf_counter() - t0,
+        "flagged": summary.flagged,
+        "accepted": summary.accepted,
+        "reverted": summary.reverted,
+    }
 
 
 def run_transpile_job(params: dict, deps: list) -> dict:

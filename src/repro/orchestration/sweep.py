@@ -5,9 +5,10 @@ A :class:`SweepSpec` captures the paper's evaluation protocol — topology
 expands it into a content-addressed job graph:
 
 * one ``gp`` job per topology,
+* one ``lg`` job per (topology, engine), plus a ``dp`` job on top of the
+  qGDP ``lg`` when the spec runs detailed placement
+  (:func:`add_layout_jobs`, shared with the ``repro tables`` planner),
 * one ``transpile`` job per (topology, benchmark, seed) that fits,
-* one ``lg`` job per (topology, engine) — replaced by a ``dp`` job for
-  the qGDP engine when the spec runs detailed placement,
 * one ``analyze`` job per (topology, engine) layout — the spacing /
   hotspot / crossing analysis shared by that layout's cells — and
 * one ``fidelity`` job per (topology, benchmark, engine) cell, depending
@@ -27,7 +28,7 @@ from __future__ import annotations
 import hashlib
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Union
+from typing import Callable, Iterable, Optional, Union
 
 from repro.circuits.registry import get_benchmark
 from repro.orchestration.coordinator import (
@@ -140,21 +141,49 @@ class SweepResult:
         return rows
 
 
+def add_layout_jobs(
+    graph: JobGraph,
+    topology: str,
+    engines: Iterable[str],
+    config: dict,
+    detailed: bool,
+) -> dict:
+    """Add one topology's gp → lg → dp jobs to ``graph``.
+
+    One ``gp`` job, one ``lg`` job per engine on top of it, and — when
+    ``detailed`` — a ``dp`` job on top of qGDP's ``lg`` (the paper runs
+    qGDP-DP on qGDP-LG only).  Returns ``{engine: [lg]}`` or
+    ``{engine: [lg, dp]}``; the last job of each chain is the engine's
+    final layout.  Every planner builds its layout jobs here, so
+    fidelity sweeps and ``repro tables`` runs over one cache share their
+    gp/lg/dp artifacts.
+    """
+    gp = graph.add(
+        Job.create(
+            "gp",
+            {"topology": topology, "config": config, "seed": config["seed"]},
+        )
+    )
+    chains = {}
+    for engine in engines:
+        params = {"topology": topology, "engine": engine, "config": config}
+        lg = graph.add(Job.create("lg", params, deps=(gp.key,)))
+        chains[engine] = [lg]
+        if detailed and engine == "qgdp":
+            chains[engine].append(
+                graph.add(Job.create("dp", params, deps=(lg.key,)))
+            )
+    return chains
+
+
 def plan_sweep(spec: SweepSpec) -> SweepPlan:
     """Expand a spec into its content-addressed job graph."""
     graph = JobGraph()
     cells = {}
     for topo_name in spec.topologies:
         topology = get_topology(topo_name)
-        gp = graph.add(
-            Job.create(
-                "gp",
-                {
-                    "topology": topo_name,
-                    "config": spec.config,
-                    "seed": spec.config["seed"],
-                },
-            )
+        chains = add_layout_jobs(
+            graph, topo_name, spec.engines, spec.config, spec.detailed
         )
 
         # Transpilations are engine-independent: one job per (benchmark,
@@ -181,22 +210,10 @@ def plan_sweep(spec: SweepSpec) -> SweepPlan:
                 keys.append(job.key)
             transpile_keys[bench_name] = keys
 
-        for engine_name in spec.engines:
-            layout_params = {
-                "topology": topo_name,
-                "engine": engine_name,
-                "config": spec.config,
-            }
-            if spec.detailed and engine_name == "qgdp":
-                layout = graph.add(
-                    Job.create("dp", layout_params, deps=(gp.key,))
-                )
-            else:
-                layout = graph.add(
-                    Job.create("lg", layout_params, deps=(gp.key,))
-                )
+        for engine_name, chain in chains.items():
+            layout = chain[-1]
             analysis = graph.add(
-                Job.create("analyze", layout_params, deps=(layout.key,))
+                Job.create("analyze", layout.params, deps=(layout.key,))
             )
             for bench_name in fitting:
                 cell_job = graph.add(

@@ -3,9 +3,10 @@
 import networkx as nx
 import pytest
 
-from repro.circuits import get_benchmark
+import repro.compiler.mapping
+from repro.circuits import PAPER_BENCHMARKS, get_benchmark
 from repro.compiler import greedy_mapping, random_mapping
-from repro.topologies import get_topology
+from repro.topologies import PAPER_TOPOLOGIES, get_topology
 
 
 @pytest.fixture(scope="module")
@@ -65,3 +66,26 @@ def test_greedy_mapping_whole_device():
     circuit = get_benchmark("bv-16")
     mapping = greedy_mapping(circuit, grid)
     assert len(set(mapping.values())) == 16
+
+
+def _paper_mappings():
+    """random_mapping of every paper cell, each on a freshly built topology."""
+    mappings = {}
+    for topology_name in PAPER_TOPOLOGIES:
+        for bench_name in PAPER_BENCHMARKS:
+            topology = get_topology(topology_name)
+            circuit = get_benchmark(bench_name)
+            if circuit.num_qubits <= topology.num_qubits:
+                mappings[(topology_name, bench_name)] = random_mapping(
+                    circuit, topology, seed=11
+                )
+    return mappings
+
+
+def test_path_memo_never_crosses_topologies(monkeypatch):
+    """Freed graphs' ids are reused; a memo keyed by object identity would
+    hand one topology's shortest paths to the next.  With every graph
+    given the same id, the mappings must not change."""
+    reference = _paper_mappings()
+    monkeypatch.setattr(repro.compiler.mapping, "id", lambda obj: 0, raising=False)
+    assert _paper_mappings() == reference

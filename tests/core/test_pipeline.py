@@ -1,5 +1,7 @@
 """End-to-end flow."""
 
+import time
+
 import pytest
 
 from repro.core import QGDPConfig
@@ -64,6 +66,23 @@ def test_positions_snapshot_per_stage(flow_result):
     lg = result.stage("lg").positions
     assert set(gp) == set(lg)
     assert gp != lg  # legalization moved things
+
+
+def test_stage_runtimes_exclude_layout_metrics(monkeypatch):
+    """``runtime_s`` of lg and dp times the stage, not its metrics report."""
+    import repro.core.pipeline
+
+    delay_s = 1.0
+    real = repro.core.pipeline.layout_metrics
+
+    def slow_layout_metrics(*args, **kwargs):
+        time.sleep(delay_s)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(repro.core.pipeline, "layout_metrics", slow_layout_metrics)
+    _flow, result = run_flow("grid", config=QGDPConfig(gp_iterations=10))
+    assert result.stage("lg").runtime_s < delay_s
+    assert result.stage("dp").runtime_s < delay_s
 
 
 def test_run_flow_convenience():

@@ -31,9 +31,7 @@ def fidelity_cells(small_eval):
 @pytest.fixture(scope="module")
 def engine_evals(small_eval):
     return {
-        "falcon": evaluate_engines(
-            "falcon", ["qgdp", "tetris"], small_eval, with_dp_for=("qgdp",)
-        )
+        "falcon": evaluate_engines("falcon", ["qgdp", "tetris"], small_eval)
     }
 
 

@@ -106,7 +106,7 @@ def test_nearest_free_matches_brute_force(occupied, query):
     assert dist2(result) == min(dist2(s) for s in free)
 
 
-# -- flat-array probes (the RPR005 replacements for dict/bisect reads) --------
+# -- per-row flat-array probes ------------------------------------------------
 def test_free_cols_in_row_tracks_occupancy(bins):
     assert list(bins.free_cols_in_row(3)) == list(range(10))
     bins.occupy(4, 3, "x")
@@ -138,14 +138,12 @@ def test_first_free_col_at_or_after(bins):
     col=st.integers(-2, 11),
 )
 def test_flat_probes_match_legacy_free_lists(occupied, row, col):
-    """The flat-array probes agree with the per-row sorted free lists."""
-    import bisect
-
+    """The flat-array probes agree with the sorted per-row free list that
+    the plain set of occupied sites implies."""
     bins = BinGrid(SiteGrid(cols=10, rows=8))
     for site in sorted(occupied):
         bins.occupy(*site, "x")
-    reference = bins._free_rows[row]
+    reference = [c for c in range(10) if (c, row) not in occupied]
     assert list(bins.free_cols_in_row(row)) == reference
-    idx = bisect.bisect_left(reference, max(col, 0))
-    expected = reference[idx] if idx < len(reference) else None
+    expected = next((c for c in reference if c >= col), None)
     assert bins.first_free_col_at_or_after(row, col) == expected

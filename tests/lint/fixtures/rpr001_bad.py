@@ -24,3 +24,7 @@ def set_order():
         total = total * 10 + value
     ordered = [v for v in {9, 8}]  # comprehension keeps set order
     return total, ordered
+
+
+def identity_memo(memo, graph, a, b):
+    return memo.get((id(graph), a, b))  # ids are reused after a free

@@ -23,3 +23,7 @@ def ordered_sets(items):
     biggest = max({4, 7})
     as_set = {v * 2 for v in {1, 2}}  # set-to-set stays unordered
     return items, total, biggest, as_set
+
+
+def memo_on_the_object(graph, a, b):
+    return graph.graph.get("paths", {}).get((a, b))  # no identity key

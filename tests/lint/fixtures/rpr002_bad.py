@@ -10,8 +10,8 @@ def non_canonical(document):
     return json.dumps(document)  # no sort_keys: non-canonical text
 
 
-def identity_leaks(obj):
-    return id(obj), hash(obj)  # process-local identities
+def salted_hash(obj):
+    return hash(obj)  # salted per process
 
 
 def clock_in_key(params):

@@ -38,7 +38,7 @@ def test_findings_exit_one_with_text(tmp_path, capsys):
 def test_rule_filter(tmp_path, capsys):
     write_tree(tmp_path)
     code = main(
-        ["lint", "--root", str(tmp_path), "--rule", "RPR005", "src"]
+        ["lint", "--root", str(tmp_path), "--rule", "RPR002", "src"]
     )
     assert code == 0
     assert "repro lint: clean" in capsys.readouterr().out

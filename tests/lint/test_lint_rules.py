@@ -17,11 +17,10 @@ FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
 #: rule id -> (virtual path inside the rule's scope, bad-fixture findings)
 CASES = {
-    "RPR001": ("src/repro/placement/fixture.py", 7),
-    "RPR002": ("src/repro/orchestration/fixture.py", 5),
+    "RPR001": ("src/repro/placement/fixture.py", 8),
+    "RPR002": ("src/repro/orchestration/fixture.py", 4),
     "RPR003": ("src/repro/orchestration/fixture.py", 2),
     "RPR004": ("src/repro/orchestration/fixture.py", 5),
-    "RPR005": ("src/repro/legalization/fixture.py", 6),
 }
 
 
@@ -65,15 +64,6 @@ def test_rpr001_exempt_paths():
         fixture_text("rpr001_bad.py"),
         "src/repro/visualization/fixture.py",
         select_rules(["RPR001"]),
-    )
-    assert findings == []
-
-
-def test_rpr005_exempts_bins_itself():
-    findings = lint_source(
-        fixture_text("rpr005_bad.py"),
-        "src/repro/legalization/bins.py",
-        select_rules(["RPR005"]),
     )
     assert findings == []
 

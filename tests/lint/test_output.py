@@ -19,7 +19,7 @@ FINDINGS = [
         path="src/repro/b.py",
         line=10,
         col=0,
-        rule="RPR005",
+        rule="RPR003",
         message="second message\nwith % and a newline",
     ),
 ]
@@ -29,7 +29,7 @@ def test_json_schema():
     document = json.loads(render(FINDINGS, "json"))
     assert set(document) == {"findings", "count", "rules"}
     assert document["count"] == 2
-    assert document["rules"] == ["RPR001", "RPR005"]
+    assert document["rules"] == ["RPR001", "RPR003"]
     row = document["findings"][0]
     assert row == {
         "path": "src/repro/a.py",

@@ -26,5 +26,5 @@ def test_repository_is_lint_clean():
     assert findings == [], f"repository lint findings:\n{formatted}"
 
 
-def test_all_five_rules_are_registered():
-    assert rule_ids() == ["RPR001", "RPR002", "RPR003", "RPR004", "RPR005"]
+def test_all_four_rules_are_registered():
+    assert rule_ids() == ["RPR001", "RPR002", "RPR003", "RPR004"]

@@ -68,7 +68,7 @@ def test_unused_suppression_reported_as_rpr000():
 
 
 def test_suppression_for_unselected_rule_not_judged():
-    # A --rule RPR005 run must not call RPR001 ignores unused.
+    # A --rule RPR002 run must not call RPR001 ignores unused.
     findings = lint(
         """\
         import time
@@ -76,7 +76,7 @@ def test_suppression_for_unselected_rule_not_judged():
         def stamp():
             return time.time()  # repro: lint-ignore[RPR001] fixture
         """,
-        rules=("RPR005",),
+        rules=("RPR002",),
     )
     assert findings == []
 
@@ -123,9 +123,9 @@ def test_wrong_rule_id_does_not_suppress():
         import time
 
         def stamp():
-            return time.time()  # repro: lint-ignore[RPR005] wrong rule
+            return time.time()  # repro: lint-ignore[RPR002] wrong rule
         """,
-        rules=("RPR001", "RPR005"),
+        rules=("RPR001", "RPR002"),
     )
     rules = sorted(f.rule for f in findings)
     assert rules == sorted(["RPR001", UNUSED_SUPPRESSION_ID])

@@ -32,7 +32,7 @@ def cells(eval_config):
 @pytest.fixture(scope="module")
 def evaluations(eval_config):
     return {
-        name: evaluate_engines(name, ENGINES, eval_config, with_dp_for=("qgdp",))
+        name: evaluate_engines(name, ENGINES, eval_config)
         for name in TOPOLOGIES
     }
 

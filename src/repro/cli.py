@@ -69,8 +69,11 @@ from repro.lint import (
     select_rules,
 )
 from repro.orchestration import (
+    CacheServer,
     FleetClient,
+    FleetCoordinator,
     FleetError,
+    JobService,
     RemoteHTTPBackend,
     RunSink,
     StoreError,
@@ -82,8 +85,6 @@ from repro.orchestration import (
     run_fleet_sweep,
     run_sweep,
     run_worker,
-    serve_cache,
-    serve_jobs,
     sync_stores,
 )
 from repro.orchestration.service import ServiceClient, ServiceError
@@ -348,14 +349,19 @@ def _cmd_cache(args) -> int:
 
 def _cmd_serve_cache(args) -> int:
     try:
-        server = serve_cache(
-            args.store,
+        coordinator = (
+            FleetCoordinator(
+                lease_ttl_s=args.lease_ttl_s, max_attempts=args.max_attempts
+            )
+            if args.fleet
+            else None
+        )
+        server = CacheServer(
+            backend_from_url(args.store),
             host=args.host,
             port=args.port,
             quiet=args.quiet,
-            fleet=args.fleet,
-            lease_ttl_s=args.lease_ttl_s,
-            max_attempts=args.max_attempts,
+            coordinator=coordinator,
             max_body_bytes=args.max_body_mb * 1024 * 1024,
             socket_timeout_s=args.socket_timeout_s,
         )
@@ -436,7 +442,7 @@ def _cmd_serve(args) -> int:
         )
         return 2
     try:
-        service = serve_jobs(
+        service = JobService(
             args.store,
             tokens,
             host=args.host,

@@ -49,12 +49,11 @@ from repro.orchestration.backends import (
     retry_call,
     sync_stores,
 )
-from repro.orchestration.cache_server import CacheServer, serve_cache
+from repro.orchestration.cache_server import CacheServer
 from repro.orchestration.coordinator import (
     FleetClient,
     FleetCoordinator,
     FleetError,
-    LocalFleetClient,
     serialize_graph,
 )
 from repro.orchestration.diff import (
@@ -76,7 +75,6 @@ from repro.orchestration.service import (
     ServiceClient,
     ServiceError,
     ServiceToken,
-    serve_jobs,
     spec_from_document,
 )
 from repro.orchestration.sink import RunSink, read_jsonl
@@ -122,7 +120,6 @@ __all__ = [
     "JobGraph",
     "JobService",
     "JobTimeout",
-    "LocalFleetClient",
     "RemoteHTTPBackend",
     "RetryPolicy",
     "RunDiff",
@@ -161,8 +158,6 @@ __all__ = [
     "run_sweep",
     "run_worker",
     "serialize_graph",
-    "serve_cache",
-    "serve_jobs",
     "spec_from_document",
     "sync_stores",
 ]

@@ -47,7 +47,9 @@ import urllib.request
 import warnings
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Optional, Tuple, TypeVar, Union
+
+_T = TypeVar("_T")
 
 
 class StoreError(RuntimeError):
@@ -102,13 +104,13 @@ DEFAULT_RETRY_POLICY = RetryPolicy()
 
 
 def retry_call(
-    operation: Callable,
+    operation: Callable[[], _T],
     policy: Optional[RetryPolicy] = None,
     transient: tuple = (StoreUnavailable,),
     sleep: Callable[[float], None] = time.sleep,
     rng: Optional[random.Random] = None,
     on_retry: Optional[Callable] = None,
-) -> object:
+) -> _T:
     """Run ``operation()`` under ``policy``, retrying transient failures.
 
     Exceptions in ``transient`` are swallowed and retried with backoff
@@ -116,7 +118,8 @@ def retry_call(
     so callers still see :class:`StoreUnavailable`, just later and only
     for genuinely persistent outages.  Any other exception propagates
     immediately.  ``on_retry(failures, exc)`` is an observability hook
-    (the worker loop counts transient faults through it).
+    (the worker loop and the HTTP clients count transient faults
+    through it).
     """
     policy = policy or DEFAULT_RETRY_POLICY
     # repro: lint-ignore[RPR001] backoff jitter must decorrelate across
@@ -133,6 +136,35 @@ def retry_call(
             if failures >= policy.attempts:
                 raise
             sleep(policy.delay_s(failures, rng))
+
+
+def http_request(
+    url: str,
+    method: str = "GET",
+    body: Optional[bytes] = None,
+    token: Optional[str] = None,
+    timeout_s: float = 30.0,
+) -> Tuple[int, bytes]:
+    """One HTTP round trip → ``(status, body)``, whatever the status.
+
+    The one HTTP client every protocol speaker (store, fleet, service)
+    goes through: a ``body`` is sent as JSON, ``token`` as
+    ``Authorization: Bearer <token>``.  Every HTTP status is returned
+    for the caller to interpret; only connection-level faults (refused,
+    reset, timed out) raise, as :class:`StoreUnavailable`.
+    """
+    request = urllib.request.Request(url, data=body, method=method)
+    if body is not None:
+        request.add_header("Content-Type", "application/json")
+    if token is not None:
+        request.add_header("Authorization", f"Bearer {token}")
+    try:
+        with urllib.request.urlopen(request, timeout=timeout_s) as response:
+            return response.status, response.read()
+    except urllib.error.HTTPError as exc:
+        return exc.code, exc.read()
+    except (urllib.error.URLError, OSError, TimeoutError) as exc:
+        raise StoreUnavailable(f"{method} {url} unreachable: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -450,33 +482,6 @@ class RemoteHTTPBackend(StoreBackend):
             f"{urllib.parse.quote(key, safe='')}"
         )
 
-    def _request_once(
-        self,
-        url: str,
-        method: str = "GET",
-        body: Optional[bytes] = None,
-    ) -> Tuple[int, bytes]:
-        """One HTTP round trip; connection faults raise StoreUnavailable."""
-        with self._stats_lock:
-            self.requests += 1
-        request = urllib.request.Request(url, data=body, method=method)
-        if body is not None:
-            request.add_header("Content-Type", "application/json")
-        if self.token is not None:
-            request.add_header("Authorization", f"Bearer {self.token}")
-        try:
-            with urllib.request.urlopen(
-                request, timeout=self.timeout_s
-            ) as response:
-                return response.status, response.read()
-        except urllib.error.HTTPError as exc:
-            detail = exc.read()
-            return exc.code, detail
-        except (urllib.error.URLError, OSError, TimeoutError) as exc:
-            raise StoreUnavailable(
-                f"cache server {self.base_url} unreachable: {exc}"
-            ) from exc
-
     def _request(
         self,
         url: str,
@@ -484,28 +489,25 @@ class RemoteHTTPBackend(StoreBackend):
         body: Optional[bytes] = None,
     ) -> Tuple[int, bytes]:
         """An HTTP round trip with the transient-fault retry budget."""
-        failures = 0
-        while True:
-            try:
-                status, payload = self._request_once(url, method, body)
-            except StoreUnavailable:
-                with self._stats_lock:
-                    self.transient_failures += 1
-                failures += 1
-                if failures >= self.retry.attempts:
-                    raise
-            else:
-                if status not in RETRYABLE_HTTP_STATUSES:
-                    return status, payload
-                with self._stats_lock:
-                    self.transient_failures += 1
-                failures += 1
-                if failures >= self.retry.attempts:
-                    raise StoreUnavailable(
-                        f"cache server {self.base_url} still failing "
-                        f"(HTTP {status}) after {failures} attempts"
-                    )
-            self._sleep(self.retry.delay_s(failures, self._rng))
+
+        def attempt() -> Tuple[int, bytes]:
+            with self._stats_lock:
+                self.requests += 1
+            status, payload = http_request(
+                url, method, body, self.token, self.timeout_s
+            )
+            if status in RETRYABLE_HTTP_STATUSES:
+                raise StoreUnavailable(f"{method} {url}: HTTP {status}")
+            return status, payload
+
+        def count(_failures: int, _exc: BaseException) -> None:
+            with self._stats_lock:
+                self.transient_failures += 1
+
+        return retry_call(
+            attempt, self.retry, sleep=self._sleep, rng=self._rng,
+            on_retry=count,
+        )
 
     def get_text(self, kind: str, key: str) -> Optional[str]:
         status, body = self._request(self._artifact_url(kind, key))

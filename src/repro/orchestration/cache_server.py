@@ -56,13 +56,14 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import TYPE_CHECKING, Optional, Tuple
 from urllib.parse import unquote
 
-from repro.orchestration.backends import StoreBackend, backend_from_url
+from repro.orchestration.backends import StoreBackend
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.orchestration.coordinator import FleetCoordinator
 
-#: kind / key path segments must be plain tokens — this is what keeps a
-#: DirBackend-backed server inside its root (no separators, no dotfiles).
+#: Route arguments (artifact kind / key, run ids) and batch items must be
+#: plain tokens — this is what keeps a DirBackend-backed server inside its
+#: root (no separators, no dotfiles).
 _SAFE_SEGMENT = re.compile(r"^[A-Za-z0-9][A-Za-z0-9_.-]*$")
 
 #: Refuse absurd artifact uploads rather than buffering them (64 MiB).
@@ -73,48 +74,49 @@ MAX_BODY_BYTES = 64 * 1024 * 1024
 DEFAULT_SOCKET_TIMEOUT_S = 60.0
 
 
-#: POST routes of the fleet protocol → coordinator verb.
-_FLEET_VERBS = {
-    "/v1/fleet/enqueue": "enqueue",
-    "/v1/fleet/lease": "lease",
-    "/v1/fleet/heartbeat": "heartbeat",
-    "/v1/fleet/complete": "complete",
-    "/v1/fleet/withdraw": "withdraw",
-}
-
 _NO_FLEET = (
     "fleet endpoints disabled; restart the server with "
     "`repro serve-cache --fleet`"
 )
-
-#: POST routes of the batched artifact protocol → verb.
-_BATCH_VERBS = {
-    "/v1/artifacts/get": "get",
-    "/v1/artifacts/head": "head",
-}
 
 #: Refuse batch requests larger than any sane client chunk — the
 #: shipped client never sends more than its ``batch_size`` (default
 #: 128), so this only trips hand-rolled abuse.
 MAX_BATCH_ITEMS = 4096
 
-
-def _parse_artifact_path(path: str) -> Optional[Tuple[str, str]]:
-    """``/v1/artifact/<kind>/<key>`` → ``(kind, key)``, else ``None``."""
-    parts = path.split("/")
-    if len(parts) != 5 or parts[:3] != ["", "v1", "artifact"]:
-        return None
-    kind, key = unquote(parts[3]), unquote(parts[4])
-    if not (_SAFE_SEGMENT.match(kind) and _SAFE_SEGMENT.match(key)):
-        return None
-    return kind, key
+_ARTIFACT = r"/v1/artifact/([^/]*)/([^/]*)"
 
 
 class _CacheRequestHandler(BaseHTTPRequestHandler):
-    """Routes the /v1 protocol onto ``self.server.backend``."""
+    """Routes the /v1 protocol onto ``self.server.backend``.
+
+    :attr:`routes` is the whole protocol: one ``(method, pattern,
+    handler)`` entry per route, where ``pattern`` must match the full
+    request target and its groups, percent-decoded, become the handler
+    method's arguments.  Every HTTP verb goes through :meth:`_dispatch`;
+    a subclass adds routes by extending the table and gates them all
+    by overriding :meth:`_authorized`.
+    """
 
     server_version = "repro-cache/1.0"
     protocol_version = "HTTP/1.1"
+
+    routes: Tuple[Tuple[str, str, str], ...] = (
+        ("GET", "/v1/ping", "_ping"),
+        ("GET", "/v1/list", "_list"),
+        ("GET", "/v1/stats", "_stats"),
+        ("GET", _ARTIFACT, "_get_artifact"),
+        ("HEAD", _ARTIFACT, "_head_artifact"),
+        ("PUT", _ARTIFACT, "_put_artifact"),
+        ("DELETE", _ARTIFACT, "_delete_artifact"),
+        ("POST", "/v1/artifacts/(get|head)", "_batch"),
+        ("GET", "/v1/fleet/status", "_fleet_status"),
+        (
+            "POST",
+            "/v1/fleet/(enqueue|lease|heartbeat|complete|withdraw)",
+            "_fleet",
+        ),
+    )
 
     # -- plumbing ---------------------------------------------------------
     @property
@@ -132,6 +134,28 @@ class _CacheRequestHandler(BaseHTTPRequestHandler):
         if not self.server.quiet:
             BaseHTTPRequestHandler.log_message(self, format, *args)
 
+    def _authorized(self) -> bool:
+        """Whether to serve this request; the cache trusts its network."""
+        return True
+
+    def _dispatch(self) -> None:
+        """Authorize, then hand the request to its route's handler."""
+        if not self._authorized():
+            # Exactly this body on every auth failure: no path echo, no
+            # missing-vs-wrong-vs-expired distinction to probe.
+            self._send_json(401, {"error": "unauthorized"})
+            return
+        for method, pattern, handler in self.routes:
+            matched = re.fullmatch(pattern, self.path)
+            if method == self.command and matched:
+                args = [unquote(group) for group in matched.groups()]
+                if all(_SAFE_SEGMENT.match(arg) for arg in args):
+                    getattr(self, handler)(*args)
+                    return
+        self._unrecognized()
+
+    do_GET = do_HEAD = do_PUT = do_POST = do_DELETE = _dispatch
+
     def _send(self, status: int, body: bytes = b"",
               content_type: str = "application/json") -> None:
         self.send_response(status)
@@ -148,6 +172,9 @@ class _CacheRequestHandler(BaseHTTPRequestHandler):
 
     def _bad_request(self, message: str) -> None:
         self._send_json(400, {"error": message})
+
+    def _unrecognized(self) -> None:
+        self._bad_request(f"unrecognized path {self.path!r}")
 
     def _read_body(self) -> Optional[bytes]:
         """The request body, bounded; sends the error response on None.
@@ -178,64 +205,42 @@ class _CacheRequestHandler(BaseHTTPRequestHandler):
             return None
         return self.rfile.read(length)
 
-    # -- verbs ------------------------------------------------------------
-    def do_GET(self) -> None:  # noqa: N802 - http.server naming
-        if self.path == "/v1/ping":
-            self._send_json(
-                200,
-                {
-                    "ok": True,
-                    "store": self.backend.describe(),
-                    "fleet": self.server.coordinator is not None,
-                },
-            )
-            return
-        if self.path == "/v1/fleet/status":
-            coordinator = self.server.coordinator
-            if coordinator is None:
-                self._send_json(404, {"error": _NO_FLEET})
-                return
-            self._send_json(200, coordinator.status())
-            return
-        if self.path == "/v1/list":
-            entries = [
-                {"kind": e.kind, "key": e.key, "size": e.size, "mtime": e.mtime}
-                for e in self.backend.entries()
-            ]
-            self._send_json(200, {"entries": entries})
-            return
-        if self.path == "/v1/stats":
-            entries = self.backend.entries()
-            self._send_json(
-                200,
-                {
-                    "entries": len(entries),
-                    "bytes": sum(e.size for e in entries),
-                },
-            )
-            return
-        located = _parse_artifact_path(self.path)
-        if located is None:
-            self._bad_request(f"unrecognized path {self.path!r}")
-            return
-        text = self.backend.get_text(*located)
+    # -- routes -----------------------------------------------------------
+    def _ping(self) -> None:
+        self._send_json(
+            200,
+            {
+                "ok": True,
+                "store": self.backend.describe(),
+                "fleet": self.server.coordinator is not None,
+            },
+        )
+
+    def _list(self) -> None:
+        entries = [
+            {"kind": e.kind, "key": e.key, "size": e.size, "mtime": e.mtime}
+            for e in self.backend.entries()
+        ]
+        self._send_json(200, {"entries": entries})
+
+    def _stats(self) -> None:
+        entries = self.backend.entries()
+        self._send_json(
+            200,
+            {"entries": len(entries), "bytes": sum(e.size for e in entries)},
+        )
+
+    def _get_artifact(self, kind: str, key: str) -> None:
+        text = self.backend.get_text(kind, key)
         if text is None:
             self._send_json(404, {"error": "not found"})
             return
         self._send(200, text.encode("utf-8"))
 
-    def do_HEAD(self) -> None:  # noqa: N802
-        located = _parse_artifact_path(self.path)
-        if located is None:
-            self._bad_request(f"unrecognized path {self.path!r}")
-            return
-        self._send(200 if self.backend.has(*located) else 404)
+    def _head_artifact(self, kind: str, key: str) -> None:
+        self._send(200 if self.backend.has(kind, key) else 404)
 
-    def do_PUT(self) -> None:  # noqa: N802
-        located = _parse_artifact_path(self.path)
-        if located is None:
-            self._bad_request(f"unrecognized path {self.path!r}")
-            return
+    def _put_artifact(self, kind: str, key: str) -> None:
         body = self._read_body()
         if body is None:
             return
@@ -245,11 +250,20 @@ class _CacheRequestHandler(BaseHTTPRequestHandler):
         except (UnicodeDecodeError, ValueError):
             self._bad_request("body is not valid JSON")
             return
-        self.backend.put_text(*located, text)
+        self.backend.put_text(kind, key, text)
         self._send(204)
 
-    def _do_batch(self, verb: str) -> None:
+    def _delete_artifact(self, kind: str, key: str) -> None:
+        if self.backend.delete(kind, key):
+            self._send(204)
+        else:
+            self._send_json(404, {"error": "not found"})
+
+    def _batch(self, verb: str) -> None:
         """Batched multi-key artifact reads (``/v1/artifacts/get|head``)."""
+        if not self.server.batch_endpoints:
+            self._unrecognized()
+            return
         body = self._read_body()
         if body is None:
             return
@@ -286,16 +300,15 @@ class _CacheRequestHandler(BaseHTTPRequestHandler):
         fetched = self.backend.get_many(pairs)
         self._send_json(200, {"items": [fetched[pair] for pair in pairs]})
 
-    def do_POST(self) -> None:  # noqa: N802
-        """The fleet and batched-artifact protocols."""
-        batch_verb = _BATCH_VERBS.get(self.path)
-        if batch_verb is not None and self.server.batch_endpoints:
-            self._do_batch(batch_verb)
+    def _fleet_status(self) -> None:
+        coordinator = self.server.coordinator
+        if coordinator is None:
+            self._send_json(404, {"error": _NO_FLEET})
             return
-        verb = _FLEET_VERBS.get(self.path)
-        if verb is None:
-            self._bad_request(f"unrecognized path {self.path!r}")
-            return
+        self._send_json(200, coordinator.status())
+
+    def _fleet(self, verb: str) -> None:
+        """The fleet protocol's POST verbs, onto the coordinator."""
         coordinator = self.server.coordinator
         if coordinator is None:
             self._send_json(404, {"error": _NO_FLEET})
@@ -332,16 +345,6 @@ class _CacheRequestHandler(BaseHTTPRequestHandler):
             self._bad_request(f"invalid fleet request: {exc}")
             return
         self._send_json(200, reply)
-
-    def do_DELETE(self) -> None:  # noqa: N802
-        located = _parse_artifact_path(self.path)
-        if located is None:
-            self._bad_request(f"unrecognized path {self.path!r}")
-            return
-        if self.backend.delete(*located):
-            self._send(204)
-        else:
-            self._send_json(404, {"error": "not found"})
 
 
 class CacheServer:
@@ -424,38 +427,3 @@ class CacheServer:
     def __exit__(self, *_exc: object) -> None:
         self.stop()
 
-
-def serve_cache(
-    store_url: str,
-    host: str = "127.0.0.1",
-    port: int = 8765,
-    quiet: bool = False,
-    fleet: bool = False,
-    lease_ttl_s: float = 60.0,
-    max_attempts: int = 3,
-    max_body_bytes: int = MAX_BODY_BYTES,
-    socket_timeout_s: Optional[float] = DEFAULT_SOCKET_TIMEOUT_S,
-) -> CacheServer:
-    """Open ``store_url`` and return a bound (not yet serving) server.
-
-    With ``fleet=True`` a fresh
-    :class:`~repro.orchestration.coordinator.FleetCoordinator` (lease
-    TTL ``lease_ttl_s``, per-job budget ``max_attempts``) is attached,
-    enabling the ``/v1/fleet`` work-stealing endpoints.
-    """
-    coordinator = None
-    if fleet:
-        from repro.orchestration.coordinator import FleetCoordinator
-
-        coordinator = FleetCoordinator(
-            lease_ttl_s=lease_ttl_s, max_attempts=max_attempts
-        )
-    return CacheServer(
-        backend_from_url(store_url),
-        host=host,
-        port=port,
-        quiet=quiet,
-        coordinator=coordinator,
-        max_body_bytes=max_body_bytes,
-        socket_timeout_s=socket_timeout_s,
-    )

@@ -44,16 +44,17 @@ import json
 import random
 import threading
 import time
-import urllib.error
-import urllib.request
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Tuple
 
 from repro.orchestration.backends import (
     DEFAULT_RETRY_POLICY,
+    RETRYABLE_HTTP_STATUSES,
     RetryPolicy,
     StoreError,
     StoreUnavailable,
+    http_request,
+    retry_call,
 )
 from repro.orchestration.jobs import JobGraph
 
@@ -576,55 +577,36 @@ class FleetClient:
         # across workers; it never reaches a payload or content key
         self._rng = rng or random.Random()
 
-    def _call_once(self, path: str, document: Optional[dict]) -> dict:
+    def _call(self, path: str, document: Optional[dict] = None) -> dict:
+        url = f"{self.base_url}{path}"
         # repro: lint-ignore[RPR002] fleet RPC bodies are transport, not
         # content-keyed artifacts; field order is free
         body = None if document is None else json.dumps(document).encode()
-        request = urllib.request.Request(
-            f"{self.base_url}{path}",
-            data=body,
-            method="GET" if document is None else "POST",
-        )
-        if body is not None:
-            request.add_header("Content-Type", "application/json")
-        try:
-            with urllib.request.urlopen(
-                request, timeout=self.timeout_s
-            ) as response:
-                status, payload = response.status, response.read()
-        except urllib.error.HTTPError as exc:
-            status, payload = exc.code, exc.read()
-        except (urllib.error.URLError, OSError, TimeoutError) as exc:
-            raise StoreUnavailable(
-                f"coordinator {self.base_url} unreachable: {exc}"
-            ) from exc
-        if status in (500, 502, 503, 504, 429):
-            raise StoreUnavailable(
-                f"coordinator {self.base_url}{path}: HTTP {status}"
+
+        def attempt() -> Tuple[int, bytes]:
+            status, payload = http_request(
+                url, "GET" if body is None else "POST", body,
+                timeout_s=self.timeout_s,
             )
+            if status in RETRYABLE_HTTP_STATUSES:
+                raise StoreUnavailable(f"coordinator {url}: HTTP {status}")
+            return status, payload
+
+        status, payload = retry_call(
+            attempt, self.retry, sleep=self._sleep, rng=self._rng
+        )
         try:
             parsed = json.loads(payload.decode("utf-8"))
         except ValueError:
             raise StoreError(
-                f"coordinator {self.base_url}{path}: invalid JSON response"
+                f"coordinator {url}: invalid JSON response"
             ) from None
         if status != 200:
             raise FleetError(
-                f"coordinator {self.base_url}{path}: HTTP {status}: "
+                f"coordinator {url}: HTTP {status}: "
                 f"{parsed.get('error', 'unknown error')}"
             )
         return parsed
-
-    def _call(self, path: str, document: Optional[dict] = None) -> dict:
-        failures = 0
-        while True:
-            try:
-                return self._call_once(path, document)
-            except StoreUnavailable:
-                failures += 1
-                if failures >= self.retry.attempts:
-                    raise
-                self._sleep(self.retry.delay_s(failures, self._rng))
 
     def enqueue(self, jobs: List[dict]) -> dict:
         """Register a serialized DAG (see :func:`serialize_graph`)."""
@@ -661,43 +643,3 @@ class FleetClient:
         """The coordinator's progress counters and ledgers."""
         return self._call("/v1/fleet/status")
 
-
-class LocalFleetClient:
-    """The fleet-client protocol bound to an in-process coordinator.
-
-    :func:`~repro.orchestration.worker.run_worker` accepts any object
-    speaking enqueue/lease/heartbeat/complete/status; this adapter lets
-    worker loops run as threads inside the same process as their
-    coordinator — the job service's executor pool — with zero HTTP in
-    the path and the exact same semantics the wire protocol has.
-    """
-
-    #: Mirrors :attr:`FleetClient.base_url` for manifest provenance.
-    base_url = "local:"
-
-    def __init__(self, coordinator: FleetCoordinator) -> None:
-        self._coordinator = coordinator
-
-    def enqueue(self, jobs: List[dict]) -> dict:
-        return self._coordinator.enqueue(jobs)
-
-    def lease(self, worker: str, max_jobs: int = 1) -> dict:
-        return self._coordinator.lease(worker, max_jobs)
-
-    def heartbeat(self, worker: str) -> dict:
-        return self._coordinator.heartbeat(worker)
-
-    def complete(
-        self,
-        worker: str,
-        key: str,
-        status: str,
-        error: Optional[dict] = None,
-    ) -> dict:
-        return self._coordinator.complete(worker, key, status, error=error)
-
-    def withdraw(self, keys: List[str]) -> dict:
-        return self._coordinator.withdraw(keys)
-
-    def status(self) -> dict:
-        return self._coordinator.status()

@@ -47,18 +47,19 @@ from __future__ import annotations
 import hmac
 import json
 import os
-import re
 import threading
 import time
-import urllib.error
 import urllib.parse
-import urllib.request
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Dict, Iterable, List, Optional, Union
 
-from repro.orchestration.backends import StoreBackend
+from repro.orchestration.backends import (
+    StoreBackend,
+    StoreUnavailable,
+    http_request,
+)
 from repro.orchestration.cache_server import CacheServer, _CacheRequestHandler
-from repro.orchestration.coordinator import LocalFleetClient, serialize_graph
+from repro.orchestration.coordinator import serialize_graph
 from repro.orchestration.executor import RunStats
 from repro.orchestration.scheduler import FairScheduler
 from repro.orchestration.sink import RunSink
@@ -70,33 +71,23 @@ from repro.orchestration.worker import run_worker
 TERMINAL_RUN_STATES = ("done", "failed", "cancelled")
 
 #: Fields a submitted spec document may carry (SweepSpec's surface).
-_SPEC_FIELDS = (
-    "topologies",
-    "benchmarks",
-    "engines",
-    "num_seeds",
-    "base_seed",
-    "detailed",
-    "config",
-    "noise",
+_SPEC_FIELDS = tuple(spec_field.name for spec_field in fields(SweepSpec))
+
+#: The single-flow shorthand's singular name for each sweep axis.
+_FLOW_AXES = {
+    "topology": "topologies",
+    "benchmark": "benchmarks",
+    "engine": "engines",
+}
+
+#: The fields besides the axes, optional in both submission forms.
+_OPTIONAL_FIELDS = tuple(
+    name for name in _SPEC_FIELDS if name not in _FLOW_AXES.values()
 )
 
-#: Fields of the single-flow shorthand.
-_FLOW_FIELDS = (
-    "topology",
-    "benchmark",
-    "engine",
-    "num_seeds",
-    "base_seed",
-    "detailed",
-    "config",
-    "noise",
-)
-
-_RUN_ID_PATTERN = r"[A-Za-z0-9][A-Za-z0-9_.-]*"
-_RUN_PATH = re.compile(rf"^/v1/run/({_RUN_ID_PATTERN})$")
-_RESULTS_PATH = re.compile(rf"^/v1/run/({_RUN_ID_PATTERN})/results$")
-_MANIFEST_PATH = re.compile(rf"^/v1/run/({_RUN_ID_PATTERN})/manifest$")
+_RUN = r"/v1/run/([A-Za-z0-9][A-Za-z0-9_.-]*)"
+#: The GET run routes accept a query string (``results`` reads ``after``).
+_QUERY = r"(?:\?.*)?"
 
 
 class ServiceError(RuntimeError):
@@ -129,20 +120,18 @@ def spec_from_document(document: dict) -> SweepSpec:
     if not isinstance(document, dict):
         raise ValueError("submission must be a JSON object")
     if "topology" in document:
-        unknown = set(document) - set(_FLOW_FIELDS)
+        unknown = set(document) - {*_FLOW_AXES, *_OPTIONAL_FIELDS}
         if unknown:
             raise ValueError(
                 f"unknown flow fields: {', '.join(sorted(unknown))}"
             )
-        for name in ("topology", "benchmark", "engine"):
+        for name in _FLOW_AXES:
             if name not in document:
                 raise ValueError(f"flow submission is missing {name!r}")
         translated = {
-            "topologies": (document["topology"],),
-            "benchmarks": (document["benchmark"],),
-            "engines": (document["engine"],),
+            axis: (document[name],) for name, axis in _FLOW_AXES.items()
         }
-        for name in ("num_seeds", "base_seed", "detailed", "config", "noise"):
+        for name in _OPTIONAL_FIELDS:
             if name in document:
                 translated[name] = document[name]
         return SweepSpec(**translated)
@@ -151,7 +140,7 @@ def spec_from_document(document: dict) -> SweepSpec:
         raise ValueError(
             f"unknown spec fields: {', '.join(sorted(unknown))}"
         )
-    for name in ("topologies", "benchmarks", "engines"):
+    for name in _FLOW_AXES.values():
         if not document.get(name):
             raise ValueError(f"spec is missing {name!r}")
     return SweepSpec(**{k: document[k] for k in _SPEC_FIELDS if k in document})
@@ -176,119 +165,76 @@ class _ServiceRequestHandler(_CacheRequestHandler):
 
     server_version = "repro-service/1.0"
 
+    routes = _CacheRequestHandler.routes + (
+        ("POST", "/v1/run", "_submit"),
+        ("GET", _RUN + _QUERY, "_run_status"),
+        ("GET", _RUN + "/results" + _QUERY, "_run_results"),
+        ("GET", _RUN + "/manifest" + _QUERY, "_run_manifest"),
+        ("DELETE", _RUN, "_cancel"),
+    )
+
+    #: The tenant of the request being served (set by :meth:`_authorized`
+    #: on every request: one keep-alive connection may carry many).
+    tenant = ""
+
     @property
     def service(self) -> "JobService":
         return self.server.service
 
-    def _tenant(self) -> Optional[str]:
-        """The tenant of a valid live bearer token, else None."""
+    def _authorized(self) -> bool:
+        """Serve only requests bearing a valid live token."""
         header = self.headers.get("Authorization") or ""
-        if not header.startswith("Bearer "):
-            return None
-        return self.service.authenticate(header[len("Bearer "):])
+        tenant = None
+        if header.startswith("Bearer "):
+            tenant = self.service.authenticate(header[len("Bearer "):])
+        self.tenant = tenant or ""
+        return tenant is not None
 
-    def _reject(self) -> None:
-        # Exactly this body on every auth failure: no path echo, no
-        # missing-vs-wrong-vs-expired distinction to probe.
-        self._send_json(401, {"error": "unauthorized"})
+    def _run_reply(self, call: Callable[..., dict], *args: object) -> None:
+        """Send ``call(*args)``'s document; an unknown run id is a 404."""
+        try:
+            document = call(*args)
+        except ValueError:
+            self._send_json(404, {"error": "unknown run"})
+            return
+        self._send_json(200, document)
 
-    def _unknown_run(self) -> None:
-        self._send_json(404, {"error": "unknown run"})
+    def _submit(self) -> None:
+        body = self._read_body()
+        if body is None:
+            return
+        try:
+            document = json.loads(body.decode("utf-8"))
+        except (UnicodeDecodeError, ValueError):
+            self._bad_request("body is not valid JSON")
+            return
+        try:
+            reply = self.service.submit(document, self.tenant)
+        except (KeyError, TypeError, ValueError) as exc:
+            self._bad_request(f"invalid submission: {exc}")
+            return
+        self._send_json(200, reply)
 
-    def do_GET(self) -> None:  # noqa: N802 - http.server naming
-        tenant = self._tenant()
-        if tenant is None:
-            self._reject()
-            return
-        parsed = urllib.parse.urlsplit(self.path)
-        matched = _RUN_PATH.match(parsed.path)
-        if matched:
-            try:
-                document = self.service.run_status(matched.group(1))
-            except ValueError:
-                self._unknown_run()
-            else:
-                self._send_json(200, document)
-            return
-        matched = _RESULTS_PATH.match(parsed.path)
-        if matched:
-            query = urllib.parse.parse_qs(parsed.query)
-            try:
-                after = int(query.get("after", ["0"])[0])
-            except ValueError:
-                self._bad_request("after must be an integer")
-                return
-            if after < 0:
-                self._bad_request("after must be >= 0")
-                return
-            try:
-                document = self.service.run_results(matched.group(1), after)
-            except ValueError:
-                self._unknown_run()
-            else:
-                self._send_json(200, document)
-            return
-        matched = _MANIFEST_PATH.match(parsed.path)
-        if matched:
-            try:
-                document = self.service.run_manifest(matched.group(1))
-            except ValueError:
-                self._unknown_run()
-            else:
-                self._send_json(200, document)
-            return
-        _CacheRequestHandler.do_GET(self)
+    def _run_status(self, run_id: str) -> None:
+        self._run_reply(self.service.run_status, run_id)
 
-    def do_POST(self) -> None:  # noqa: N802
-        tenant = self._tenant()
-        if tenant is None:
-            self._reject()
+    def _run_results(self, run_id: str) -> None:
+        query = urllib.parse.parse_qs(urllib.parse.urlsplit(self.path).query)
+        try:
+            after = int(query.get("after", ["0"])[0])
+        except ValueError:
+            self._bad_request("after must be an integer")
             return
-        if self.path == "/v1/run":
-            body = self._read_body()
-            if body is None:
-                return
-            try:
-                document = json.loads(body.decode("utf-8"))
-            except (UnicodeDecodeError, ValueError):
-                self._bad_request("body is not valid JSON")
-                return
-            try:
-                reply = self.service.submit(document, tenant)
-            except (KeyError, TypeError, ValueError) as exc:
-                self._bad_request(f"invalid submission: {exc}")
-                return
-            self._send_json(200, reply)
+        if after < 0:
+            self._bad_request("after must be >= 0")
             return
-        _CacheRequestHandler.do_POST(self)
+        self._run_reply(self.service.run_results, run_id, after)
 
-    def do_DELETE(self) -> None:  # noqa: N802
-        tenant = self._tenant()
-        if tenant is None:
-            self._reject()
-            return
-        matched = _RUN_PATH.match(self.path)
-        if matched:
-            try:
-                reply = self.service.cancel(matched.group(1))
-            except ValueError:
-                self._unknown_run()
-            else:
-                self._send_json(200, reply)
-            return
-        _CacheRequestHandler.do_DELETE(self)
+    def _run_manifest(self, run_id: str) -> None:
+        self._run_reply(self.service.run_manifest, run_id)
 
-    def do_HEAD(self) -> None:  # noqa: N802
-        if self._tenant() is None:
-            self._reject()
-            return
-        _CacheRequestHandler.do_HEAD(self)
-
-    def do_PUT(self) -> None:  # noqa: N802
-        if self._tenant() is None:
-            self._reject()
-            return
-        _CacheRequestHandler.do_PUT(self)
+    def _cancel(self, run_id: str) -> None:
+        self._run_reply(self.service.cancel, run_id)
 
 
 class JobService:
@@ -297,8 +243,7 @@ class JobService:
     Owns the HTTP front door (a :class:`~repro.orchestration
     .cache_server.CacheServer` with the service handler), the
     :class:`~repro.orchestration.scheduler.FairScheduler`, and a pool
-    of in-process worker threads pulling from it through
-    :class:`~repro.orchestration.coordinator.LocalFleetClient`.  Binds
+    of in-process worker threads leasing from it directly.  Binds
     on construction (``port=0`` → ephemeral, read back from
     :attr:`url`); serves and executes after :meth:`start`.  Usable as a
     context manager::
@@ -418,7 +363,7 @@ class JobService:
             thread = threading.Thread(
                 target=run_worker,
                 kwargs={
-                    "coordinator": LocalFleetClient(self.scheduler),
+                    "coordinator": self.scheduler,
                     "store": self.store,
                     "worker_id": f"svc-worker-{index}",
                     "batch_size": 1,
@@ -688,23 +633,13 @@ class ServiceClient:
         # repro: lint-ignore[RPR002] service RPC bodies are transport,
         # not content-keyed artifacts; field order is free
         body = None if document is None else json.dumps(document).encode()
-        request = urllib.request.Request(
-            f"{self.base_url}{path}", data=body, method=method
-        )
-        if body is not None:
-            request.add_header("Content-Type", "application/json")
-        request.add_header("Authorization", f"Bearer {self.token}")
         try:
-            with urllib.request.urlopen(
-                request, timeout=self.timeout_s
-            ) as response:
-                status, payload = response.status, response.read()
-        except urllib.error.HTTPError as exc:
-            status, payload = exc.code, exc.read()
-        except (urllib.error.URLError, OSError, TimeoutError) as exc:
-            raise ServiceError(
-                f"service {self.base_url} unreachable: {exc}"
-            ) from exc
+            status, payload = http_request(
+                f"{self.base_url}{path}", method, body, self.token,
+                self.timeout_s,
+            )
+        except StoreUnavailable as exc:
+            raise ServiceError(f"service {exc}") from exc
         try:
             parsed = json.loads(payload.decode("utf-8"))
         except ValueError:
@@ -770,27 +705,3 @@ class ServiceClient:
                 )
             sleep(poll_s)
 
-
-def serve_jobs(
-    store_url: str,
-    tokens: Iterable[Union[str, ServiceToken]],
-    host: str = "127.0.0.1",
-    port: int = 8766,
-    workers: int = 2,
-    runs_root: Optional[str] = None,
-    lease_ttl_s: float = 60.0,
-    max_attempts: int = 3,
-    quiet: bool = False,
-) -> JobService:
-    """Open ``store_url`` and return a bound (not yet serving) service."""
-    return JobService(
-        store_url,
-        tokens,
-        host=host,
-        port=port,
-        workers=workers,
-        runs_root=runs_root,
-        lease_ttl_s=lease_ttl_s,
-        max_attempts=max_attempts,
-        quiet=quiet,
-    )

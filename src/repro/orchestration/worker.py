@@ -45,7 +45,7 @@ from repro.orchestration.backends import (
     StoreUnavailable,
     retry_call,
 )
-from repro.orchestration.coordinator import FleetClient
+from repro.orchestration.coordinator import FleetClient, FleetCoordinator
 from repro.orchestration.executor import execute_job_with_timeout
 from repro.orchestration.stages import execute_job
 from repro.orchestration.store import ArtifactStore
@@ -100,7 +100,10 @@ class _Heartbeat:
     """Background lease-keepalive: one thread, stoppable, crash-proof."""
 
     def __init__(
-        self, client: FleetClient, worker: str, interval_s: float
+        self,
+        client: Union[FleetClient, FleetCoordinator],
+        worker: str,
+        interval_s: float,
     ) -> None:
         self._client = client
         self._worker = worker
@@ -128,7 +131,7 @@ class _Heartbeat:
 
 
 def run_worker(
-    coordinator: Union[str, FleetClient],
+    coordinator: Union[str, FleetClient, FleetCoordinator],
     store: ArtifactStore,
     worker_id: Optional[str] = None,
     batch_size: int = 1,
@@ -144,10 +147,13 @@ def run_worker(
 ) -> WorkerStats:
     """Pull, execute and report fleet jobs until done (or told to stop).
 
-    ``coordinator`` is a ``repro serve-cache --fleet`` URL or an
-    existing :class:`FleetClient`; ``store`` is the *shared* artifact
-    store the fleet reads dependency payloads from and writes results
-    to (typically a :class:`~repro.orchestration.store.TieredStore`
+    ``coordinator`` is a ``repro serve-cache --fleet`` URL, an
+    existing :class:`FleetClient`, or an in-process
+    :class:`FleetCoordinator` (the job service's worker threads lease
+    from theirs directly, with no HTTP in the path); ``store`` is the
+    *shared* artifact store the fleet reads dependency payloads from
+    and writes results to (typically a
+    :class:`~repro.orchestration.store.TieredStore`
     over the same server).  ``batch_size`` jobs are leased per round;
     ``timeout_s`` bounds each job's wall clock exactly like a local
     sweep's ``--timeout-s`` (enforced in a terminatable child process).

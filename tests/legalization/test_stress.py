@@ -1,7 +1,7 @@
 """Stress and failure-injection tests for the legalization stack."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.geometry import Rect, SiteGrid
@@ -61,22 +61,35 @@ def test_integration_on_near_full_grid():
     ),
     sizes=st.lists(st.integers(2, 10), min_size=6, max_size=6),
 )
+# Four resonators crowd the grid corner: the fourth one's first block
+# has no free neighbour left, so its second block falls back to the
+# nearest free bin and the resonator splits into two clusters.
+@example(
+    seeds=[(1.0, 1.0), (1.0, 2.0), (1.0, 2.0), (1.0, 1.0)],
+    sizes=[2, 2, 2, 3, 2, 2],
+)
 def test_integration_random_instances_contiguous(seeds, sizes):
-    """Random multi-resonator instances: legal and mostly contiguous."""
+    """Random multi-resonator instances: legal, split only by fallbacks.
+
+    Algorithm 1 grows each resonator through adjacent free bins (Baa);
+    only a block that finds Baa empty falls back to the nearest free bin
+    and may start a new cluster.  So every cluster beyond a resonator's
+    first is paid for by a fallback block, and an instance with no
+    fallback keeps every resonator unified.
+    """
     bins = BinGrid(SiteGrid(24, 24))
     resonators = []
     for k, (x, y) in enumerate(seeds):
         resonators.append(_resonator((2 * k, 2 * k + 1), sizes[k], x, y))
-    integration_aware_legalize(resonators, bins)
+    result = integration_aware_legalize(resonators, bins)
     occupied = set()
     for r in resonators:
         for b in r.blocks:
             site = bins.grid.site_of(b.center)
             assert site not in occupied
             occupied.add(site)
-    # With 24x24 free space for <= 60 blocks, everything stays unified.
-    for r in resonators:
-        assert cluster_count(r) == 1
+    extra_clusters = sum(cluster_count(r) - 1 for r in resonators)
+    assert extra_clusters <= result.fallback_blocks
 
 
 @pytest.mark.parametrize("legalize", [tetris_legalize, abacus_legalize])

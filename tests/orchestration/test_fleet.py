@@ -23,7 +23,6 @@ from repro.orchestration import (
     FleetError,
     Job,
     JobGraph,
-    LocalFleetClient,
     RetryPolicy,
     SqliteBackend,
     SweepSpec,
@@ -474,7 +473,7 @@ def test_worker_sigterm_drain_deterministic():
     coordinator = FleetCoordinator(
         lease_ttl_s=10.0, max_attempts=3, clock=clock
     )
-    client = LocalFleetClient(coordinator)
+    client = coordinator
     client.enqueue(_fan_jobs(4))
     stop = threading.Event()
     stats = run_worker(

@@ -9,7 +9,7 @@ the level where they are deterministic.
 
 import pytest
 
-from repro.orchestration import FairScheduler, LocalFleetClient
+from repro.orchestration import FairScheduler
 
 
 class FakeClock:
@@ -93,7 +93,7 @@ def test_shared_job_charged_to_exactly_one_run():
     shared = _rows("s0")
     scheduler.register_run("run-a", "alice", shared + _rows("a1"))
     scheduler.register_run("run-b", "bob", shared + _rows("b1"))
-    client = LocalFleetClient(scheduler)
+    client = scheduler
     while client.lease("w", max_jobs=8)["jobs"]:
         pass
     charged_a = scheduler.run_snapshot("run-a")["charged"]
@@ -115,7 +115,7 @@ def test_computed_counters_sum_to_union():
     shared = _rows("s0", "s1")
     scheduler.register_run("run-a", "alice", shared + _rows("a2"))
     scheduler.register_run("run-b", "bob", shared + _rows("b2"))
-    client = LocalFleetClient(scheduler)
+    client = scheduler
     while True:
         jobs = client.lease("w", max_jobs=4)["jobs"]
         if not jobs:
@@ -141,7 +141,7 @@ def test_cancel_spares_shared_and_leased_jobs():
         "run-a", "alice", _rows("s0") + _rows("a1", "a2", deps="chain")
     )
     scheduler.register_run("run-b", "bob", _rows("s0"))
-    client = LocalFleetClient(scheduler)
+    client = scheduler
     # Lease until alice's exclusive root a1 is in flight.
     leased = set()
     while "a1" not in leased:
@@ -188,7 +188,7 @@ def test_resurrection_after_cancel():
     reply = scheduler.register_run("run-c", "cara", rows)
     assert reply["resurrected"] == 2
     assert reply["known"] == 0
-    client = LocalFleetClient(scheduler)
+    client = scheduler
     for key in ("x0", "x1"):
         jobs = client.lease("w", max_jobs=1)["jobs"]
         assert [job["key"] for job in jobs] == [key]

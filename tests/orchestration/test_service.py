@@ -12,8 +12,11 @@ check over N artifacts costs ``ceil(N / batch_size)`` HTTP round trips
 through the batched artifact endpoints.
 """
 
+import dataclasses
+import http.client
 import json
 import math
+import re
 import threading
 import urllib.error
 import urllib.request
@@ -21,10 +24,13 @@ import urllib.request
 import pytest
 
 from repro.core.config import QGDPConfig
+from repro.crosstalk.parameters import NoiseParameters
 from repro.orchestration import (
     ArtifactStore,
     RemoteHTTPBackend,
+    SweepSpec,
     config_to_dict,
+    noise_to_dict,
     plan_sweep,
     read_jsonl,
     run_sweep,
@@ -34,6 +40,7 @@ from repro.orchestration.service import (
     ServiceClient,
     ServiceError,
     ServiceToken,
+    _ServiceRequestHandler,
     spec_from_document,
 )
 
@@ -273,6 +280,37 @@ def test_spec_from_document_unit():
         spec_from_document({"topologys": ["grid"]})
 
 
+def test_spec_document_round_trip():
+    """Every SweepSpec field survives both submission forms."""
+    spec = SweepSpec(
+        topologies=("grid", "falcon"),
+        benchmarks=("bv-4", "qaoa-4"),
+        engines=("qgdp", "tetris"),
+        num_seeds=3,
+        base_seed=5,
+        detailed=True,
+        config=_CFG,
+        noise=noise_to_dict(NoiseParameters(t1_us=50.0)),
+    )
+    for spec_field in dataclasses.fields(SweepSpec):
+        if spec_field.default is not dataclasses.MISSING:
+            default = spec_field.default
+        elif spec_field.default_factory is not dataclasses.MISSING:
+            default = spec_field.default_factory()
+        else:
+            continue  # a required axis
+        assert getattr(spec, spec_field.name) != default, spec_field.name
+    document = spec.to_dict()
+    assert spec_from_document(document) == spec
+
+    axes = ("topologies", "benchmarks", "engines")
+    flow = {"topology": "grid", "benchmark": "bv-4", "engine": "qgdp"}
+    flow.update({k: v for k, v in document.items() if k not in axes})
+    assert spec_from_document(flow) == dataclasses.replace(
+        spec, topologies=("grid",), benchmarks=("bv-4",), engines=("qgdp",)
+    )
+
+
 # -- authentication ------------------------------------------------------------
 
 
@@ -287,37 +325,78 @@ def _raw(url, method="GET", token=None, body=None):
         return exc.code, exc.read()
 
 
+#: One sample request per route handler of the service: (method, path,
+#: body).  A route added without a sample fails the auth test below.
+_ROUTE_SAMPLES = {
+    "_ping": ("GET", "/v1/ping", None),
+    "_list": ("GET", "/v1/list", None),
+    "_stats": ("GET", "/v1/stats", None),
+    "_get_artifact": ("GET", "/v1/artifact/gp/abc123", None),
+    "_head_artifact": ("HEAD", "/v1/artifact/gp/abc123", None),
+    "_put_artifact": ("PUT", "/v1/artifact/gp/abc123", b"{}"),
+    "_delete_artifact": ("DELETE", "/v1/artifact/gp/abc123", None),
+    "_batch": ("POST", "/v1/artifacts/head", b'{"items": []}'),
+    "_fleet_status": ("GET", "/v1/fleet/status", None),
+    "_fleet": ("POST", "/v1/fleet/heartbeat", b'{"worker": "w"}'),
+    "_submit": ("POST", "/v1/run", b"{}"),
+    "_run_status": ("GET", "/v1/run/run0001-deadbeef", None),
+    "_run_results": ("GET", "/v1/run/run0001-deadbeef/results?after=0", None),
+    "_run_manifest": ("GET", "/v1/run/run0001-deadbeef/manifest", None),
+    "_cancel": ("DELETE", "/v1/run/run0001-deadbeef", None),
+}
+
+
 def test_every_endpoint_rejects_bad_tokens(frozen_service):
+    routes = _ServiceRequestHandler.routes
+    assert set(_ROUTE_SAMPLES) == {handler for _m, _p, handler in routes}
     base = frozen_service.url
-    endpoints = [
-        ("GET", "/v1/ping", None),
-        ("GET", "/v1/list", None),
-        ("GET", "/v1/run/run0001-deadbeef", None),
-        ("GET", "/v1/run/run0001-deadbeef/results", None),
-        ("GET", "/v1/run/run0001-deadbeef/manifest", None),
-        ("POST", "/v1/run", b"{}"),
-        ("DELETE", "/v1/run/run0001-deadbeef", None),
-        ("GET", "/v1/artifact/gp/abc123", None),
-        ("PUT", "/v1/artifact/gp/abc123", b"{}"),
-        ("POST", "/v1/artifacts/head", b'{"items": []}'),
-        ("POST", "/v1/artifacts/get", b'{"items": []}'),
-        ("POST", "/v1/fleet/status", b"{}"),
-    ]
     bad_tokens = [None, "", "wrong-secret", ALICE.secret + "x", "Basic zzz"]
-    for method, path, body in endpoints:
+    for name, (method, path, body) in _ROUTE_SAMPLES.items():
+        routed = next(
+            handler
+            for verb, pattern, handler in routes
+            if verb == method and re.fullmatch(pattern, path)
+        )
+        assert routed == name, (method, path)
         for token in bad_tokens:
             status, payload = _raw(
                 f"{base}{path}", method=method, token=token, body=body
             )
             assert status == 401, (method, path, token)
             # The rejection body is opaque: no path echo, no hint
-            # whether the token was missing, wrong or expired.
-            assert payload == b'{"error": "unauthorized"}', (method, path)
-    status, payload = _raw(f"{base}/v1/ping", token=ALICE.secret)
-    assert status == 200  # the routes themselves work when authorized
-    # HEAD can't carry a body, but it still authenticates.
-    status, _ = _raw(f"{base}/v1/artifact/gp/abc123", method="HEAD")
-    assert status == 401
+            # whether the token was missing, wrong or expired.  HEAD
+            # can't carry a body, but it still authenticates.
+            expected = b"" if method == "HEAD" else b'{"error": "unauthorized"}'
+            assert payload == expected, (method, path)
+        # The route itself answers once the token is valid.
+        status, payload = _raw(
+            f"{base}{path}", method=method, token=ALICE.secret, body=body
+        )
+        assert status != 401 and b"unrecognized path" not in payload, name
+    # Auth comes before routing: an unknown path is not echoed either.
+    status, payload = _raw(f"{base}/v1/fleet/status", method="POST", body=b"{}")
+    assert (status, payload) == (401, b'{"error": "unauthorized"}')
+
+
+def test_auth_is_per_request_on_a_keepalive_connection(frozen_service):
+    connection = http.client.HTTPConnection(
+        frozen_service.host, frozen_service.port, timeout=10
+    )
+    try:
+        connection.request(
+            "GET", "/v1/ping",
+            headers={"Authorization": f"Bearer {ALICE.secret}"},
+        )
+        response = connection.getresponse()
+        response.read()
+        assert response.status == 200
+        # Same connection, same handler, no token: rejected.
+        connection.request("GET", "/v1/ping")
+        response = connection.getresponse()
+        assert response.status == 401
+        assert response.read() == b'{"error": "unauthorized"}'
+    finally:
+        connection.close()
 
 
 def test_expired_token_stops_authenticating(tmp_path):

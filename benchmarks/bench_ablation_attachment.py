@@ -27,7 +27,7 @@ def test_attachment_seeding_ablation(benchmark, topology_name):
 
     def run_variant(attach: bool):
         netlist, grid = build_layout(topology, cfg)
-        GlobalPlacer(cfg).run(netlist, grid, seed=cfg.seed)
+        GlobalPlacer(cfg).run(netlist, grid)
         legalize_qubits(netlist, grid, cfg, quantum=True)
         bins = BinGrid(grid)
         for qubit in netlist.qubits:

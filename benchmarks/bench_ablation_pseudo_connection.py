@@ -33,7 +33,7 @@ def test_pseudo_connection_ablation(benchmark, topology_name):
 
     def run_style(style):
         netlist, grid = build_layout(topology, cfg)
-        GlobalPlacer(cfg).run(netlist, grid, style=style, seed=cfg.seed)
+        GlobalPlacer(cfg).run(netlist, grid, style=style)
         gp_positions = netlist.snapshot()
         run_legalization(netlist, grid, get_engine("qgdp"), cfg)
         moves = displacement_stats(gp_positions, netlist.snapshot(), prefix="b")

@@ -25,7 +25,7 @@ def test_spacing_schedule_ablation(benchmark):
         for initial in (1.0, 2.0, 3.0):
             cfg = QGDPConfig(initial_qubit_spacing=initial)
             netlist, grid = build_layout(topology, cfg)
-            GlobalPlacer(cfg).run(netlist, grid, seed=cfg.seed)
+            GlobalPlacer(cfg).run(netlist, grid)
             gp = netlist.snapshot()
             result = legalize_qubits(netlist, grid, cfg, quantum=True)
             netlist.restore(gp)

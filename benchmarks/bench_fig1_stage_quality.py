@@ -49,11 +49,11 @@ def test_fig1_stage_quality(benchmark, topology_name):
         results = {}
         for engine in ("qgdp", "tetris"):
             flow = QGDPFlow(topology, cfg)
-            report = flow.run(engine=engine, detailed=True, seed=cfg.seed)
+            report = flow.run(engine=engine, detailed=True)
             lg_fid = None  # fidelity needs bins; evaluate after LG and DP
             # Re-run without DP for the LG-stage quality point.
             flow_lg = QGDPFlow(topology, cfg)
-            flow_lg.run(engine=engine, detailed=False, seed=cfg.seed)
+            flow_lg.run(engine=engine, detailed=False)
             lg_fid = _mean_fidelity(flow_lg, topology, cfg)
             dp_fid = _mean_fidelity(flow, topology, cfg)
             results[engine] = {

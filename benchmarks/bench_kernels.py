@@ -56,7 +56,7 @@ def run_kernels(sides=SIDES) -> dict:
     for side in sides:
         cfg = QGDPConfig()
         netlist, grid = build_layout(grid_topology(side), cfg)
-        GlobalPlacer(cfg).run(netlist, grid, seed=cfg.seed)
+        GlobalPlacer(cfg).run(netlist, grid)
         snapshot = netlist.snapshot()
 
         def lp():

@@ -37,7 +37,7 @@ def run_sweep(sides=SIDES):
         cfg = QGDPConfig()
         topology = grid_topology(side)
         netlist, grid = build_layout(topology, cfg)
-        GlobalPlacer(cfg).run(netlist, grid, seed=cfg.seed)
+        GlobalPlacer(cfg).run(netlist, grid)
         outcome = run_legalization(netlist, grid, get_engine("qgdp"), cfg)
         t0 = time.perf_counter()
         dp = DetailedPlacer(cfg).run(netlist, outcome.bins)

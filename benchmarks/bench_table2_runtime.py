@@ -54,7 +54,7 @@ def test_table2_legalization_runtime(benchmark, engine_evaluations):
     # Falcon (GP excluded), the unit Table II times.
     cfg = QGDPConfig()
     netlist, grid = build_layout(get_topology("falcon"), cfg)
-    GlobalPlacer(cfg).run(netlist, grid, seed=cfg.seed)
+    GlobalPlacer(cfg).run(netlist, grid)
     gp_positions = netlist.snapshot()
     engine = get_engine("qgdp")
 

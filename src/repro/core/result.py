@@ -94,7 +94,7 @@ class FlowResult:
     stages: list = field(default_factory=list)
 
     def stage(self, name: str) -> StageReport:
-        """Look a stage up by name (e.g. ``"qubit_lg"``)."""
+        """Look a stage up by name: ``"gp"``, ``"lg"`` or ``"dp"``."""
         for report in self.stages:
             if report.stage == name:
                 return report

@@ -61,9 +61,8 @@ class DetailedPlacementResult:
 class DetailedPlacer:
     """Window-based rip-up-and-re-place detail placer."""
 
-    def __init__(self, config: QGDPConfig = None, halo: int = 2) -> None:
+    def __init__(self, config: QGDPConfig = None) -> None:
         self.config = config or QGDPConfig()
-        self.halo = halo
 
     # -- helpers -----------------------------------------------------------
     def _adjacent_sites(self, grid, rect) -> set:
@@ -266,7 +265,7 @@ class DetailedPlacer:
 
         for key in flagged:
             resonator = netlist.resonator(*key)
-            window = build_window(netlist, bins.grid, key, self.halo)
+            window = build_window(netlist, bins.grid, key)
             keys = window.resonator_keys
             clusters_before = sum(cluster_counts[k] for k in keys)
             hotspots_before = sum(hotspot_scores.get(k, 0.0) for k in keys)

@@ -27,6 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.geometry import Rect, SiteGrid
+from repro.netlist.netlist import QuantumNetlist
 
 #: ``kind`` codes stored per site.
 KIND_FREE = 0
@@ -65,6 +66,23 @@ class BinGrid:
         self._owner_ids = {}  # owner -> owner_idx (hashable owners only)
         self._res_keys = []  # res_idx -> resonator key
         self._res_ids = {}  # resonator key -> res_idx
+
+    @classmethod
+    def of_layout(cls, netlist: QuantumNetlist, grid: SiteGrid) -> "BinGrid":
+        """The occupancy of a legal layout, rebuilt from its positions.
+
+        A legal layout determines its occupancy completely: qubit macros
+        cover the sites under their rectangles and each wire block sits on
+        exactly one site.  ``occupy``/``occupy_rect`` raise on conflicts, so
+        a non-legal snapshot fails loudly instead of silently mis-counting
+        crossings.
+        """
+        bins = cls(grid)
+        for qubit in netlist.qubits:
+            bins.occupy_rect(qubit.rect, qubit.node_id)
+        for block in netlist.wire_blocks:
+            bins.occupy(*grid.site_of(block.center), block.node_id)
+        return bins
 
     # -- flat-array views --------------------------------------------------
     @property

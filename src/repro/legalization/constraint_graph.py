@@ -11,8 +11,9 @@ both axes from broadcast separation-ratio comparisons over the sorted
 coordinate arrays (one O(n²) NumPy pass instead of a Python double loop)
 and :func:`build_constraint_graphs` is a thin :class:`Arc`-list view of
 it.  An optional transitive-reduction pass (:func:`transitive_reduction`)
-drops arcs already implied by chains of tighter arcs, keeping the LP row
-count near-linear on well-spread placements without changing the feasible
+drops arcs already implied by chains of other arcs — a reachability test,
+since separations add up along a chain — keeping the LP row count
+near-linear on well-spread placements without changing the feasible
 region.
 """
 
@@ -143,28 +144,6 @@ def build_constraint_graphs(
     return (arcs(h_axis), arcs(v_axis))
 
 
-#: Elements per row-chunk of the max-plus closure products; bounds the
-#: peak temporary to ~128 MB of float64 regardless of node count.
-_CLOSURE_CHUNK_ELEMENTS = 16_000_000
-
-
-def _maxplus_product(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """``P[i, j] = max_k left[i, k] + right[k, j]``, chunked over rows.
-
-    Identical values to the one-shot broadcast (same additions, and max
-    is order-free); chunking only bounds the temporary's memory.
-    """
-    n = left.shape[0]
-    chunk = max(1, _CLOSURE_CHUNK_ELEMENTS // (n * n))
-    out = np.empty_like(left)
-    for start in range(0, n, chunk):
-        stop = min(start + chunk, n)
-        out[start:stop] = (
-            left[start:stop, :, None] + right[None, :, :]
-        ).max(axis=1)
-    return out
-
-
 def _reduction_by_reachability(axis: AxisArcs, num_nodes: int) -> AxisArcs:
     """Drop every arc that a ≥2-edge path re-derives (reachability only).
 
@@ -192,8 +171,8 @@ def _reduction_by_reachability(axis: AxisArcs, num_nodes: int) -> AxisArcs:
 def transitive_reduction(
     axis: AxisArcs,
     num_nodes: int,
-    half_sizes: np.ndarray = None,
-    spacing: float = None,
+    half_sizes: np.ndarray,
+    spacing: float,
 ) -> AxisArcs:
     """Drop arcs implied by chains of other arcs (same feasible region).
 
@@ -202,46 +181,22 @@ def transitive_reduction(
     least ``s``; the 1-D LP and the snap repair see the same solution set
     without it.
 
-    When the caller passes ``half_sizes`` (per-node half extents indexed
-    like the arcs) and ``spacing``, and every arc separation decomposes
-    additively as ``half[lo] + half[hi] + spacing``, any 2-path
-    ``u → w → v`` forces ``sep(u,v) + 2·half[w] + spacing ≥ sep(u,v)``
-    — so redundancy degenerates to pure reachability and is computed with
-    float32 boolean matmuls (milliseconds at 576 nodes).  The margin
-    ``2·min(half) + spacing`` must clear float noise for the certificate
-    to hold; otherwise — and whenever the decomposition is absent or
-    inexact — the general max-plus closure runs instead, chunked so the
-    peak temporary stays bounded at any node count.
+    ``half_sizes`` are the per-node half extents (indexed like the arcs)
+    and ``spacing`` the extra edge-to-edge spacing.  When every arc
+    separation decomposes additively as ``half[lo] + half[hi] + spacing``
+    — as :func:`build_constraint_arrays` builds them — any 2-path
+    ``u → w → v`` forces ``sep(u,v) + 2·half[w] + spacing ≥ sep(u,v)``,
+    so redundancy degenerates to pure reachability, computed with float32
+    boolean matmuls (milliseconds at 576 nodes).  The margin
+    ``2·min(half) + spacing`` must clear float noise for that certificate
+    to hold; ``QGDPConfig`` keeps it at least ``lb``.  When the
+    certificate fails the axis comes back unreduced, which keeps the
+    same feasible region for any input.
     """
-    m = len(axis)
-    if m == 0 or num_nodes < 3:
+    if len(axis) == 0 or num_nodes < 3:
         return axis
-
-    if half_sizes is not None and spacing is not None and spacing >= 0.0:
-        decomposed = half_sizes[axis.lo] + half_sizes[axis.hi] + spacing
-        margin = 2.0 * float(half_sizes.min(initial=np.inf)) + spacing
-        if (
-            margin > 1e-6
-            and np.all(np.abs(axis.sep - decomposed) <= 1e-9)
-            and np.all(half_sizes >= 0.0)
-        ):
-            return _reduction_by_reachability(axis, num_nodes)
-
-    neg = -np.inf
-    sep_matrix = np.full((num_nodes, num_nodes), neg)
-    sep_matrix[axis.lo, axis.hi] = axis.sep
-
-    # Max-plus closure: longest total separation forced along any path.
-    closure = sep_matrix.copy()
-    hops = 1
-    while hops < num_nodes:
-        step = _maxplus_product(closure, closure)
-        new = np.maximum(closure, step)
-        if np.array_equal(new, closure):
-            break
-        closure = new
-        hops *= 2
-    # Longest path with >= 2 edges: one closure hop then one more edge.
-    via = _maxplus_product(closure, sep_matrix)
-    keep = via[axis.lo, axis.hi] < axis.sep
-    return AxisArcs(axis.lo[keep], axis.hi[keep], axis.sep[keep])
+    decomposed = half_sizes[axis.lo] + half_sizes[axis.hi] + spacing
+    margin = 2.0 * float(half_sizes.min(initial=np.inf)) + spacing
+    if margin > 1e-6 and np.all(np.abs(axis.sep - decomposed) <= 1e-9):
+        return _reduction_by_reachability(axis, num_nodes)
+    return axis

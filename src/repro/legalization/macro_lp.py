@@ -16,8 +16,9 @@ same vertex.
 Two on-by-default levers shrink or skip the HiGHS work (scipy's HiGHS
 wrapper exposes no basis API, so the warm start is solution-level and
 exact rather than simplex-basis reuse): the constraint graphs are
-transitively reduced before assembly (same feasible region, near-linear
-rows instead of O(n²)), and :func:`_warm_presolve` derives longest-path
+transitively reduced before assembly (a reachability test over the
+additive separations: same feasible region, near-linear rows instead of
+O(n²)), and :func:`_warm_presolve` derives longest-path
 implied bounds per axis — certifying infeasibility without a solve
 (which fast-fails every relaxation-retry attempt in the spacing
 schedule), returning a provably optimal clamp of the targets when it

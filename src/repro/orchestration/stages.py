@@ -7,6 +7,9 @@ snapshots from upstream payloads.  That makes jobs location-transparent:
 the same runner produces bit-identical output whether it executes in the
 parent process (serial executor), a worker process (process pool), or is
 skipped entirely because the artifact store already holds its payload.
+The gp, lg and dp runners each call one stage method of
+:class:`~repro.core.pipeline.QGDPFlow`, the code an in-process
+:meth:`QGDPFlow.run` chains, so a job chain and an in-process run agree.
 
 ``execute_job`` is the single dispatch point and is importable at module
 level so :class:`concurrent.futures.ProcessPoolExecutor` can pickle it.
@@ -14,28 +17,27 @@ level so :class:`concurrent.futures.ProcessPoolExecutor` can pickle it.
 
 from __future__ import annotations
 
-import time
 from dataclasses import asdict
+from typing import Optional
 
 from repro.circuits.registry import get_benchmark
 from repro.compiler.scheduling import Schedule
 from repro.compiler.transpiler import TranspiledCircuit, transpile
 from repro.core.config import QGDPConfig
-from repro.core.result import decode_snapshot, encode_snapshot
+from repro.core.pipeline import QGDPFlow
+from repro.core.result import StageReport, decode_snapshot, encode_snapshot
 from repro.crosstalk.fidelity import program_fidelity
 from repro.crosstalk.parameters import NoiseParameters
-from repro.detailed.placer import DetailedPlacer
 from repro.frequency.hotspots import HotspotPair, hotspot_pairs
-from repro.geometry import SiteGrid
 from repro.legalization.bins import BinGrid
-from repro.legalization.engines import get_engine, run_legalization
 from repro.metrics.legality import LegalityViolation, qubit_spacing_violations
 from repro.metrics.report import LayoutMetrics, layout_metrics
-from repro.netlist.netlist import QuantumNetlist
-from repro.placement.builder import build_layout
-from repro.placement.global_placer import GlobalPlacer
 from repro.routing.crossings import CrossingReport, count_crossings
 from repro.topologies.registry import get_topology
+
+# perfbench/tracing.py patches these two here, so they stay module names.
+from repro.legalization.engines import run_legalization  # noqa: F401
+from repro.placement.builder import build_layout  # noqa: F401
 
 
 # -- config / metrics codecs -------------------------------------------------
@@ -65,24 +67,6 @@ def noise_from_dict(data: dict) -> NoiseParameters:
 def metrics_from_dict(data: dict) -> LayoutMetrics:
     """Rebuild a :class:`LayoutMetrics` stored in a job payload."""
     return LayoutMetrics(**data)
-
-
-def rebuild_occupancy(netlist: QuantumNetlist, grid: SiteGrid) -> BinGrid:
-    """Reconstruct the occupancy index of a legalized layout.
-
-    A legal layout determines its occupancy completely: qubit macros
-    cover the sites under their rectangles and each wire block sits on
-    exactly one site.  ``occupy``/``occupy_rect`` raise on conflicts, so
-    feeding a non-legal snapshot fails loudly instead of silently
-    mis-counting crossings.
-    """
-    bins = BinGrid(grid)
-    for qubit in netlist.qubits:
-        bins.occupy_rect(qubit.rect, qubit.node_id)
-    for block in netlist.wire_blocks:
-        col, row = grid.site_of(block.center)
-        bins.occupy(col, row, block.node_id)
-    return bins
 
 
 # -- transpile payload codec -------------------------------------------------
@@ -225,64 +209,46 @@ def analysis_from_dict(data: dict) -> tuple:
 
 
 # -- runners -----------------------------------------------------------------
-def _restored_layout(params: dict, positions_payload: dict) -> tuple:
-    """(netlist, grid, config) with positions restored from a payload."""
-    config = config_from_dict(params["config"])
-    topology = get_topology(params["topology"])
-    netlist, grid = build_layout(topology, config)
-    netlist.restore(decode_snapshot(positions_payload["positions"]))
-    return netlist, grid, config
+def _flow(params: dict, positions_payload: Optional[dict] = None) -> QGDPFlow:
+    """The job's flow, resumed at an upstream payload's snapshot if given."""
+    flow = QGDPFlow(params["topology"], config_from_dict(params["config"]))
+    if positions_payload is not None:
+        flow.restore(decode_snapshot(positions_payload["positions"]))
+    return flow
+
+
+def _stage_payload(report: StageReport) -> dict:
+    return {"positions": encode_snapshot(report.positions), **report.metrics}
 
 
 def run_gp_job(params: dict, deps: list) -> dict:
-    """Global placement of one topology."""
-    config = config_from_dict(params["config"])
-    topology = get_topology(params["topology"])
-    t0 = time.perf_counter()
-    netlist, grid = build_layout(topology, config)
-    summary = GlobalPlacer(config).run(netlist, grid, seed=params["seed"])
-    return {
-        "positions": encode_snapshot(netlist.snapshot()),
-        "hpwl": summary.hpwl,
-        "max_bin_overflow": summary.max_bin_overflow,
-        "runtime_s": time.perf_counter() - t0,
-    }
+    """Global placement of one topology (:meth:`QGDPFlow.place`).
+
+    The GP noise is drawn from the config's seed, so a ``seed`` param
+    that differs from it would store a payload its key does not describe.
+    """
+    if params["seed"] != params["config"]["seed"]:
+        raise ValueError(
+            f"gp seed {params['seed']} != config seed {params['config']['seed']}"
+        )
+    report = _flow(params).place()
+    return {**_stage_payload(report), "runtime_s": report.runtime_s}
 
 
 def run_lg_job(params: dict, deps: list) -> dict:
     """Legalize one topology with one engine, from the GP snapshot."""
-    netlist, grid, config = _restored_layout(params, deps[0])
-    outcome = run_legalization(
-        netlist, grid, get_engine(params["engine"]), config
-    )
-    return {
-        "positions": encode_snapshot(netlist.snapshot()),
-        "qubit_time_s": outcome.qubit_time_s,
-        "resonator_time_s": outcome.resonator_time_s,
-        "qubit_displacement": outcome.qubit_displacement,
-        "qubit_spacing_used": outcome.qubit_spacing_used,
-        "qubit_attempts": outcome.qubit_attempts,
-    }
+    return _stage_payload(_flow(params, deps[0]).legalize(params["engine"]))
 
 
 def run_dp_job(params: dict, deps: list) -> dict:
     """Detailed placement on top of one engine's legalization.
 
     ``deps[0]`` is the engine's ``lg`` payload.  A legal layout fixes its
-    occupancy completely, so the occupancy index the placer refines is
-    rebuilt from that snapshot (:func:`rebuild_occupancy`).
+    occupancy completely, so :meth:`QGDPFlow.detail` rebuilds the index
+    the placer refines from that snapshot.
     """
-    netlist, grid, config = _restored_layout(params, deps[0])
-    bins = rebuild_occupancy(netlist, grid)
-    t0 = time.perf_counter()
-    summary = DetailedPlacer(config).run(netlist, bins)
-    return {
-        "positions": encode_snapshot(netlist.snapshot()),
-        "dp_time_s": time.perf_counter() - t0,
-        "flagged": summary.flagged,
-        "accepted": summary.accepted,
-        "reverted": summary.reverted,
-    }
+    report = _flow(params, deps[0]).detail()
+    return {**_stage_payload(report), "dp_time_s": report.runtime_s}
 
 
 def run_transpile_job(params: dict, deps: list) -> dict:
@@ -302,12 +268,12 @@ def run_analyze_job(params: dict, deps: list) -> dict:
     every benchmark's fidelity cell, exactly like the historical
     in-process harness shared its per-layout artifacts.
     """
-    netlist, grid, config = _restored_layout(params, deps[0])
-    bins = rebuild_occupancy(netlist, grid)
+    flow = _flow(params, deps[0])
+    netlist, config = flow.netlist, flow.config
     return analysis_to_dict(
         qubit_spacing_violations(netlist, config.min_qubit_spacing),
         hotspot_pairs(netlist, config.reach, config.delta_c),
-        count_crossings(netlist, bins),
+        count_crossings(netlist, BinGrid.of_layout(netlist, flow.grid)),
     )
 
 
@@ -318,17 +284,17 @@ def run_fidelity_job(params: dict, deps: list) -> dict:
     detailed placement), ``deps[1]`` the layout's ``analyze`` payload;
     the rest are the per-seed transpile payloads in seed order.
     """
-    netlist, grid, config = _restored_layout(params, deps[0])
+    flow = _flow(params, deps[0])
     noise = noise_from_dict(params["noise"])
     violations, hotspots, crossings = analysis_from_dict(deps[1])
     samples = []
     for stats_payload in deps[2:]:
         transpiled = transpile_stats_from_dict(stats_payload)
         breakdown = program_fidelity(
-            netlist,
+            flow.netlist,
             transpiled,
             crossings,
-            config,
+            flow.config,
             noise,
             hotspots=hotspots,
             violations=violations,
@@ -351,19 +317,18 @@ def run_metrics_job(params: dict, deps: list) -> dict:
     the exact timing values the stage measured when it actually ran,
     which is what makes regenerated tables byte-stable across reruns.
     """
-    netlist, grid, config = _restored_layout(params, deps[0])
+    def metrics_at(positions_payload: dict) -> dict:
+        flow = _flow(params, positions_payload)
+        bins = BinGrid.of_layout(flow.netlist, flow.grid)
+        return asdict(layout_metrics(flow.netlist, bins, flow.config))
+
     payload = {
-        "metrics": asdict(
-            layout_metrics(netlist, rebuild_occupancy(netlist, grid), config)
-        ),
+        "metrics": metrics_at(deps[0]),
         "qubit_time_s": deps[0]["qubit_time_s"],
         "resonator_time_s": deps[0]["resonator_time_s"],
     }
     if len(deps) > 1:
-        netlist, grid, config = _restored_layout(params, deps[1])
-        payload["dp_metrics"] = asdict(
-            layout_metrics(netlist, rebuild_occupancy(netlist, grid), config)
-        )
+        payload["dp_metrics"] = metrics_at(deps[1])
         payload["dp_time_s"] = deps[1]["dp_time_s"]
     return payload
 

@@ -46,17 +46,15 @@ class GlobalPlacer:
         netlist: QuantumNetlist,
         grid: SiteGrid,
         style: ConnectionStyle = ConnectionStyle.PSEUDO,
-        seed: int = None,
-        move_qubits: bool = True,
     ) -> GlobalPlaceResult:
         """Place all components in-place; returns a run summary.
 
-        ``move_qubits=False`` freezes qubits at their seeds (useful for
-        ablations); by default they float on a soft anchor so GP can trade
-        a little qubit displacement for wirelength, as qPlacer does.
+        Qubits float on a soft anchor to their seeds, so GP can trade a
+        little qubit displacement for wirelength, as qPlacer does.  The
+        spreading noise is drawn from ``config.seed``.
         """
         cfg = self.config
-        rng = np.random.default_rng(cfg.seed if seed is None else seed)
+        rng = np.random.default_rng(cfg.seed)
 
         node_ids = [("q", q.index) for q in netlist.qubits]
         node_ids += [
@@ -89,7 +87,6 @@ class GlobalPlacer:
         half = np.where(
             np.arange(n) < num_qubits, cfg.qubit_size / 2.0, cfg.lb / 2.0
         )
-        movable_lo = 0 if move_qubits else num_qubits
 
         step = cfg.gp_step
         for _ in range(cfg.gp_iterations):
@@ -105,14 +102,12 @@ class GlobalPlacer:
             force[:, 1] -= cfg.gp_density * gy
             # Qubit anchors.
             force[:num_qubits] += cfg.gp_anchor * (anchors - pos[:num_qubits])
-            if not move_qubits:
-                force[:num_qubits] = 0.0
 
             # Capped, decaying step.
             norm = np.linalg.norm(force, axis=1, keepdims=True)
             cap = 1.5 * cfg.lb
             scale = np.minimum(1.0, cap / np.maximum(norm, 1e-12))
-            pos[movable_lo:] += step * (force * scale)[movable_lo:]
+            pos += step * (force * scale)
 
             # Border clamp (Eq. 2).
             pos[:, 0] = np.clip(pos[:, 0], half, grid.width - half)

@@ -79,7 +79,7 @@ class MazeRouter:
         self._visited = np.empty(n, dtype=bool)
         self._is_target = np.empty(n, dtype=bool)
 
-    def _site_cost(self, site: tuple, own_key: tuple, extra_cost=None) -> float:
+    def _site_cost(self, site: tuple, own_key: tuple) -> float:
         """Cost of *entering* a site; None when impassable.
 
         Retained as the scalar reference cost model (property tests diff
@@ -87,18 +87,14 @@ class MazeRouter:
         """
         owner = self.bins.occupant(*site)
         if owner is None:
-            base = self.step_cost
-        elif owner[0] == "q":
+            return self.step_cost
+        if owner[0] == "q":
             return None
-        elif owner[0] == "b" and owner[1] == own_key:
-            base = self.own_cost
-        else:
-            base = self.crossing_cost
-        if extra_cost is not None and not isinstance(extra_cost, np.ndarray):
-            base += extra_cost(site)
-        return base
+        if owner[0] == "b" and owner[1] == own_key:
+            return self.own_cost
+        return self.crossing_cost
 
-    def _build_cost(self, own_key: tuple, extra_cost, window) -> np.ndarray:
+    def _build_cost(self, own_key: tuple, extra_cost) -> np.ndarray:
         """Vectorized per-site entry cost; +inf marks impassable sites."""
         bins = self.bins
         kind = bins.kind_flat
@@ -113,22 +109,7 @@ class MazeRouter:
         if own is not None:
             cost[own] = self.own_cost
         if extra_cost is not None:
-            if isinstance(extra_cost, np.ndarray):
-                cost += extra_cost
-            else:
-                # Legacy callable: evaluate per passable site (window only).
-                grid = bins.grid
-                if window is not None:
-                    lo_col, lo_row, hi_col, hi_row = window
-                else:
-                    lo_col, lo_row = 0, 0
-                    hi_col, hi_row = grid.cols - 1, grid.rows - 1
-                rows = grid.rows
-                for col in range(lo_col, hi_col + 1):
-                    base = col * rows
-                    for row in range(lo_row, hi_row + 1):
-                        if np.isfinite(cost[base + row]):
-                            cost[base + row] += extra_cost((col, row))
+            cost += extra_cost
         return cost
 
     def route(
@@ -145,9 +126,8 @@ class MazeRouter:
         blocks are traversed at ``own_cost``).  ``window`` optionally
         restricts the search to a site-rect ``(lo_col, lo_row, hi_col,
         hi_row)`` inclusive.  ``extra_cost`` is an optional per-site entry
-        cost added on top: either a callable ``site -> float`` or a
-        precomputed flat overlay array indexed by ``col * rows + row``
-        (the detailed placer passes the vectorized form).  Returns None
+        cost added on top, a flat overlay array indexed by ``col * rows +
+        row`` (the detailed placer's frequency overlay).  Returns None
         when no route exists.
         """
         if not sources or not targets:
@@ -156,7 +136,7 @@ class MazeRouter:
         cols, rows = grid.cols, grid.rows
         n = cols * rows
 
-        cost = self._build_cost(own_key, extra_cost, window)
+        cost = self._build_cost(own_key, extra_cost)
         is_target = self._is_target
         is_target[:] = False
         for col, row in targets:

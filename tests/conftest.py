@@ -42,7 +42,7 @@ def grid5():
 def falcon_gp(fast_config, falcon):
     """Falcon layout after global placement: (netlist, grid, gp_snapshot)."""
     netlist, grid = build_layout(falcon, fast_config)
-    GlobalPlacer(fast_config).run(netlist, grid, seed=fast_config.seed)
+    GlobalPlacer(fast_config).run(netlist, grid)
     return (netlist, grid, netlist.snapshot())
 
 

@@ -97,7 +97,7 @@ def test_metrics_job_matches_in_process_computation(small_eval):
 
     config = small_eval.config
     netlist, grid = build_layout(get_topology("grid"), config)
-    GlobalPlacer(config).run(netlist, grid, seed=config.seed)
+    GlobalPlacer(config).run(netlist, grid)
     outcome = run_legalization(netlist, grid, get_engine("qgdp"), config)
     lg_ref = layout_metrics(netlist, outcome.bins, config)
     DetailedPlacer(config).run(netlist, outcome.bins)

@@ -147,3 +147,11 @@ def test_flat_probes_match_legacy_free_lists(occupied, row, col):
     assert list(bins.free_cols_in_row(row)) == reference
     expected = next((c for c in reference if c >= col), None)
     assert bins.first_free_col_at_or_after(row, col) == expected
+
+
+def test_of_layout_rejects_overlapping_qubits(falcon_legalized):
+    netlist, grid, _outcome = falcon_legalized
+    first, second = netlist.qubits[:2]
+    second.move_to(first.x, first.y)
+    with pytest.raises(ValueError, match="already occupied"):
+        BinGrid.of_layout(netlist, grid)

@@ -23,6 +23,7 @@ from repro.geometry import Rect, SiteGrid
 from repro.legalization import legalize_macros
 from repro.legalization.constraint_graph import (
     Arc,
+    AxisArcs,
     build_constraint_arrays,
     build_constraint_graphs,
     transitive_reduction,
@@ -378,8 +379,12 @@ def test_transitive_reduction_preserves_legality(inst):
 def test_transitive_reduction_is_sound_and_minimalish(inst):
     indices, positions, sizes, spacing = inst
     n = len(indices)
-    for axis in build_constraint_arrays(indices, positions, sizes, spacing)[1:]:
-        reduced = transitive_reduction(axis, n)
+    ordered, h_axis, v_axis = build_constraint_arrays(
+        indices, positions, sizes, spacing
+    )
+    half = np.array([sizes[i] for i in ordered], dtype=np.float64) / 2.0
+    for axis, half_sizes in ((h_axis, half[:, 0]), (v_axis, half[:, 1])):
+        reduced = transitive_reduction(axis, n, half_sizes, spacing)
         assert len(reduced) <= len(axis)
         kept = set(
             zip(reduced.lo.tolist(), reduced.hi.tolist(), reduced.sep.tolist())
@@ -403,3 +408,16 @@ def test_transitive_reduction_is_sound_and_minimalish(inst):
                 continue
             assert lo in longest and hi in longest[lo]
             assert -longest[lo][hi] >= sep - 1e-9
+
+
+def test_transitive_reduction_keeps_non_additive_axis():
+    """Separations that don't decompose as half + half + spacing come back
+    unreduced: the reachability certificate does not hold for them."""
+    # 0 → 1 → 2 forces only 2, less than the direct arc's 5.
+    axis = AxisArcs(
+        np.array([0, 1, 0]), np.array([1, 2, 2]), np.array([1.0, 1.0, 5.0])
+    )
+    reduced = transitive_reduction(axis, 3, np.array([0.5, 0.5, 0.5]), 0.0)
+    assert reduced.lo.tolist() == [0, 1, 0]
+    assert reduced.hi.tolist() == [1, 2, 2]
+    assert reduced.sep.tolist() == [1.0, 1.0, 5.0]

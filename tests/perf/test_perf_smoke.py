@@ -65,7 +65,7 @@ CACHE_SERVER_BUDGET_S = 15.0
 def test_flow_5x5_within_budget():
     cfg = QGDPConfig()
     netlist, grid = build_layout(grid_topology(5), cfg)
-    GlobalPlacer(cfg).run(netlist, grid, seed=cfg.seed)
+    GlobalPlacer(cfg).run(netlist, grid)
 
     t0 = time.perf_counter()
     outcome = run_legalization(netlist, grid, get_engine("qgdp"), cfg)
@@ -85,7 +85,7 @@ def test_flow_5x5_within_budget():
 def test_analysis_kernels_12x12_within_budget():
     cfg = QGDPConfig()
     netlist, grid = build_layout(grid_topology(12), cfg)
-    GlobalPlacer(cfg).run(netlist, grid, seed=cfg.seed)
+    GlobalPlacer(cfg).run(netlist, grid)
 
     t0 = time.perf_counter()
     outcome = run_legalization(netlist, grid, get_engine("qgdp"), cfg)
@@ -105,7 +105,7 @@ def test_analysis_kernels_12x12_within_budget():
 def test_analysis_kernels_16x16_within_budget():
     cfg = QGDPConfig()
     netlist, grid = build_layout(grid_topology(16), cfg)
-    GlobalPlacer(cfg).run(netlist, grid, seed=cfg.seed)
+    GlobalPlacer(cfg).run(netlist, grid)
 
     t0 = time.perf_counter()
     outcome = run_legalization(netlist, grid, get_engine("qgdp"), cfg)
@@ -125,7 +125,7 @@ def test_analysis_kernels_16x16_within_budget():
 def test_legalize_24x24_within_budget():
     cfg = QGDPConfig()
     netlist, grid = build_layout(grid_topology(24), cfg)
-    GlobalPlacer(cfg).run(netlist, grid, seed=cfg.seed)
+    GlobalPlacer(cfg).run(netlist, grid)
 
     t0 = time.perf_counter()
     run_legalization(netlist, grid, get_engine("qgdp"), cfg)

@@ -10,9 +10,9 @@ from repro.topologies import get_topology
 
 @pytest.fixture(scope="module")
 def placed():
-    cfg = QGDPConfig(gp_iterations=60)
+    cfg = QGDPConfig(gp_iterations=60, seed=3)
     netlist, grid = build_layout(get_topology("falcon"), cfg)
-    result = GlobalPlacer(cfg).run(netlist, grid, seed=3)
+    result = GlobalPlacer(cfg).run(netlist, grid)
     return (cfg, netlist, grid, result)
 
 
@@ -33,54 +33,46 @@ def test_result_reports_positive_hpwl(placed):
 
 
 def test_determinism_same_seed():
-    cfg = QGDPConfig(gp_iterations=30)
+    cfg = QGDPConfig(gp_iterations=30, seed=5)
     topo = get_topology("grid")
     nl1, g1 = build_layout(topo, cfg)
-    GlobalPlacer(cfg).run(nl1, g1, seed=5)
+    GlobalPlacer(cfg).run(nl1, g1)
     nl2, g2 = build_layout(topo, cfg)
-    GlobalPlacer(cfg).run(nl2, g2, seed=5)
+    GlobalPlacer(cfg).run(nl2, g2)
     assert nl1.snapshot() == nl2.snapshot()
 
 
 def test_different_seeds_differ():
-    cfg = QGDPConfig(gp_iterations=30)
     topo = get_topology("grid")
-    nl1, g1 = build_layout(topo, cfg)
-    GlobalPlacer(cfg).run(nl1, g1, seed=5)
-    nl2, g2 = build_layout(topo, cfg)
-    GlobalPlacer(cfg).run(nl2, g2, seed=6)
-    assert nl1.snapshot() != nl2.snapshot()
+    snapshots = []
+    for seed in (5, 6):
+        cfg = QGDPConfig(gp_iterations=30, seed=seed)
+        netlist, grid = build_layout(topo, cfg)
+        GlobalPlacer(cfg).run(netlist, grid)
+        snapshots.append(netlist.snapshot())
+    assert snapshots[0] != snapshots[1]
 
 
 def test_gp_improves_wirelength_over_seed():
-    cfg = QGDPConfig(gp_iterations=120)
+    cfg = QGDPConfig(gp_iterations=120, seed=1)
     topo = get_topology("falcon")
     netlist, grid = build_layout(topo, cfg)
     nets = netlist.nets(ConnectionStyle.PSEUDO)
     before = total_hpwl(
         nets, {nid: pos for nid, pos in netlist.snapshot().items()}
     )
-    result = GlobalPlacer(cfg).run(netlist, grid, seed=1)
+    result = GlobalPlacer(cfg).run(netlist, grid)
     assert result.hpwl < before
-
-
-def test_frozen_qubits_do_not_move():
-    cfg = QGDPConfig(gp_iterations=30)
-    netlist, grid = build_layout(get_topology("grid"), cfg)
-    before = {q.index: (q.x, q.y) for q in netlist.qubits}
-    GlobalPlacer(cfg).run(netlist, grid, seed=1, move_qubits=False)
-    after = {q.index: (q.x, q.y) for q in netlist.qubits}
-    assert before == after
 
 
 def test_pseudo_style_tightens_blocks():
     """Pseudo connections give a more compact post-GP resonator footprint."""
-    cfg = QGDPConfig(gp_iterations=120)
+    cfg = QGDPConfig(gp_iterations=120, seed=2)
     topo = get_topology("falcon")
 
     def mean_spread(style):
         netlist, grid = build_layout(topo, cfg)
-        GlobalPlacer(cfg).run(netlist, grid, style=style, seed=2)
+        GlobalPlacer(cfg).run(netlist, grid, style=style)
         spreads = []
         for r in netlist.resonators:
             xs = [b.x for b in r.blocks]

@@ -1,5 +1,6 @@
 """Maze router: path validity, cost model, windows."""
 
+import numpy as np
 import pytest
 
 from repro.geometry import Rect, SiteGrid
@@ -83,8 +84,9 @@ def test_window_restricts_search(bins):
 
 
 def test_extra_cost_steers_route(bins):
-    def penalty(site):
-        return 50.0 if site[1] == 5 and site[0] not in (0, 9) else 0.0
+    # Flat overlay indexed col * rows + row: row 5 between the terminals.
+    penalty = np.zeros(bins.grid.num_sites)
+    penalty[[col * bins.grid.rows + 5 for col in range(1, 9)]] = 50.0
 
     result = _route(bins, [(0, 5)], [(9, 5)], extra_cost=penalty)
     middle = [s for s in result.path if 0 < s[0] < 9]

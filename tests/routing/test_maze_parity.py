@@ -10,6 +10,7 @@ heap tie-breaking matches tuple ordering; these tests pin that invariant.
 
 import heapq
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -179,6 +180,7 @@ def test_windowed_route_matches_reference(
     weight=st.floats(0.5, 30.0, allow_nan=False),
 )
 def test_extra_cost_callable_matches_reference(foreign, sources, targets, px, weight):
+    """The flat overlay the router takes equals the reference's callable."""
     own_key = (0, 1)
     bins = _populated_bins(9, 8, set(), foreign, set(), own_key)
     router = MazeRouter(bins)
@@ -186,7 +188,11 @@ def test_extra_cost_callable_matches_reference(foreign, sources, targets, px, we
     def penalty(site):
         return weight if site[0] == px else 0.0
 
-    got = router.route(set(sources), set(targets), own_key, extra_cost=penalty)
+    grid = bins.grid
+    overlay = np.array(
+        [penalty(divmod(flat, grid.rows)) for flat in range(grid.num_sites)]
+    )
+    got = router.route(set(sources), set(targets), own_key, extra_cost=overlay)
     want = reference_route(
         router, set(sources), set(targets), own_key, extra_cost=penalty
     )
@@ -204,7 +210,7 @@ def test_vectorized_cost_array_matches_scalar_model(qubits, foreign, own):
     own_key = (0, 1)
     bins = _populated_bins(9, 8, qubits, foreign, own, own_key)
     router = MazeRouter(bins)
-    cost = router._build_cost(own_key, None, None)
+    cost = router._build_cost(own_key, None)
     rows = bins.grid.rows
     for col in range(bins.grid.cols):
         for row in range(rows):

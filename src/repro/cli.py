@@ -674,13 +674,27 @@ def _cmd_sweep(args) -> int:
     finally:
         store.close()
 
+    stats = result.stats
+    return _write_sweep(
+        args,
+        result,
+        cache_dir,
+        f"sweep {result.manifest['run_id']}: {len(result.cells)} cells, "
+        f"{stats.computed} jobs computed, {stats.cached} cached, "
+        f"{stats.wall_s:.1f}s",
+    )
+
+
+def _write_sweep(args, result, cache_dir, summary: str) -> int:
+    """Write a sweep's results and manifest; print its table and summary."""
+    run_id = result.manifest["run_id"]
     if args.out:
         out_dir = args.out
     elif cache_dir is not None:
-        out_dir = os.path.join(cache_dir, "runs", result.manifest["run_id"])
+        out_dir = os.path.join(cache_dir, "runs", run_id)
     else:
         # --no-cache must not touch the cache directory at all.
-        out_dir = f"repro-sweep-{result.manifest['run_id']}"
+        out_dir = f"repro-sweep-{run_id}"
     sink = RunSink(out_dir)
     sink.write_results(result.rows)
     sink.write_manifest(result.manifest)
@@ -692,12 +706,7 @@ def _cmd_sweep(args) -> int:
                 cells, list(args.topologies), list(args.benchmarks), list(args.engines)
             )
         )
-    stats = result.stats
-    print(
-        f"sweep {result.manifest['run_id']}: {len(result.cells)} cells, "
-        f"{stats.computed} jobs computed, {stats.cached} cached, "
-        f"{stats.wall_s:.1f}s"
-    )
+    print(summary)
     print(f"results: {sink.results_path}")
     print(f"manifest: {sink.manifest_path}")
     return 0
@@ -751,33 +760,16 @@ def _run_fleet_sweep_cmd(args, spec, cache_dir, cache_url) -> int:
         print(f"sweep: {exc}", file=sys.stderr)
         return 1
 
-    if args.out:
-        out_dir = args.out
-    elif cache_dir is not None:
-        out_dir = os.path.join(cache_dir, "runs", result.manifest["run_id"])
-    else:
-        out_dir = f"repro-sweep-{result.manifest['run_id']}"
-    sink = RunSink(out_dir)
-    sink.write_results(result.rows)
-    sink.write_manifest(result.manifest)
-
-    if args.table:
-        cells = cells_from_sweep(result.cells)
-        print(
-            format_fig8(
-                cells, list(args.topologies), list(args.benchmarks), list(args.engines)
-            )
-        )
     stats = result.stats
     workers = result.manifest["fleet"]["workers"]
-    print(
+    return _write_sweep(
+        args,
+        result,
+        cache_dir,
         f"fleet sweep {result.manifest['run_id']}: {len(result.cells)} "
         f"cells, {stats.computed} jobs computed, {stats.cached} cached "
-        f"by {len(workers)} workers, {stats.wall_s:.1f}s"
+        f"by {len(workers)} workers, {stats.wall_s:.1f}s",
     )
-    print(f"results: {sink.results_path}")
-    print(f"manifest: {sink.manifest_path}")
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -40,12 +40,13 @@ the one the re-leased worker would write.  See ``docs/fleet.md``.
 
 from __future__ import annotations
 
+import heapq
 import json
 import random
 import threading
 import time
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.orchestration.backends import (
     DEFAULT_RETRY_POLICY,
@@ -63,8 +64,15 @@ from repro.orchestration.jobs import JobGraph
 #: never counts as outstanding.
 JOB_STATES = ("pending", "ready", "leased", "done", "failed", "cancelled")
 
-#: Params echoed into ledger rows (mirrors RunStats.record's columns).
-_LEDGER_PARAMS = ("topology", "engine", "benchmark", "seed")
+
+def state_counts(per_state: Dict[str, int]) -> dict:
+    """Jobs per state plus their ``total`` and the ``outstanding`` ones."""
+    counts = dict(per_state)
+    counts["total"] = sum(per_state.values())
+    counts["outstanding"] = (
+        counts["total"] - counts["done"] - counts["failed"] - counts["cancelled"]
+    )
+    return counts
 
 
 class FleetError(RuntimeError):
@@ -79,6 +87,19 @@ class FleetError(RuntimeError):
     def __init__(self, message: str, failures: Optional[list] = None) -> None:
         super().__init__(message)
         self.failures = list(failures or [])
+
+
+def ledger_row(key: str, kind: str, params: dict, status: str) -> dict:
+    """A finished job's ``jobs.entries`` row, for every kind of run.
+
+    The job's key and kind, its identifying params and ``status``
+    (``computed`` or ``cached``); fleet and service rows add ``worker``.
+    """
+    row = {"key": key, "kind": kind}
+    for name in ("topology", "engine", "benchmark", "seed"):
+        row[name] = params.get(name)
+    row["status"] = status
+    return row
 
 
 def serialize_graph(graph: JobGraph) -> List[dict]:
@@ -111,6 +132,7 @@ class _FleetJob:
     params: dict
     deps: list
     dep_kinds: list
+    seq: int  # enqueue order (a topological order): the grant order
     state: str = "pending"
     attempts: int = 0  # lease grants consumed so far
     worker: Optional[str] = None  # current lease holder
@@ -128,14 +150,6 @@ class _FleetJob:
             "attempt": self.attempts,
         }
 
-    def ledger_row(self) -> dict:
-        row = {"key": self.key, "kind": self.kind}
-        for name in _LEDGER_PARAMS:
-            row[name] = self.params.get(name)
-        row["status"] = self.result
-        row["worker"] = self.worker
-        return row
-
 
 class FleetCoordinator:
     """In-memory lease scheduler over a content-addressed job DAG.
@@ -147,9 +161,18 @@ class FleetCoordinator:
     by advancing its fake clock.
 
     ``lease_ttl_s`` is how long a worker may go without a heartbeat
-    before its leases are revoked; ``max_attempts`` is the per-job lease
-    budget (a lease that expires or fails consumes one attempt; a
-    ``released`` job — graceful drain — refunds its attempt).
+    before its leases are revoked (``math.inf``: never — the local
+    executor's private coordinator, whose jobs nothing else runs);
+    ``max_attempts`` is the per-job lease budget (a lease that expires
+    or fails consumes one attempt; a ``released`` job — graceful drain —
+    refunds its attempt).
+
+    Every state change goes through :meth:`_set_state`, which keeps the
+    per-state counts, a ready heap in enqueue order and the leased-job
+    map current; lease deadlines sit in a second heap.  So lease,
+    complete, heartbeat and expiry touch only the jobs they act on,
+    never every job.  A stale heap entry (its job left ``ready``, its
+    lease ended or was extended) is skipped when it surfaces.
     """
 
     def __init__(
@@ -170,11 +193,35 @@ class FleetCoordinator:
         self._dependents = {}  # guarded-by: _lock — key -> [dependents]
         self._waiting = {}  # guarded-by: _lock — key -> unfinished deps
         self._workers = {}  # guarded-by: _lock — worker id -> last seen
+        self._state_counts = dict.fromkeys(JOB_STATES, 0)  # guarded-by: _lock
+        self._leased: Dict[str, _FleetJob] = {}  # guarded-by: _lock
+        # Heaps of (seq, key) ready jobs and (deadline, seq, key) leases.
+        self._ready: List[Tuple[int, str]] = []  # guarded-by: _lock
+        self._deadlines: List[Tuple[float, int, str]] = []  # guarded-by: _lock
         self.failures = []  # guarded-by: _lock — failure ledger rows
         self.entries = []  # guarded-by: _lock — completion ledger rows
 
     # -- internals (lock held) --------------------------------------------
-    def _record_failure(  # holds: _lock
+    def _set_state(self, job: _FleetJob, state: str) -> None:  # holds: _lock
+        """Move ``job`` to ``state``, keeping every index current."""
+        self._state_counts[job.state] -= 1
+        self._state_counts[state] += 1
+        if job.state == "leased":
+            del self._leased[job.key]
+            job.worker = None
+            job.deadline = None
+        job.state = state
+        if state == "ready":
+            heapq.heappush(self._ready, (job.seq, job.key))
+        elif state == "leased":
+            self._leased[job.key] = job
+
+    def _extend(self, job: _FleetJob, now: float) -> None:  # holds: _lock
+        """Start (or restart) ``job``'s lease clock at ``now``."""
+        job.deadline = now + self.lease_ttl_s
+        heapq.heappush(self._deadlines, (job.deadline, job.seq, job.key))
+
+    def _log_failure(  # holds: _lock
         self, job: _FleetJob, error_type: str, error: str,
         worker: Optional[str], traceback_text: Optional[str] = None,
     ) -> None:
@@ -200,11 +247,9 @@ class FleetCoordinator:
             record = self._jobs[key]
             if record.state in ("done", "failed", "cancelled"):
                 continue
-            record.state = "failed"
-            record.worker = None
-            record.deadline = None
+            self._set_state(record, "failed")
             if not first:
-                self._record_failure(
+                self._log_failure(
                     record,
                     "UpstreamFailed",
                     f"dependency {job.kind} {job.key[:12]} failed permanently",
@@ -218,64 +263,58 @@ class FleetCoordinator:
             child = self._jobs[dep_key]
             self._waiting[dep_key] -= 1
             if self._waiting[dep_key] == 0 and child.state == "pending":
-                child.state = "ready"
+                self._set_state(child, "ready")
 
     def _requeue(self, job: _FleetJob) -> None:  # holds: _lock
         """Put a revoked/failed lease back on the queue or fail it."""
-        job.worker = None
-        job.deadline = None
         if job.attempts >= self.max_attempts:
             self._fail_permanently(job)
         else:
-            job.state = "ready"
+            self._set_state(job, "ready")
 
     def _expire(self, now: float) -> int:  # holds: _lock
         """Revoke expired leases; returns how many were revoked."""
         expired = 0
-        for job in self._jobs.values():
-            if job.state == "leased" and job.deadline is not None \
-                    and job.deadline < now:
-                expired += 1
-                self._record_failure(
-                    job,
-                    "LeaseExpired",
-                    f"lease expired after {self.lease_ttl_s:g}s without a "
-                    f"heartbeat from worker {job.worker!r}",
-                    worker=job.worker,
-                )
-                self._requeue(job)
+        while self._deadlines and self._deadlines[0][0] < now:
+            deadline, _seq, key = heapq.heappop(self._deadlines)
+            job = self._jobs[key]
+            if job.state != "leased" or job.deadline != deadline:
+                continue  # completed, revoked or extended since
+            expired += 1
+            self._log_failure(
+                job,
+                "LeaseExpired",
+                f"lease expired after {self.lease_ttl_s:g}s without a "
+                f"heartbeat from worker {job.worker!r}",
+                worker=job.worker,
+            )
+            self._requeue(job)
         return expired
 
     def _counts(self) -> dict:  # holds: _lock
-        counts = {state: 0 for state in JOB_STATES}
-        for job in self._jobs.values():
-            counts[job.state] += 1
-        counts["total"] = len(self._jobs)
-        counts["outstanding"] = (
-            counts["total"]
-            - counts["done"]
-            - counts["failed"]
-            - counts["cancelled"]
-        )
-        return counts
+        return state_counts(self._state_counts)
 
     def _select_ready(self, max_jobs: int) -> List[_FleetJob]:  # holds: _lock
-        """The ready jobs to lease next, in insertion (= topo) order.
+        """The ready jobs to lease next, in enqueue (= topo) order.
 
-        The single scheduling-policy override point: the multi-tenant
-        job service's fair scheduler replaces this with a round-robin
-        pick across runs without re-implementing lease bookkeeping.
+        Pops every job it returns off the ready heap, so the caller must
+        lease each one.  The single scheduling-policy override point:
+        the multi-tenant job service's fair scheduler replaces this with
+        a round-robin pick across runs without re-implementing lease
+        bookkeeping.
         """
         granted: List[_FleetJob] = []
-        for job in self._jobs.values():
-            if len(granted) >= max_jobs:
-                break
+        while self._ready and len(granted) < max_jobs:
+            seq, key = heapq.heappop(self._ready)
+            while self._ready and self._ready[0][0] == seq:
+                heapq.heappop(self._ready)  # a duplicate entry, same job
+            job = self._jobs[key]
             if job.state == "ready":
                 granted.append(job)
         return granted
 
     # -- the five fleet verbs ---------------------------------------------
-    def enqueue(self, jobs: List[dict]) -> dict:
+    def enqueue(self, jobs: Iterable[dict]) -> dict:
         """Register a job DAG; idempotent by content key.
 
         ``jobs`` are :func:`serialize_graph` rows in topological order
@@ -302,10 +341,10 @@ class FleetCoordinator:
                             if self._jobs[d].state != "done"
                         ]
                         self._waiting[key] = len(unfinished)
-                        existing.state = "pending" if unfinished else "ready"
+                        self._set_state(
+                            existing, "pending" if unfinished else "ready"
+                        )
                         existing.attempts = 0
-                        existing.worker = None
-                        existing.deadline = None
                         resurrected += 1
                     else:
                         known += 1
@@ -327,6 +366,7 @@ class FleetCoordinator:
                         row.get("dep_kinds")
                         or (self._jobs[d].kind for d in deps)
                     ),
+                    seq=len(self._jobs),
                 )
                 unfinished = [
                     d for d in deps if self._jobs[d].state != "done"
@@ -334,8 +374,10 @@ class FleetCoordinator:
                 self._waiting[key] = len(unfinished)
                 for dep in unfinished:
                     self._dependents.setdefault(dep, []).append(key)
-                job.state = "pending" if unfinished else "ready"
                 self._jobs[key] = job
+                self._state_counts[job.state] += 1
+                if not unfinished:
+                    self._set_state(job, "ready")
                 accepted += 1
                 failed_dep = next(
                     (d for d in deps if self._jobs[d].state == "failed"),
@@ -344,7 +386,7 @@ class FleetCoordinator:
                 if failed_dep is not None:
                     # Enqueued under an already-dead upstream: fail it
                     # now so a watcher never waits on the unrunnable.
-                    self._record_failure(
+                    self._log_failure(
                         job,
                         "UpstreamFailed",
                         f"dependency {failed_dep[:12]} already failed "
@@ -378,10 +420,10 @@ class FleetCoordinator:
             self._workers[worker] = now
             granted = []
             for job in self._select_ready(max_jobs):
-                job.state = "leased"
+                self._set_state(job, "leased")
                 job.worker = worker
-                job.deadline = now + self.lease_ttl_s
                 job.attempts += 1
+                self._extend(job, now)
                 granted.append(job.to_wire())
             counts = self._counts()
             return {
@@ -403,9 +445,9 @@ class FleetCoordinator:
             self._expire(now)
             self._workers[worker] = now
             held = []
-            for job in self._jobs.values():
-                if job.state == "leased" and job.worker == worker:
-                    job.deadline = now + self.lease_ttl_s
+            for job in self._leased.values():
+                if job.worker == worker:
+                    self._extend(job, now)
                     held.append(job.key)
             return {"keys": held, "lease_ttl_s": self.lease_ttl_s}
 
@@ -452,15 +494,15 @@ class FleetCoordinator:
                 return {"result": "cancelled", "outstanding":
                         self._counts()["outstanding"]}
             if status in ("computed", "cached"):
-                job.state = "done"
+                self._set_state(job, "done")
                 job.result = status
-                job.worker = worker
-                job.deadline = None
-                self.entries.append(job.ledger_row())
+                row = ledger_row(key, job.kind, job.params, status)
+                row["worker"] = worker
+                self.entries.append(row)
                 self._release_dependents(key)
             elif status == "failed":
                 error = error or {}
-                self._record_failure(
+                self._log_failure(
                     job,
                     error.get("error_type", "WorkerFailure"),
                     error.get("error", "worker reported failure"),
@@ -471,9 +513,7 @@ class FleetCoordinator:
             else:  # released: graceful drain, refund the attempt
                 if job.state == "leased" and job.worker == worker:
                     job.attempts = max(0, job.attempts - 1)
-                    job.state = "ready"
-                    job.worker = None
-                    job.deadline = None
+                    self._set_state(job, "ready")
             counts = self._counts()
             return {"result": status, "outstanding": counts["outstanding"]}
 
@@ -515,9 +555,7 @@ class FleetCoordinator:
                 if job.state not in ("pending", "ready"):
                     skipped += 1
                     continue
-                job.state = "cancelled"
-                job.worker = None
-                job.deadline = None
+                self._set_state(job, "cancelled")
                 cancelled += 1
                 stack.extend(self._dependents.get(key, ()))
             counts = self._counts()

@@ -1,13 +1,14 @@
 """Dependency-aware job execution: serial, or across worker processes.
 
-The serial executor is the reference semantics (and the debugging mode):
-jobs run in graph (= topological) order in the parent process.  The
-parallel executor fans ready jobs out to a
-:class:`concurrent.futures.ProcessPoolExecutor`, releasing dependents as
-their dependencies complete; because runners are pure functions of
-(params, dependency payloads) and payloads are canonicalized JSON, both
-executors produce byte-identical payload sets — scheduling only changes
-wall-clock, never results.
+The jobs a run has to compute go on a private
+:class:`~repro.orchestration.coordinator.FleetCoordinator` — the
+scheduler fleets and ``repro serve`` lease from too — and one loop runs
+what it leases: in the parent process, in graph (= topological) order,
+for the serial mode (the reference semantics and the debugging mode),
+or on a :class:`concurrent.futures.ProcessPoolExecutor`.  Because
+runners are pure functions of (params, dependency payloads) and
+payloads are canonicalized JSON, both modes produce byte-identical
+payload sets — scheduling only changes wall-clock, never results.
 
 Cache interaction: with ``resume=True``, jobs whose payload already
 exists in the artifact store are not executed at all; they are counted
@@ -27,6 +28,7 @@ plumbing as any other job exception.
 
 from __future__ import annotations
 
+import math
 import multiprocessing
 import multiprocessing.connection
 import time
@@ -34,15 +36,21 @@ import traceback
 from concurrent.futures import (
     FIRST_COMPLETED,
     BrokenExecutor,
+    Executor,
+    Future,
     ProcessPoolExecutor,
     wait,
 )
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from repro.orchestration.coordinator import FleetCoordinator, ledger_row
 from repro.orchestration.jobs import Job, JobGraph
 from repro.orchestration.stages import execute_job
 from repro.orchestration.store import ArtifactStore
+
+#: The worker name local runs lease under; their failure rows carry it.
+_LOCAL_WORKER = "local"
 
 
 @dataclass
@@ -56,10 +64,11 @@ class RunStats:
     jobs between runs.
 
     ``failures`` is the run-manifest failure log: one JSON-safe entry per
-    failed *attempt* (job key, kind, exception type, traceback string and
-    the 1-based attempt number), so a retried-then-recovered flaky job
-    still leaves its trace in the manifest, and a permanently failed job
-    is fully attributable instead of vanishing into a bare exception.
+    failed *attempt* (job key, kind, exception type, traceback string,
+    the 1-based attempt number and the worker), so a retried-then-
+    recovered flaky job still leaves its trace in the manifest, and a
+    permanently failed job is fully attributable instead of vanishing
+    into a bare exception.
     """
 
     total: int = 0
@@ -72,46 +81,21 @@ class RunStats:
 
     def record(self, job: Job, cached: bool) -> None:
         """Count one finished job and append its manifest ledger row."""
-        slot = self.by_kind.setdefault(job.kind, {"computed": 0, "cached": 0})
-        if cached:
+        status = "cached" if cached else "computed"
+        self.record_row(ledger_row(job.key, job.kind, job.params, status))
+
+    def record_row(self, row: dict) -> None:
+        """Count one ledger row by its ``status`` and append it."""
+        slot = self.by_kind.setdefault(
+            row["kind"], {"computed": 0, "cached": 0}
+        )
+        if row["status"] == "cached":
             self.cached += 1
             slot["cached"] += 1
         else:
             self.computed += 1
             slot["computed"] += 1
-        self.entries.append(
-            {
-                "key": job.key,
-                "kind": job.kind,
-                "topology": job.params.get("topology"),
-                "engine": job.params.get("engine"),
-                "benchmark": job.params.get("benchmark"),
-                "seed": job.params.get("seed"),
-                "status": "cached" if cached else "computed",
-            }
-        )
-
-    def record_failure(
-        self, job: Job, exc: BaseException, attempt: int
-    ) -> dict:
-        """Log one failed attempt; returns the failure-log entry."""
-        # A timeout-wrapped job's exception crossed a process boundary,
-        # where tracebacks don't pickle; the child formatted its own and
-        # attached it so the log still points at the failing stage frame.
-        formatted = getattr(exc, "remote_traceback", None) or "".join(
-            traceback.format_exception(type(exc), exc, exc.__traceback__)
-        )
-        entry = {
-            "key": job.key,
-            "kind": job.kind,
-            "topology": job.params.get("topology"),
-            "error_type": type(exc).__name__,
-            "error": str(exc),
-            "traceback": formatted,
-            "attempt": attempt,
-        }
-        self.failures.append(entry)
-        return entry
+        self.entries.append(row)
 
     def to_dict(self) -> dict:
         """JSON-safe form for the run manifest."""
@@ -202,7 +186,7 @@ def _child_execute(
 
 
 def execute_job_with_timeout(
-    kind: str, params: dict, deps: list, timeout_s: float
+    kind: str, params: dict, deps: list, timeout_s: Optional[float] = None
 ) -> dict:
     """Run one job in a child process, killing it after ``timeout_s``.
 
@@ -213,8 +197,11 @@ def execute_job_with_timeout(
     Job exceptions are forwarded with their original type so the failure
     log stays as attributable as the in-process path.  Runners are pure
     and payloads canonicalized, so the extra process hop cannot change
-    results — only enforce the deadline.
+    results — only enforce the deadline.  ``timeout_s=None`` runs the
+    job in-process instead, through the module-global ``execute_job``.
     """
+    if timeout_s is None:
+        return execute_job(kind, params, deps)
     ctx = multiprocessing.get_context()
     recv, send = ctx.Pipe(duplex=False)
     proc = ctx.Process(target=_child_execute, args=(send, kind, params, deps))
@@ -241,6 +228,35 @@ def execute_job_with_timeout(
     _status, exc, formatted = message
     exc.remote_traceback = formatted
     raise exc
+
+
+def failure_report(exc: BaseException) -> dict:
+    """The ``{error_type, error, traceback}`` a failed attempt reports."""
+    # A timeout-wrapped job's exception crossed a process boundary,
+    # where tracebacks don't pickle; the child formatted its own and
+    # attached it so the log still points at the failing stage frame.
+    formatted = getattr(exc, "remote_traceback", None) or "".join(
+        traceback.format_exception(type(exc), exc, exc.__traceback__)
+    )
+    return {
+        "error_type": type(exc).__name__,
+        "error": str(exc),
+        "traceback": formatted,
+    }
+
+
+class _InlineExecutor(Executor):
+    """The serial mode: runs each call at submit, returning a done future."""
+
+    def submit(
+        self, fn: Callable[..., Any], /, *args: Any, **kwargs: Any
+    ) -> Future:
+        future: Future = Future()
+        try:
+            future.set_result(fn(*args, **kwargs))
+        except Exception as exc:  # noqa: BLE001 - delivered via the future
+            future.set_exception(exc)
+        return future
 
 
 def _notify(
@@ -272,6 +288,7 @@ def run_jobs(
     each job *attempt*'s wall clock (``None`` = unbounded): the job runs
     in a terminatable child process and an expired attempt raises
     :class:`JobTimeout`, which counts as a failed attempt for ``retries``.
+    Each attempt reports its own ``"start"``.
     """
     if retries < 0:
         raise ValueError(f"retries must be >= 0, got {retries}")
@@ -298,179 +315,126 @@ def run_jobs(
         else:
             pending.append(job)
 
-    if workers <= 1:
-        for job in pending:
-            _notify(progress, job, "start")
-            deps = [results[d] for d in job.deps]
-            for attempt in range(1, retries + 2):
-                try:
-                    if timeout_s is None:
-                        payload = execute_job(job.kind, job.params, deps)
-                    else:
-                        payload = execute_job_with_timeout(
-                            job.kind, job.params, deps, timeout_s
-                        )
-                    break
-                except Exception as exc:
-                    stats.record_failure(job, exc, attempt)
-                    if attempt > retries:
-                        raise JobFailure(
-                            job, exc, failures=stats.failures
-                        ) from exc
-            results[job.key] = store.put(job.kind, job.key, payload)
-            stats.record(job, cached=False)
-            _notify(progress, job, "done")
-    else:
-        _run_pool(
-            pending, results, store, stats, workers, progress, retries,
-            timeout_s,
+    if pending:
+        _run_uncached(
+            graph, pending, results, store, stats, workers, progress,
+            retries, timeout_s,
         )
 
     stats.wall_s = time.perf_counter() - t0
     # Pool completion order is scheduling-dependent; the manifest ledger
     # must not be, so entries are normalized to graph order.
-    order = {job.key: index for index, job in enumerate(graph.ordered())}
+    order = {job.key: index for index, job in enumerate(ordered)}
     stats.entries.sort(key=lambda entry: order[entry["key"]])
-    ordered = {job.key: results[job.key] for job in graph.ordered()}
-    return ordered, stats
+    return {job.key: results[job.key] for job in ordered}, stats
 
 
-def _run_pool(
+def _run_uncached(
+    graph: JobGraph,
     pending: List[Job],
     results: Dict[str, dict],
     store: ArtifactStore,
     stats: RunStats,
     workers: int,
     progress: Optional[Callable],
-    retries: int = 0,
-    timeout_s: Optional[float] = None,
+    retries: int,
+    timeout_s: Optional[float],
 ) -> None:
-    """Fan pending jobs out to a process pool, honoring dependencies.
+    """Run ``pending`` (graph order) through a private coordinator.
 
-    A failing job is resubmitted up to ``retries`` times (each failed
-    attempt logged in ``stats.failures``) before the run is aborted with
-    :class:`JobFailure` — so a transiently flaky *job* costs one
-    resubmission, not the whole sweep.
+    Each round leases a ready job per free slot (one in the serial mode,
+    ``2 * workers`` in pool mode), submits it — inline for ``workers <=
+    1``, else to a process pool — and reports the first attempt to
+    finish.  Grants come in
+    enqueue order, so the serial mode runs in graph order and retries a
+    failed job at once.  Nothing else leases from the coordinator, so
+    its leases never expire: a finite TTL would log a ``LeaseExpired``
+    for a job outliving it and, in pool mode, lease it twice.
 
-    A pool worker dying abruptly (SIGKILL, OOM — surfacing as
-    :class:`BrokenExecutor` / ``BrokenProcessPool``) poisons the whole
-    pool: every in-flight future fails with it, and the pool cannot
-    serve further submissions.  That no longer aborts the run: each
-    in-flight job gets a failure-log entry, the dead pool is torn down
-    and a fresh one built, and the jobs are resubmitted to continue the
-    remaining DAG.  Because the breakage cannot be attributed to one
-    job, every in-flight job's attempt budget is stretched by one grace
-    attempt (``retries + 1`` pool-break failures allowed) — so a
-    ``retries=0`` sweep survives a killed worker, while a job that
-    *deterministically* kills its worker still exhausts the budget and
-    aborts with :class:`JobFailure` instead of rebuilding forever.
-
-    With ``timeout_s`` set, each pool worker runs the job through
-    :func:`execute_job_with_timeout` — the deadline is enforced inside
-    the worker (pool workers are non-daemonic and may fork), and a
-    :class:`JobTimeout` propagates through the future like any other job
-    exception, so retries and the failure log behave identically.
+    A job failing at an attempt above ``retries`` aborts the run with
+    :class:`JobFailure`.  A pool worker dying abruptly (SIGKILL, OOM —
+    :class:`BrokenExecutor`) poisons the whole pool: every attempt in
+    flight fails with ``BrokenProcessPool`` and a fresh pool is built.
+    That breakage cannot be attributed to one job, so it aborts only at
+    an attempt above ``retries + 1`` — one grace attempt, hence the
+    coordinator's ``retries + 2`` budget — and a ``retries=0`` sweep
+    survives a killed worker, while a job that *deterministically*
+    kills its worker still aborts instead of rebuilding pools forever.
     """
-    waiting_on = {}  # job key -> number of unfinished deps
-    dependents = {}  # job key -> jobs waiting on it
-    ready = []
-    pending_keys = {job.key for job in pending}
-    order_index = {job.key: i for i, job in enumerate(pending)}
-    attempts = {}  # job key -> failed attempts so far
-    for job in pending:
-        unfinished = [d for d in job.deps if d in pending_keys]
-        waiting_on[job.key] = len(unfinished)
-        for dep in unfinished:
-            dependents.setdefault(dep, []).append(job)
-        if not unfinished:
-            ready.append(job)
+    coordinator = FleetCoordinator(
+        lease_ttl_s=math.inf, max_attempts=retries + 2
+    )
+    stats.failures = coordinator.failures
+    uncached = {job.key for job in pending}
+    coordinator.enqueue(
+        # A cached dependency is satisfied already.
+        {
+            "kind": job.kind,
+            "key": job.key,
+            "params": job.params,
+            "deps": [dep for dep in job.deps if dep in uncached],
+        }
+        for job in pending
+    )
+    pool: Executor = (
+        _InlineExecutor()
+        if workers <= 1
+        else ProcessPoolExecutor(max_workers=workers)
+    )
+    in_flight: Dict[Future, Tuple[Job, int]] = {}  # future -> job, attempt
+    # Twice the pool's size keeps every pool worker busy while the
+    # parent reports a finished job and leases the next one.
+    slots = 1 if workers <= 1 else 2 * workers
 
-    pool = ProcessPoolExecutor(max_workers=workers)
-    in_flight = {}
-    ready.reverse()  # pop() from the tail keeps graph order
-
-    def requeue_or_abort(job: Job, exc: BaseException) -> None:
-        """Log one pool-break failure; requeue within the grace budget."""
-        attempts[job.key] = attempts.get(job.key, 0) + 1
-        stats.record_failure(job, exc, attempts[job.key])
-        if attempts[job.key] > retries + 1:
+    def fail(job: Job, attempt: int, exc: BaseException, limit: int) -> None:
+        coordinator.complete(
+            _LOCAL_WORKER, job.key, "failed", error=failure_report(exc)
+        )
+        if attempt > limit:
             raise JobFailure(job, exc, failures=stats.failures) from exc
-        ready.append(job)
-
-    def rebuild_pool(job: Job, exc: BaseException) -> None:
-        """The pool is poisoned: requeue everything, build a fresh one."""
-        nonlocal pool
-        requeue_or_abort(job, exc)
-        # Every other in-flight future is doomed with the same pool;
-        # requeue them now rather than harvesting N copies of the error.
-        for victim in list(in_flight.values()):
-            requeue_or_abort(victim, exc)
-        in_flight.clear()
-        pool.shutdown(wait=False, cancel_futures=True)
-        pool = ProcessPoolExecutor(max_workers=workers)
-
-    def submit(job: Job) -> None:
-        deps = [results[d] for d in job.deps]
-        if timeout_s is None:
-            future = pool.submit(execute_job, job.kind, job.params, deps)
-        else:
-            future = pool.submit(
-                execute_job_with_timeout,
-                job.kind,
-                job.params,
-                deps,
-                timeout_s,
-            )
-        in_flight[future] = job
-
-    def submit_ready() -> None:
-        while ready:
-            job = ready.pop()
-            try:
-                submit(job)
-            except BrokenExecutor as exc:
-                # The pool died between wait rounds; rebuild and keep
-                # draining ready — the next submit goes to the new pool.
-                rebuild_pool(job, exc)
-                continue
-            _notify(progress, job, "start")
 
     try:
-        submit_ready()
-        while in_flight:
+        while True:
+            free = slots - len(in_flight)
+            for lease in coordinator.lease(_LOCAL_WORKER, free)["jobs"]:
+                job = graph[lease["key"]]
+                _notify(progress, job, "start")
+                deps = [results[dep] for dep in job.deps]
+                try:
+                    future = pool.submit(
+                        execute_job_with_timeout,
+                        job.kind,
+                        job.params,
+                        deps,
+                        timeout_s,
+                    )
+                except BrokenExecutor as exc:
+                    # The pool died between waits: this attempt fails
+                    # with it, exactly like the attempts it was running.
+                    future = Future()
+                    future.set_exception(exc)
+                in_flight[future] = (job, lease["attempt"])
+            if not in_flight:
+                return
             done, _ = wait(in_flight, return_when=FIRST_COMPLETED)
-            newly_ready = []
             for future in done:
-                job = in_flight.pop(future, None)
-                if job is None:
-                    continue  # requeued when an earlier future broke the pool
+                if future not in in_flight:
+                    continue  # already failed with its broken pool
+                job, attempt = in_flight.pop(future)
                 try:
                     payload = future.result()
                 except BrokenExecutor as exc:
-                    rebuild_pool(job, exc)
-                    continue
+                    for victim, tried in [(job, attempt), *in_flight.values()]:
+                        fail(victim, tried, exc, retries + 1)
+                    in_flight.clear()
+                    pool.shutdown(wait=False, cancel_futures=True)
+                    pool = ProcessPoolExecutor(max_workers=workers)
                 except Exception as exc:
-                    attempts[job.key] = attempts.get(job.key, 0) + 1
-                    stats.record_failure(job, exc, attempts[job.key])
-                    if attempts[job.key] <= retries:
-                        ready.append(job)  # resubmitted by submit_ready
-                        continue
-                    for other in in_flight:
-                        other.cancel()
-                    raise JobFailure(
-                        job, exc, failures=stats.failures
-                    ) from exc
-                results[job.key] = store.put(job.kind, job.key, payload)
-                stats.record(job, cached=False)
-                _notify(progress, job, "done")
-                for child in dependents.get(job.key, ()):
-                    waiting_on[child.key] -= 1
-                    if waiting_on[child.key] == 0:
-                        newly_ready.append(child)
-            # Unlock dependents in deterministic (graph) order.
-            newly_ready.sort(key=lambda j: order_index[j.key])
-            for job in reversed(newly_ready):
-                ready.append(job)
-            submit_ready()
+                    fail(job, attempt, exc, retries)
+                else:
+                    results[job.key] = store.put(job.kind, job.key, payload)
+                    stats.record(job, cached=False)
+                    coordinator.complete(_LOCAL_WORKER, job.key, "computed")
+                    _notify(progress, job, "done")
     finally:
         pool.shutdown(wait=False, cancel_futures=True)

@@ -33,7 +33,12 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Set
 
-from repro.orchestration.coordinator import FleetCoordinator, _FleetJob
+from repro.orchestration.coordinator import (
+    JOB_STATES,
+    FleetCoordinator,
+    _FleetJob,
+    state_counts,
+)
 
 #: Per-run scheduling states (derived from the run's job states).
 RUN_STATES = ("queued", "running", "done", "failed", "cancelled")
@@ -146,14 +151,15 @@ class FairScheduler(FleetCoordinator):
                             progressed = True
                             break
                     cursors[run_id] = cursor
-        if len(granted) < max_jobs:
+        while len(granted) < max_jobs:
             # Orphan jobs (raw fleet-protocol DAGs) after the fair pass.
-            for job in super()._select_ready(max_jobs):
-                if len(granted) >= max_jobs:
-                    break
-                if job.key not in taken:
-                    granted.append(job)
-                    taken.add(job.key)
+            # The base pops every job it returns, so it is asked for the
+            # free slots only; a job it returns that the fair pass took
+            # is being leased already.
+            picked = super()._select_ready(max_jobs - len(granted))
+            if not picked:
+                break
+            granted.extend(job for job in picked if job.key not in taken)
         return granted
 
     # -- per-run views -----------------------------------------------------
@@ -187,18 +193,10 @@ class FairScheduler(FleetCoordinator):
                 for row in self.failures
                 if row["key"] in run.key_set
             ]
-            counts = {
-                state: sum(1 for s in states.values() if s == state)
-                for state in ("pending", "ready", "leased", "done",
-                              "failed", "cancelled")
-            }
-            counts["total"] = len(run.keys)
-            counts["outstanding"] = (
-                counts["total"]
-                - counts["done"]
-                - counts["failed"]
-                - counts["cancelled"]
-            )
+            per_state = dict.fromkeys(JOB_STATES, 0)
+            for job_state in states.values():
+                per_state[job_state] += 1
+            counts = state_counts(per_state)
             if run.cancelled:
                 state = "cancelled"
             elif counts["outstanding"] == 0:

@@ -64,7 +64,12 @@ from repro.orchestration.executor import RunStats
 from repro.orchestration.scheduler import FairScheduler
 from repro.orchestration.sink import RunSink
 from repro.orchestration.store import ArtifactStore
-from repro.orchestration.sweep import SweepSpec, plan_sweep
+from repro.orchestration.sweep import (
+    SweepSpec,
+    cell_row,
+    cell_summary,
+    plan_sweep,
+)
 from repro.orchestration.worker import run_worker
 
 #: The states a run can report; terminal ones end a client's polling.
@@ -153,7 +158,7 @@ class _ServiceRun:
     run_id: str
     tenant: str
     spec: dict  # JSON-safe SweepSpec form
-    cells: List[dict]  # {"topology","benchmark","engine","key"}, plan order
+    cells: List[tuple]  # ((topology, benchmark, engine), key), plan order
     num_jobs: int
     rows: List[dict] = field(default_factory=list)  # guarded-by: _runs_lock
     cells_done: int = 0  # guarded-by: _runs_lock — cells consumed into rows
@@ -405,10 +410,7 @@ class JobService:
         spec = spec_from_document(document)
         plan = plan_sweep(spec)
         rows = serialize_graph(plan.graph)
-        cells = [
-            {"topology": t, "benchmark": b, "engine": e, "key": key}
-            for (t, b, e), key in plan.cells.items()
-        ]
+        cells = list(plan.cells.items())
         with self._runs_lock:
             self._seq += 1
             run_id = f"run{self._seq:04d}-{spec.spec_hash[:8]}"
@@ -449,42 +451,23 @@ class JobService:
         states = snapshot["states"]
         with self._runs_lock:
             while run.cells_done < len(run.cells):
-                cell = run.cells[run.cells_done]
-                if states.get(cell["key"]) != "done":
+                cell_id, key = run.cells[run.cells_done]
+                if states.get(key) != "done":
                     break
-                payload = self.store.get("fidelity", cell["key"])
+                payload = self.store.get("fidelity", key)
                 if payload is None:
                     break  # store lagging the ledger: retry next poll
                 run.cells_done += 1
                 samples = payload["samples"]
-                if not samples:
-                    continue
-                run.rows.append(
-                    {
-                        "topology": cell["topology"],
-                        "benchmark": cell["benchmark"],
-                        "engine": cell["engine"],
-                        "mean": sum(samples) / len(samples),
-                        "minimum": min(samples),
-                        "maximum": max(samples),
-                        "num_samples": len(samples),
-                        "samples": samples,
-                    }
-                )
+                if samples:
+                    run.rows.append(cell_row(cell_id, cell_summary(samples)))
 
     def run_status(self, run_id: str) -> dict:
         """One run's progress: state, counts, attribution, failures."""
         run = self._get_run(run_id)
         snapshot = self.scheduler.run_snapshot(run_id)
         self._advance_results(run, snapshot)
-        charged = set(snapshot["charged"])
-        results = snapshot["results"]
-        computed = sum(
-            1
-            for key in charged
-            if results.get(key) == "computed"
-        )
-        cached = snapshot["counts"]["done"] - computed
+        stats = _run_ledger(snapshot)
         with self._runs_lock:
             cells_done = run.cells_done
             num_rows = len(run.rows)
@@ -493,8 +476,8 @@ class JobService:
             "tenant": run.tenant,
             "state": snapshot["state"],
             "counts": snapshot["counts"],
-            "computed": computed,
-            "cached": cached,
+            "computed": stats.computed,
+            "cached": stats.cached,
             "num_cells": len(run.cells),
             "cells_done": cells_done,
             "num_rows": num_rows,
@@ -541,31 +524,7 @@ class JobService:
         return self._build_manifest(run, snapshot)
 
     def _build_manifest(self, run: _ServiceRun, snapshot: dict) -> dict:
-        charged = set(snapshot["charged"])
-        results = snapshot["results"]
-        order = {key: i for i, key in enumerate(snapshot["states"])}
-        stats = RunStats(total=snapshot["counts"]["total"])
-        entries = sorted(
-            snapshot["entries"], key=lambda entry: order[entry["key"]]
-        )
-        for entry in entries:
-            key = entry["key"]
-            computed = (
-                key in charged and results.get(key) == "computed"
-            )
-            row = dict(entry)
-            row["status"] = "computed" if computed else "cached"
-            slot = stats.by_kind.setdefault(
-                row["kind"], {"computed": 0, "cached": 0}
-            )
-            if computed:
-                stats.computed += 1
-                slot["computed"] += 1
-            else:
-                stats.cached += 1
-                slot["cached"] += 1
-            stats.entries.append(row)
-        stats.failures = snapshot["failures"]
+        stats = _run_ledger(snapshot)
         with self._runs_lock:
             num_cells = len(run.rows)
         return {
@@ -604,6 +563,26 @@ class JobService:
         """Cancel a run's queued jobs (shared/leased jobs keep going)."""
         self._get_run(run_id)
         return self.scheduler.cancel_run(run_id)
+
+
+def _run_ledger(snapshot: dict) -> RunStats:
+    """A run's ledger from its scheduler snapshot, in plan order.
+
+    A shared job is ``computed`` only in the run it was charged to and
+    ``cached`` in every other.
+    """
+    charged = set(snapshot["charged"])
+    results = snapshot["results"]
+    order = {key: i for i, key in enumerate(snapshot["states"])}
+    stats = RunStats(total=snapshot["counts"]["total"])
+    for entry in sorted(snapshot["entries"], key=lambda e: order[e["key"]]):
+        key = entry["key"]
+        computed = key in charged and results.get(key) == "computed"
+        stats.record_row(
+            dict(entry, status="computed" if computed else "cached")
+        )
+    stats.failures = snapshot["failures"]
+    return stats
 
 
 class ServiceClient:

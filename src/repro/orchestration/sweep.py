@@ -124,21 +124,34 @@ class SweepResult:
     @property
     def rows(self) -> list:
         """JSONL-ready result rows in plan order."""
-        rows = []
-        for (topo, bench, engine), cell in self.cells.items():
-            rows.append(
-                {
-                    "topology": topo,
-                    "benchmark": bench,
-                    "engine": engine,
-                    "mean": cell["mean"],
-                    "minimum": cell["minimum"],
-                    "maximum": cell["maximum"],
-                    "num_samples": len(cell["samples"]),
-                    "samples": cell["samples"],
-                }
-            )
-        return rows
+        return [
+            cell_row(cell_id, cell) for cell_id, cell in self.cells.items()
+        ]
+
+
+def cell_summary(samples: list) -> dict:
+    """A fidelity cell: its samples with their mean, minimum and maximum."""
+    return {
+        "mean": sum(samples) / len(samples),
+        "minimum": min(samples),
+        "maximum": max(samples),
+        "samples": samples,
+    }
+
+
+def cell_row(cell_id: tuple, cell: dict) -> dict:
+    """The ``results.jsonl`` row of a :func:`cell_summary` cell."""
+    topology, benchmark, engine = cell_id
+    return {
+        "topology": topology,
+        "benchmark": benchmark,
+        "engine": engine,
+        "mean": cell["mean"],
+        "minimum": cell["minimum"],
+        "maximum": cell["maximum"],
+        "num_samples": len(cell["samples"]),
+        "samples": cell["samples"],
+    }
 
 
 def add_layout_jobs(
@@ -321,14 +334,8 @@ def run_sweep(
     cells = {}
     for cell_id, key in cell_keys.items():
         samples = results[key]["samples"]
-        if not samples:
-            continue
-        cells[cell_id] = {
-            "mean": sum(samples) / len(samples),
-            "minimum": min(samples),
-            "maximum": max(samples),
-            "samples": samples,
-        }
+        if samples:
+            cells[cell_id] = cell_summary(samples)
 
     run_id = spec.spec_hash[:12]
     if shard is not None:
@@ -416,16 +423,7 @@ def run_fleet_sweep(
     stats = RunStats(total=len(plan_keys))
     order = {job.key: i for i, job in enumerate(plan.graph.ordered())}
     for entry in sorted(entries, key=lambda e: order[e["key"]]):
-        slot = stats.by_kind.setdefault(
-            entry["kind"], {"computed": 0, "cached": 0}
-        )
-        if entry["status"] == "cached":
-            stats.cached += 1
-            slot["cached"] += 1
-        else:
-            stats.computed += 1
-            slot["computed"] += 1
-        stats.entries.append(entry)
+        stats.record_row(entry)
     stats.failures = failures
 
     owns_store = store is None
@@ -445,14 +443,8 @@ def run_fleet_sweep(
                     failures=failures,
                 )
             samples = payload["samples"]
-            if not samples:
-                continue
-            cells[cell_id] = {
-                "mean": sum(samples) / len(samples),
-                "minimum": min(samples),
-                "maximum": max(samples),
-                "samples": samples,
-            }
+            if samples:
+                cells[cell_id] = cell_summary(samples)
     finally:
         if owns_store:
             store.close()

@@ -35,7 +35,6 @@ import signal
 import socket
 import threading
 import time
-import traceback
 import uuid
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
@@ -46,8 +45,10 @@ from repro.orchestration.backends import (
     retry_call,
 )
 from repro.orchestration.coordinator import FleetClient, FleetCoordinator
-from repro.orchestration.executor import execute_job_with_timeout
-from repro.orchestration.stages import execute_job
+from repro.orchestration.executor import (
+    execute_job_with_timeout,
+    failure_report,
+)
 from repro.orchestration.store import ArtifactStore
 
 
@@ -219,12 +220,9 @@ def run_worker(
                         f"({store.describe()})"
                     )
                 deps.append(payload)
-            if timeout_s is None:
-                payload = execute_job(kind, job["params"], deps)
-            else:
-                payload = execute_job_with_timeout(
-                    kind, job["params"], deps, timeout_s
-                )
+            payload = execute_job_with_timeout(
+                kind, job["params"], deps, timeout_s
+            )
             store_op(lambda: store.put(kind, key, payload))
             client.complete(stats.worker, key, "computed")
             stats.computed += 1
@@ -233,19 +231,7 @@ def run_worker(
             raise  # the coordinator/store is gone: surface, don't loop
         except Exception as exc:  # noqa: BLE001 - reported, not fatal
             client.complete(
-                stats.worker,
-                key,
-                "failed",
-                error={
-                    "error_type": type(exc).__name__,
-                    "error": str(exc),
-                    "traceback": getattr(exc, "remote_traceback", None)
-                    or "".join(
-                        traceback.format_exception(
-                            type(exc), exc, exc.__traceback__
-                        )
-                    ),
-                },
+                stats.worker, key, "failed", error=failure_report(exc)
             )
             stats.failed += 1
             notify("failed", job)

@@ -1,5 +1,6 @@
 """Executor semantics: serial/parallel equivalence, caching, failure."""
 
+import itertools
 import time
 
 import pytest
@@ -8,6 +9,7 @@ import repro.orchestration.executor as executor_module
 from repro.core.config import QGDPConfig
 from repro.orchestration import (
     ArtifactStore,
+    FleetCoordinator,
     Job,
     JobFailure,
     JobGraph,
@@ -252,6 +254,53 @@ def test_progress_events_cover_every_job():
     )
     assert sum(1 for _, s in events if s == "start") == len(graph)
     assert sum(1 for _, s in events if s == "done") == len(graph)
+
+
+def test_serial_attempts_start_in_graph_order(monkeypatch):
+    """Serial jobs start in graph order, and a failed attempt is retried
+    at once: one ``"start"`` per attempt, its failure row by ``local``."""
+    graph = _small_graph()
+    state = {"failed": False}
+
+    def first_lg_fails_once(kind, params, deps):
+        if kind == "lg" and not state["failed"]:
+            state["failed"] = True
+            raise RuntimeError("flaky worker")
+        return real_execute_job(kind, params, deps)
+
+    monkeypatch.setattr(executor_module, "execute_job", first_lg_fails_once)
+    started = []
+    _, stats = run_jobs(
+        graph,
+        ArtifactStore(),
+        workers=1,
+        retries=1,
+        progress=lambda job, status: (
+            started.append(job.key) if status == "start" else None
+        ),
+    )
+    keys = [job.key for job in graph.ordered()]
+    assert started == keys[:2] + keys[1:]  # the first lg job, twice
+    assert [(f["attempt"], f["worker"]) for f in stats.failures] == [
+        (1, "local")
+    ]
+
+
+def test_local_leases_never_expire(monkeypatch):
+    """A job outliving any finite lease TTL must not be revoked: nothing
+    else runs a local sweep's jobs, so its coordinator's leases are
+    unbounded and its failure ledger stays empty."""
+
+    class HourPerCall(FleetCoordinator):
+        def __init__(self, **kwargs):
+            ticks = itertools.count(step=3600.0)
+            super().__init__(clock=lambda: next(ticks), **kwargs)
+
+    monkeypatch.setattr(executor_module, "FleetCoordinator", HourPerCall)
+    graph = _small_graph()
+    _, stats = run_jobs(graph, ArtifactStore(), workers=1)
+    assert stats.computed == len(graph)
+    assert stats.failures == []
 
 
 # -- job-level wall-clock timeouts -------------------------------------------

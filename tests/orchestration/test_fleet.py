@@ -9,6 +9,7 @@ serial run.
 """
 
 import threading
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -33,6 +34,7 @@ from repro.orchestration import (
     run_worker,
     serialize_graph,
 )
+from repro.orchestration.coordinator import JOB_STATES
 
 _CFG = config_to_dict(QGDPConfig(gp_iterations=40))
 
@@ -240,6 +242,18 @@ def test_enqueue_under_failed_dependency_fails_immediately():
     )
 
 
+def test_job_queued_twice_is_leased_once():
+    """A job that left ``ready`` and came back (withdrawn, then enqueued
+    again) is queued twice; one lease must still grant it only once."""
+    coord, _ = _coordinator()
+    coord.enqueue(_fan_jobs(2))
+    coord.withdraw(["f0"])
+    assert coord.enqueue(_fan_jobs(2))["resurrected"] == 1
+    granted = coord.lease("w1", max_jobs=3)["jobs"]
+    assert [job["key"] for job in granted] == ["f0", "f1"]
+    assert coord.status()["counts"]["leased"] == 2
+
+
 def test_unknown_requests_are_rejected():
     coord, _ = _coordinator()
     with pytest.raises(ValueError):
@@ -333,6 +347,11 @@ def test_lease_lifecycle_invariants(ops, shape):
         assert counts["total"] == 3
         assert sum(counts[s] for s in
                    ("pending", "ready", "leased", "done", "failed")) == 3
+        # The running per-state counters match a recount of the jobs.
+        recount = Counter(job.state for job in coord._jobs.values())
+        assert {s: counts[s] for s in JOB_STATES} == {
+            s: recount[s] for s in JOB_STATES
+        }
         sync_model()
 
     # Drain: a cooperative worker must always be able to finish the

@@ -226,3 +226,27 @@ def test_orphan_fleet_jobs_schedule_after_fair_rounds():
     # The registered run's slot comes first; orphans fill the batch.
     assert keys[0] == "a0"
     assert set(keys) == {"a0", "o0", "o1"}
+
+
+@pytest.mark.parametrize("orphans_first", [True, False])
+def test_orphan_pass_leases_every_job_exactly_once(orphans_first):
+    """The base pick pops what it returns, so the orphan pass may take
+    only the free slots: popping more would strand a ready orphan."""
+    scheduler, _ = _scheduler()
+    if orphans_first:
+        scheduler.enqueue(_rows("o0", "o1", "o2"))
+    scheduler.register_run("run-a", "alice", _rows("a0"))
+    if not orphans_first:
+        scheduler.enqueue(_rows("o0", "o1", "o2"))
+    batches = []
+    while True:
+        jobs = scheduler.lease("w", max_jobs=2)["jobs"]
+        if not jobs:
+            break
+        batches.append([job["key"] for job in jobs])
+        for job in jobs:
+            scheduler.complete("w", job["key"], "computed")
+    leased = [key for batch in batches for key in batch]
+    assert sorted(leased) == ["a0", "o0", "o1", "o2"]
+    assert [len(batch) for batch in batches] == [2, 2]
+    assert scheduler.status()["outstanding"] == 0

@@ -3,12 +3,13 @@
 One small end-to-end flow (place → legalize → detailed-place on a 5×5
 qubit grid), analysis-kernel guards (legalize + MST trace build +
 crossing count on 12×12 and 16×16 grids), a 24×24 legalize-only guard
-(576 qubits — the BENCH_scaling ceiling), and a cache-server
-round-trip guard (50 artifacts pushed and read back through a live
-``serve-cache``), each with a *generous* wall-clock budget — an order
-of magnitude above the implementations' typical time, but far below a
-genuine regression, so only a real hot-path or protocol-overhead
-regression trips them.  Part of the tier-1 run; select just these
+(576 qubits — the BENCH_scaling ceiling), a cache-server round-trip
+guard (50 artifacts pushed and read back through a live
+``serve-cache``) and a coordinator-drain guard (the paper sweep's job
+DAG leased and completed in-process), each with a *generous*
+wall-clock budget — an order of magnitude above the implementations'
+typical time, but far below a genuine regression, so only a real
+hot-path, protocol-overhead or scheduler regression trips them.  Part of the tier-1 run; select just these
 guards with ``pytest -m perf_smoke``.
 """
 
@@ -19,19 +20,24 @@ import time
 
 import pytest
 
+from repro.circuits import PAPER_BENCHMARKS
 from repro.core.config import QGDPConfig
 from repro.orchestration import (
     CacheServer,
     DirBackend,
+    FleetCoordinator,
     RemoteHTTPBackend,
+    SweepSpec,
     TieredStore,
+    plan_sweep,
+    serialize_graph,
 )
 from repro.detailed import DetailedPlacer
-from repro.legalization import get_engine, run_legalization
+from repro.legalization import PAPER_ENGINE_ORDER, get_engine, run_legalization
 from repro.metrics import check_legality, integration_ratio
 from repro.placement import GlobalPlacer, build_layout
 from repro.routing.crossings import build_traces, count_crossings
-from repro.topologies import grid_topology
+from repro.topologies import PAPER_TOPOLOGIES, grid_topology
 
 #: Budget for legalization + detailed placement on a 5x5 grid, seconds.
 #: Typical: ~0.07 s array-backed; ~1.1 s for the pre-array seed code.
@@ -59,6 +65,13 @@ LEGALIZE_24_BUDGET_S = 20.0
 #: ceiling trips only on a per-request overhead regression (connection
 #: churn, payload re-encoding, server-side scans per artifact).
 CACHE_SERVER_BUDGET_S = 15.0
+
+#: Budget for draining the paper sweep's 2,382-job DAG through an
+#: in-process coordinator — one lease and one complete per job, nothing
+#: executed — in seconds.  Typical: ~0.02 s with the ready/deadline
+#: heaps and running state counts; ~1.3 s when lease and complete walk
+#: every job, which every local sweep would pay on top of its compute.
+COORDINATOR_DRAIN_BUDGET_S = 0.25
 
 
 @pytest.mark.perf_smoke
@@ -161,4 +174,32 @@ def test_cache_server_round_trip_within_budget(tmp_path):
     assert elapsed < CACHE_SERVER_BUDGET_S, (
         f"150 cache-server round trips took {elapsed:.2f}s "
         f"(budget {CACHE_SERVER_BUDGET_S}s) — protocol overhead regression?"
+    )
+
+
+@pytest.mark.perf_smoke
+def test_coordinator_drain_within_budget():
+    """The paper protocol's DAG, one lease and one complete per job."""
+    spec = SweepSpec(
+        PAPER_TOPOLOGIES, PAPER_BENCHMARKS, PAPER_ENGINE_ORDER,
+        num_seeds=50, detailed=True,
+    )
+    rows = serialize_graph(plan_sweep(spec).graph)
+    assert len(rows) == 2382
+    coordinator = FleetCoordinator()
+    coordinator.enqueue(rows)
+
+    t0 = time.perf_counter()
+    while True:
+        jobs = coordinator.lease("w", max_jobs=1)["jobs"]
+        if not jobs:
+            break
+        coordinator.complete("w", jobs[0]["key"], "computed")
+    elapsed = time.perf_counter() - t0
+
+    assert coordinator.status()["counts"]["done"] == len(rows)
+    assert elapsed < COORDINATOR_DRAIN_BUDGET_S, (
+        f"draining {len(rows)} jobs took {elapsed:.2f}s "
+        f"(budget {COORDINATOR_DRAIN_BUDGET_S}s) — does lease or "
+        "complete walk every job again?"
     )

@@ -22,8 +22,8 @@ from repro.crosstalk.errors import (
 )
 from repro.crosstalk.parameters import DEFAULT_NOISE, NoiseParameters
 from repro.frequency.hotspots import hotspot_pairs
-from repro.geometry import gap_between
 from repro.metrics.legality import qubit_spacing_violations
+from repro.metrics.report import fidelity_inputs
 from repro.netlist.netlist import QuantumNetlist
 from repro.routing.crossings import CrossingReport
 
@@ -40,24 +40,15 @@ class FidelityBreakdown:
     num_active_crossings: int
 
 
-def program_fidelity(
-    netlist: QuantumNetlist,
+def layout_fidelity(
+    inputs: dict,
     transpiled: TranspiledCircuit,
-    crossings: CrossingReport,
-    config: QGDPConfig = None,
+    delta_c: float,
     params: NoiseParameters = DEFAULT_NOISE,
-    hotspots: list = None,
-    violations: list = None,
 ) -> FidelityBreakdown:
-    """Estimate worst-case program fidelity on the current layout.
-
-    ``crossings`` comes from :func:`repro.routing.crossings.count_crossings`
-    on the same layout; ``hotspots`` / ``violations`` optionally reuse
-    precomputed :func:`~repro.frequency.hotspots.hotspot_pairs` /
-    :func:`~repro.metrics.legality.qubit_spacing_violations` results so
-    seed sweeps do not recompute layout-level analysis.
+    """Eq. 7 from a layout's :func:`~repro.metrics.report.fidelity_inputs`
+    rows alone (an ``analyze`` payload carries them), folded in row order.
     """
-    config = config or QGDPConfig()
     active_qubits = transpiled.active_qubits
     active_edges = transpiled.active_edges
     duration = transpiled.duration_ns
@@ -80,72 +71,39 @@ def program_fidelity(
 
     # -- εg over violating qubit pairs -----------------------------------
     qubit_crosstalk_factor = 1.0
-    violating = (
-        violations
-        if violations is not None
-        else qubit_spacing_violations(netlist, config.min_qubit_spacing)
-    )
     num_pairs = 0
-    for violation in violating:
-        qa = netlist.qubit(violation.id_a[1])
-        qb = netlist.qubit(violation.id_b[1])
-        if qa.index not in active_qubits and qb.index not in active_qubits:
+    for a, b, gap, f_a, f_b in inputs["qubit_pairs"]:
+        if a not in active_qubits and b not in active_qubits:
             continue
         num_pairs += 1
-        eps = rabi_crosstalk_error(
-            gap_between(qa.rect, qb.rect),
-            qa.frequency,
-            qb.frequency,
-            duration,
-            config.delta_c,
-            params,
-        )
+        eps = rabi_crosstalk_error(gap, f_a, f_b, duration, delta_c, params)
         qubit_crosstalk_factor *= 1.0 - eps
 
     # -- εe: crossings on active resonators --------------------------------
     resonator_factor = 1.0
     num_active_crossings = 0
-    for key, bridged in crossings.bridged_blocks.items():
-        for owner in bridged:
-            other_key = owner[1]
-            if key not in active_edges and other_key not in active_edges:
-                continue
-            num_active_crossings += 1
-            resonator_factor *= 1.0 - crossing_error(
-                netlist.resonator(*key).frequency,
-                netlist.resonator(*other_key).frequency,
-                duration,
-                config.delta_c,
-                params,
-                wire_to_wire=False,
-            )
-    for (key_a, key_b), count in crossings.pair_crossings.items():
-        if key_a not in active_edges and key_b not in active_edges:
+    for qi, qj, oi, oj, f, f_o in inputs["bridges"]:
+        if (qi, qj) not in active_edges and (oi, oj) not in active_edges:
+            continue
+        num_active_crossings += 1
+        resonator_factor *= 1.0 - crossing_error(
+            f, f_o, duration, delta_c, params, wire_to_wire=False
+        )
+    for ai, aj, bi, bj, count, f_a, f_b in inputs["crossings"]:
+        if (ai, aj) not in active_edges and (bi, bj) not in active_edges:
             continue
         num_active_crossings += count
-        eps = crossing_error(
-            netlist.resonator(*key_a).frequency,
-            netlist.resonator(*key_b).frequency,
-            duration,
-            config.delta_c,
-            params,
-        )
+        eps = crossing_error(f_a, f_b, duration, delta_c, params)
         resonator_factor *= (1.0 - eps) ** count
 
     # -- εe: spatially violating resonator pairs ---------------------------
     # Trace-exposure hotspots arrive already aggregated per resonator
     # pair; each contributes one parasitic coupling (and one εe).
-    if hotspots is None:
-        hotspots = hotspot_pairs(netlist, config.reach, config.delta_c)
-    for pair in hotspots:
-        if pair.id_a[0] != "e" or pair.id_b[0] != "e":
+    for ai, aj, bi, bj, contribution in inputs["resonator_pairs"]:
+        if (ai, aj) not in active_edges and (bi, bj) not in active_edges:
             continue
-        key_a, key_b = pair.id_a[1], pair.id_b[1]
-        if key_a not in active_edges and key_b not in active_edges:
-            continue
-        resonator_factor *= 1.0 - resonator_pair_error(
-            pair.contribution, duration, params
-        )
+        eps = resonator_pair_error(contribution, duration, params)
+        resonator_factor *= 1.0 - eps
 
     fidelity = qubit_factor * qubit_crosstalk_factor * resonator_factor
     return FidelityBreakdown(
@@ -156,3 +114,31 @@ def program_fidelity(
         num_violating_pairs=num_pairs,
         num_active_crossings=num_active_crossings,
     )
+
+
+def program_fidelity(
+    netlist: QuantumNetlist,
+    transpiled: TranspiledCircuit,
+    crossings: CrossingReport,
+    config: QGDPConfig = None,
+    params: NoiseParameters = DEFAULT_NOISE,
+    hotspots: list = None,
+    violations: list = None,
+) -> FidelityBreakdown:
+    """Estimate worst-case program fidelity on the current layout.
+
+    ``crossings`` comes from :func:`repro.routing.crossings.count_crossings`
+    on the same layout; ``hotspots`` / ``violations`` optionally reuse
+    precomputed :func:`~repro.frequency.hotspots.hotspot_pairs` /
+    :func:`~repro.metrics.legality.qubit_spacing_violations` results so
+    seed sweeps do not recompute layout-level analysis.
+    """
+    config = config or QGDPConfig()
+    if violations is None:
+        violations = qubit_spacing_violations(netlist, config.min_qubit_spacing)
+    if hotspots is None:
+        hotspots = hotspot_pairs(
+            netlist, config.reach, config.delta_c, config.lb
+        )
+    inputs = fidelity_inputs(netlist, violations, hotspots, crossings)
+    return layout_fidelity(inputs, transpiled, config.delta_c, params)

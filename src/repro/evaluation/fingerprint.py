@@ -13,6 +13,9 @@ which prints the field-level diff it is committing; silent drift is the
 thing this module exists to prevent.  Positions are rounded to
 :data:`POSITION_DECIMALS` before hashing so the digest is stable across
 platforms while still resolving far below the site pitch.
+
+:func:`job_payload_pins` pins each job kind's payloads next to its
+``KIND_VERSIONS`` entry, so a payload change cannot keep its job keys.
 """
 
 from __future__ import annotations
@@ -20,7 +23,14 @@ from __future__ import annotations
 import hashlib
 import json
 
+from repro.core.config import QGDPConfig
 from repro.core.pipeline import run_flow
+from repro.orchestration.diff import comparable
+from repro.orchestration.executor import run_jobs
+from repro.orchestration.jobs import KIND_VERSIONS, canonical_json
+from repro.orchestration.stages import config_to_dict
+from repro.orchestration.store import ArtifactStore
+from repro.orchestration.sweep import SweepSpec, plan_sweep
 
 #: Decimal places kept when hashing positions — 1e-6 layout units is far
 #: below the site pitch, so any real movement changes the digest.
@@ -78,3 +88,31 @@ def fingerprint_diff(old: dict, new: dict) -> list:
         if before != after:
             lines.append(f"{key}: {before} -> {after}")
     return lines
+
+
+def job_payload_pins() -> dict:
+    """``{kind: {"version", "sha256"}}`` over a small sweep with every kind.
+
+    A kind's digest is the SHA-256 of the canonical JSON of its payloads
+    in graph order, without their wall-clock fields.  On these layouts
+    bv-9 engages every Eq. 7 factor, so each one reaches a digest.
+    """
+    spec = SweepSpec(
+        ("aspen11",),
+        ("bv-9",),
+        ("qgdp", "tetris"),
+        num_seeds=2,
+        detailed=True,
+        config=config_to_dict(QGDPConfig(gp_iterations=60)),
+    )
+    graph = plan_sweep(spec).graph
+    results, _stats = run_jobs(graph, ArtifactStore())
+    payloads = {kind: [] for kind in KIND_VERSIONS}
+    for job in graph.ordered():
+        payloads[job.kind].append(comparable(results[job.key]))
+    pins = {}
+    for kind, rows in payloads.items():
+        text = canonical_json(rows).encode("utf-8")
+        sha256 = hashlib.sha256(text).hexdigest()
+        pins[kind] = {"version": KIND_VERSIONS[kind], "sha256": sha256}
+    return pins

@@ -9,9 +9,9 @@ same legalized layouts.
 Since the orchestration subsystem landed, this module is a thin facade:
 :func:`evaluate_engines` and :func:`evaluate_fidelity` plan the same
 content-addressed job graphs the ``repro sweep`` CLI runs (GP once per
-topology, transpilations once per (topology, benchmark, seed), layout
-analysis once per (topology, engine)) and execute them with the in-process
-serial executor.  Results are bit-identical whether the jobs run here, in
+topology, transpilations once per (topology, benchmark, seed), one
+``analyze`` job per layout) and execute them with the in-process serial
+executor.  Results are bit-identical whether the jobs run here, in
 a worker pool, or come back from the disk artifact cache — see
 ``docs/orchestration.md``.
 """
@@ -24,15 +24,17 @@ from typing import Optional
 
 from repro.core.config import QGDPConfig
 from repro.crosstalk.parameters import DEFAULT_NOISE, NoiseParameters
+from repro.metrics.report import LayoutMetrics
 from repro.orchestration.executor import RunStats, run_jobs
-from repro.orchestration.jobs import Job, JobGraph, canonical_json
-from repro.orchestration.stages import (
-    config_to_dict,
-    metrics_from_dict,
-    noise_to_dict,
-)
+from repro.orchestration.jobs import JobGraph, canonical_json
+from repro.orchestration.stages import config_to_dict, noise_to_dict
 from repro.orchestration.store import ArtifactStore, resolve_store
-from repro.orchestration.sweep import SweepSpec, add_layout_jobs, run_sweep
+from repro.orchestration.sweep import (
+    SweepSpec,
+    add_layout_jobs,
+    analysis_job,
+    run_sweep,
+)
 
 
 @dataclass
@@ -117,14 +119,14 @@ def plan_engine_evaluations(
 
     Per topology: the gp → lg → dp layout jobs of
     :func:`~repro.orchestration.sweep.add_layout_jobs` (a ``dp`` job for
-    qGDP only, as in the paper) and one ``metrics`` job per (topology,
-    engine) that assembles the layout-quality report from the engine's
-    ``lg`` and, for qGDP, ``dp`` payloads.  Fidelity sweeps plan their
-    layout jobs through the same function, so tables and sweeps sharing
-    a cache directory share those artifacts.
+    qGDP only, as in the paper) and one ``analyze`` job on each layout
+    of each engine's chain.  Fidelity sweeps plan their layout and
+    analyze jobs through the same functions, so tables and sweeps
+    sharing a cache directory share those artifacts.
 
     Returns ``(graph, keys)`` with ``keys`` mapping
-    ``(topology, engine) -> metrics job key``.
+    ``(topology, engine)`` to the chain's ``(layout key, analyze key)``
+    pairs: the ``lg`` pair, then the ``dp`` pair for qGDP.
     """
     eval_config = eval_config or EvaluationConfig()
     cfg_dict = config_to_dict(eval_config.config)
@@ -135,14 +137,10 @@ def plan_engine_evaluations(
             graph, topology_name, engine_names, cfg_dict, detailed=True
         )
         for engine_name, chain in chains.items():
-            metrics = graph.add(
-                Job.create(
-                    "metrics",
-                    chain[0].params,
-                    deps=tuple(job.key for job in chain),
-                )
-            )
-            keys[(topology_name, engine_name)] = metrics.key
+            keys[(topology_name, engine_name)] = [
+                (layout.key, graph.add(analysis_job(layout)).key)
+                for layout in chain
+            ]
     return (graph, keys)
 
 
@@ -200,9 +198,9 @@ def run_engine_evaluations(
     ``workers`` / ``retries`` / ``timeout_s`` behave exactly as they do
     for fidelity sweeps (``cache_url`` selects a storage backend by URL
     — ``dir:``, ``sqlite:``, ``http://`` — see ``docs/storage.md``).
-    On a warm cache every job — including the ``metrics`` payloads that
-    carry the Table II timings — is a cache hit, making regenerated
-    tables byte-identical to the run that populated the cache.
+    The metrics come from the ``analyze`` payloads and the Table II
+    timings from the ``lg`` / ``dp`` payloads, so a warm cache replays
+    the tables byte for byte, timings included.
     """
     eval_config = eval_config or EvaluationConfig()
     graph, keys = plan_engine_evaluations(
@@ -228,18 +226,21 @@ def run_engine_evaluations(
             store.close()
 
     evaluations = {name: {} for name in topology_names}
-    for (topology_name, engine_name), key in keys.items():
-        payload = payloads[key]
+    for (topology_name, engine_name), chain in keys.items():
+        lg, lg_analysis = chain[0]
         evaluation = EngineEvaluation(
             topology=topology_name,
             engine=engine_name,
-            metrics=metrics_from_dict(payload["metrics"]),
-            qubit_time_s=payload["qubit_time_s"],
-            resonator_time_s=payload["resonator_time_s"],
+            metrics=LayoutMetrics(**payloads[lg_analysis]["metrics"]),
+            qubit_time_s=payloads[lg]["qubit_time_s"],
+            resonator_time_s=payloads[lg]["resonator_time_s"],
         )
-        if "dp_metrics" in payload:
-            evaluation.dp_metrics = metrics_from_dict(payload["dp_metrics"])
-            evaluation.dp_time_s = payload["dp_time_s"]
+        if len(chain) > 1:
+            dp, dp_analysis = chain[1]
+            evaluation.dp_metrics = LayoutMetrics(
+                **payloads[dp_analysis]["metrics"]
+            )
+            evaluation.dp_time_s = payloads[dp]["dp_time_s"]
         evaluations[topology_name][engine_name] = evaluation
 
     spec = {

@@ -105,7 +105,8 @@ def _cell_key(row: dict) -> tuple:
     return (row.get("topology"), row.get("benchmark"), row.get("engine"))
 
 
-def _comparable(row: dict) -> dict:
+def comparable(row: dict) -> dict:
+    """``row`` without its :data:`WALLCLOCK_FIELDS`."""
     return {k: v for k, v in row.items() if k not in WALLCLOCK_FIELDS}
 
 
@@ -136,7 +137,7 @@ def diff_runs(run_a: dict, run_b: dict) -> RunDiff:
     for key in rows_a:
         if key not in rows_b:
             continue
-        a, b = _comparable(rows_a[key]), _comparable(rows_b[key])
+        a, b = comparable(rows_a[key]), comparable(rows_b[key])
         fields = sorted(
             name
             for name in set(a) | set(b)

@@ -2,14 +2,14 @@
 
 A sweep decomposes into small *jobs* — ``gp`` (global placement), ``lg``
 (legalization), ``dp`` (detailed placement), ``transpile``, ``analyze``
-(layout-level crosstalk analysis), ``fidelity`` and ``metrics`` (the
-Fig. 9 / Table II–III layout-quality report) — wired into a
-dependency DAG.  Every job is identified by a
-stable SHA-256 over its kind, its code-relevant parameters and the keys
-of its dependencies (a Merkle chain: a parameter change upstream changes
-every downstream key).  The key doubles as the artifact-store address, so
-re-running a sweep with identical parameters finds every stage output
-already on disk.
+(the one analysis of a layout: its Fig. 9 / Table III metrics and the
+Eq. 7 rows) and ``fidelity`` — wired into a dependency DAG.  Every job
+is identified by a stable SHA-256 over its kind, the kind's payload
+version, its code-relevant parameters and the keys of its dependencies
+(a Merkle chain: a parameter change upstream changes every downstream
+key).  The key doubles as the artifact-store address, so re-running a
+sweep with identical parameters finds every stage output already on
+disk.
 """
 
 from __future__ import annotations
@@ -19,8 +19,14 @@ import json
 from dataclasses import dataclass, field
 from typing import Iterable
 
-#: The stage kinds a sweep decomposes into.
-JOB_KINDS = ("gp", "lg", "dp", "transpile", "analyze", "fidelity", "metrics")
+#: The stage kinds a sweep decomposes into, with their payload versions.
+#: Bump a kind's version whenever its payload changes for the same params
+#: and deps, or caches serve the old payload under a key that no longer
+#: describes it (``tests/golden/test_job_payloads.py`` pins payloads).
+KIND_VERSIONS = {
+    "gp": 1, "lg": 1, "dp": 1, "transpile": 1, "analyze": 1, "fidelity": 1
+}
+JOB_KINDS = tuple(KIND_VERSIONS)
 
 
 def canonical_json(obj: object) -> str:
@@ -29,9 +35,10 @@ def canonical_json(obj: object) -> str:
 
 
 def job_key(kind: str, params: dict, dep_keys: tuple = ()) -> str:
-    """Stable content hash of a job: kind + params + dependency keys."""
+    """Stable content hash of a job: kind + version + params + dep keys."""
+    version, deps = KIND_VERSIONS[kind], list(dep_keys)
     payload = canonical_json(
-        {"kind": kind, "params": params, "deps": list(dep_keys)}
+        {"kind": kind, "version": version, "params": params, "deps": deps}
     )
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 

@@ -1,9 +1,10 @@
 """Stage runners: the functions that execute one job of each kind.
 
 Every runner is a pure function of ``(params, dep_payloads)`` returning a
-JSON-safe payload, and every runner rebuilds its working state (netlist,
-grid, occupancy) from the topology + config in its params plus position
-snapshots from upstream payloads.  That makes jobs location-transparent:
+JSON-safe payload, and every layout runner rebuilds its working state
+(netlist, grid, occupancy) from the topology + config in its params plus
+position snapshots from upstream payloads.  That makes jobs
+location-transparent:
 the same runner produces bit-identical output whether it executes in the
 parent process (serial executor), a worker process (process pool), or is
 skipped entirely because the artifact store already holds its payload.
@@ -26,21 +27,24 @@ from repro.compiler.transpiler import TranspiledCircuit, transpile
 from repro.core.config import QGDPConfig
 from repro.core.pipeline import QGDPFlow
 from repro.core.result import StageReport, decode_snapshot, encode_snapshot
-from repro.crosstalk.fidelity import program_fidelity
+from repro.crosstalk.fidelity import layout_fidelity
 from repro.crosstalk.parameters import NoiseParameters
-from repro.frequency.hotspots import HotspotPair, hotspot_pairs
 from repro.legalization.bins import BinGrid
-from repro.metrics.legality import LegalityViolation, qubit_spacing_violations
-from repro.metrics.report import LayoutMetrics, layout_metrics
-from repro.routing.crossings import CrossingReport, count_crossings
+from repro.metrics.report import analyze_layout
 from repro.topologies.registry import get_topology
 
-# perfbench/tracing.py patches these two here, so they stay module names.
+# perfbench/tracing.py's SITES patch these names here and its install()
+# fails on a missing one, so they stay importable from this module.
+from repro.crosstalk.fidelity import program_fidelity  # noqa: F401
+from repro.frequency.hotspots import hotspot_pairs  # noqa: F401
 from repro.legalization.engines import run_legalization  # noqa: F401
+from repro.metrics.legality import qubit_spacing_violations  # noqa: F401
+from repro.metrics.report import layout_metrics  # noqa: F401
 from repro.placement.builder import build_layout  # noqa: F401
+from repro.routing.crossings import count_crossings  # noqa: F401
 
 
-# -- config / metrics codecs -------------------------------------------------
+# -- config / noise codecs ---------------------------------------------------
 def config_to_dict(config: QGDPConfig) -> dict:
     """JSON-safe dict of the code-relevant flow parameters."""
     return asdict(config)
@@ -62,11 +66,6 @@ def noise_to_dict(noise: NoiseParameters) -> dict:
 def noise_from_dict(data: dict) -> NoiseParameters:
     """Inverse of :func:`noise_to_dict`."""
     return NoiseParameters(**data)
-
-
-def metrics_from_dict(data: dict) -> LayoutMetrics:
-    """Rebuild a :class:`LayoutMetrics` stored in a job payload."""
-    return LayoutMetrics(**data)
 
 
 # -- transpile payload codec -------------------------------------------------
@@ -105,107 +104,6 @@ def transpile_stats_from_dict(data: dict) -> TranspiledCircuit:
         gates_2q={int(q): n for q, n in data["gates_2q"].items()},
         active_edges={tuple(edge) for edge in data["active_edges"]},
     )
-
-
-# -- layout analysis codec ---------------------------------------------------
-# Component ids appear in three shapes: ("q", index), ("e", (qi, qj)) and
-# ("b", (qi, qj), ordinal).  Encoding flattens them to JSON rows; decoding
-# restores the exact tuples program_fidelity pattern-matches on.
-def _encode_component_id(cid: tuple) -> list:
-    tag = cid[0]
-    if tag == "q":
-        return ["q", cid[1]]
-    if tag == "e":
-        return ["e", cid[1][0], cid[1][1]]
-    if tag == "b":
-        return ["b", cid[1][0], cid[1][1], cid[2]]
-    raise ValueError(f"unknown component id {cid!r}")
-
-
-def _decode_component_id(row: list) -> tuple:
-    tag = row[0]
-    if tag == "q":
-        return ("q", row[1])
-    if tag == "e":
-        return ("e", (row[1], row[2]))
-    if tag == "b":
-        return ("b", (row[1], row[2]), row[3])
-    raise ValueError(f"unknown component id row {row!r}")
-
-
-def analysis_to_dict(
-    violations: dict, hotspots: dict, crossings: dict
-) -> dict:
-    """Serialize one layout's crosstalk analysis (the Eq. 7 inputs).
-
-    Dict entries are stored as ordered row lists, so decoding rebuilds
-    dicts with identical iteration order — the Eq. 7 fidelity factors are
-    float products folded in that order.
-    """
-    return {
-        "violations": [
-            [v.id_a[1], v.id_b[1], v.amount] for v in violations
-        ],
-        "hotspots": [
-            [
-                _encode_component_id(p.id_a),
-                _encode_component_id(p.id_b),
-                p.adjacency,
-                p.gap,
-                p.tau_weight,
-                p.contribution,
-            ]
-            for p in hotspots
-        ],
-        "bridged_blocks": [
-            [[qi, qj], [_encode_component_id(owner) for owner in owners]]
-            for (qi, qj), owners in crossings.bridged_blocks.items()
-        ],
-        "pair_crossings": [
-            [list(key_a), list(key_b), count]
-            for (key_a, key_b), count in crossings.pair_crossings.items()
-        ],
-        "per_resonator": [
-            [list(key), count]
-            for key, count in crossings.per_resonator.items()
-        ],
-    }
-
-
-def analysis_from_dict(data: dict) -> tuple:
-    """Inverse of :func:`analysis_to_dict`: ``(violations, hotspots,
-    crossings)`` exactly as the in-process analysis produced them."""
-    violations = [
-        LegalityViolation("qubit_spacing", ("q", ia), ("q", ib), amount)
-        for ia, ib, amount in data["violations"]
-    ]
-    hotspots = [
-        HotspotPair(
-            _decode_component_id(id_a),
-            _decode_component_id(id_b),
-            adjacency,
-            gap,
-            tau_weight,
-            contribution,
-        )
-        for id_a, id_b, adjacency, gap, tau_weight, contribution in data[
-            "hotspots"
-        ]
-    ]
-    crossings = CrossingReport(
-        per_resonator={
-            tuple(key): count for key, count in data["per_resonator"]
-        },
-        pair_crossings={
-            (tuple(key_a), tuple(key_b)): count
-            for key_a, key_b, count in data["pair_crossings"]
-        },
-        bridged_blocks={
-            tuple(key): [_decode_component_id(owner) for owner in owners]
-            for key, owners in data["bridged_blocks"]
-        },
-    )
-    return (violations, hotspots, crossings)
 
 
 # -- runners -----------------------------------------------------------------
@@ -260,77 +158,35 @@ def run_transpile_job(params: dict, deps: list) -> dict:
 
 
 def run_analyze_job(params: dict, deps: list) -> dict:
-    """Layout-level crosstalk analysis of one legalized layout.
+    """The one analysis of one layout: its ``LayoutMetrics`` and Eq. 7 rows.
 
-    ``deps[0]`` is the layout payload (LG or DP snapshot).  The spacing
-    violations, hotspot pairs and crossing report depend only on the
-    layout — one ``analyze`` job per (topology, engine) is shared by
-    every benchmark's fidelity cell, exactly like the historical
-    in-process harness shared its per-layout artifacts.
+    ``deps[0]`` is the layout payload (LG or DP snapshot); every
+    benchmark's ``fidelity`` job and ``repro tables`` read the result.
     """
     flow = _flow(params, deps[0])
-    netlist, config = flow.netlist, flow.config
-    return analysis_to_dict(
-        qubit_spacing_violations(netlist, config.min_qubit_spacing),
-        hotspot_pairs(netlist, config.reach, config.delta_c),
-        count_crossings(netlist, BinGrid.of_layout(netlist, flow.grid)),
-    )
+    bins = BinGrid.of_layout(flow.netlist, flow.grid)
+    metrics, inputs = analyze_layout(flow.netlist, bins, flow.config)
+    return {"metrics": asdict(metrics), "fidelity_inputs": inputs}
 
 
 def run_fidelity_job(params: dict, deps: list) -> dict:
     """Eq. 7 fidelity samples of one (topology, benchmark, engine) cell.
 
-    ``deps[0]`` is the layout payload (LG, or DP when the sweep runs
-    detailed placement), ``deps[1]`` the layout's ``analyze`` payload;
-    the rest are the per-seed transpile payloads in seed order.
+    ``deps[0]`` is the layout's ``analyze`` payload, whose rows carry every
+    gap and frequency Eq. 7 reads; the rest are the seed-ordered transpile
+    payloads.  No layout is built.
     """
-    flow = _flow(params, deps[0])
+    inputs = deps[0]["fidelity_inputs"]
+    delta_c = params["config"]["delta_c"]
     noise = noise_from_dict(params["noise"])
-    violations, hotspots, crossings = analysis_from_dict(deps[1])
-    samples = []
-    for stats_payload in deps[2:]:
-        transpiled = transpile_stats_from_dict(stats_payload)
-        breakdown = program_fidelity(
-            flow.netlist,
-            transpiled,
-            crossings,
-            flow.config,
-            noise,
-            hotspots=hotspots,
-            violations=violations,
-        )
-        samples.append(breakdown.fidelity)
-    return {"samples": samples}
-
-
-def run_metrics_job(params: dict, deps: list) -> dict:
-    """Layout-quality report of one (topology, engine): Fig. 9 / Tables II–III.
-
-    ``deps[0]`` is the engine's ``lg`` payload; for engines that also run
-    detailed placement (the paper's qGDP-DP), ``deps[1]`` is the ``dp``
-    payload.  The :class:`~repro.metrics.report.LayoutMetrics` sets are
-    recomputed from the restored snapshots — occupancy rebuilt exactly
-    like the ``analyze`` job, so the numbers are bit-identical to an
-    in-process :func:`~repro.metrics.report.layout_metrics` call on the
-    live layout — while the wall-clock timings (Table II's tq/te) ride
-    through from the upstream payloads.  A warm cache therefore replays
-    the exact timing values the stage measured when it actually ran,
-    which is what makes regenerated tables byte-stable across reruns.
-    """
-    def metrics_at(positions_payload: dict) -> dict:
-        flow = _flow(params, positions_payload)
-        bins = BinGrid.of_layout(flow.netlist, flow.grid)
-        return asdict(layout_metrics(flow.netlist, bins, flow.config))
-
-    payload = {
-        "metrics": metrics_at(deps[0]),
-        "qubit_time_s": deps[0]["qubit_time_s"],
-        "resonator_time_s": deps[0]["resonator_time_s"],
+    return {
+        "samples": [
+            layout_fidelity(
+                inputs, transpile_stats_from_dict(stats), delta_c, noise
+            ).fidelity
+            for stats in deps[1:]
+        ]
     }
-    if len(deps) > 1:
-        payload["dp_metrics"] = metrics_at(deps[1])
-        payload["dp_time_s"] = deps[1]["dp_time_s"]
-    return payload
 
 
 _RUNNERS = {
@@ -340,7 +196,6 @@ _RUNNERS = {
     "transpile": run_transpile_job,
     "analyze": run_analyze_job,
     "fidelity": run_fidelity_job,
-    "metrics": run_metrics_job,
 }
 
 

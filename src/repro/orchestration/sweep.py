@@ -9,11 +9,10 @@ expands it into a content-addressed job graph:
   qGDP ``lg`` when the spec runs detailed placement
   (:func:`add_layout_jobs`, shared with the ``repro tables`` planner),
 * one ``transpile`` job per (topology, benchmark, seed) that fits,
-* one ``analyze`` job per (topology, engine) layout — the spacing /
-  hotspot / crossing analysis shared by that layout's cells — and
+* one ``analyze`` job per (topology, engine) layout — the layout's one
+  analysis (metrics and Eq. 7 rows), shared by that layout's cells — and
 * one ``fidelity`` job per (topology, benchmark, engine) cell, depending
-  on its layout job, the layout's analysis, and its seed-ordered
-  transpile jobs.
+  on the layout's analysis and its seed-ordered transpile jobs.
 
 ``run_sweep`` executes the graph (serially or across worker processes,
 optionally against the disk artifact store) and assembles the cells in
@@ -189,6 +188,11 @@ def add_layout_jobs(
     return chains
 
 
+def analysis_job(layout: Job) -> Job:
+    """The ``analyze`` job of a layout job, as every planner plans it."""
+    return Job.create("analyze", layout.params, deps=(layout.key,))
+
+
 def plan_sweep(spec: SweepSpec) -> SweepPlan:
     """Expand a spec into its content-addressed job graph."""
     graph = JobGraph()
@@ -224,10 +228,7 @@ def plan_sweep(spec: SweepSpec) -> SweepPlan:
             transpile_keys[bench_name] = keys
 
         for engine_name, chain in chains.items():
-            layout = chain[-1]
-            analysis = graph.add(
-                Job.create("analyze", layout.params, deps=(layout.key,))
-            )
+            analysis = graph.add(analysis_job(chain[-1]))
             for bench_name in fitting:
                 cell_job = graph.add(
                     Job.create(
@@ -239,11 +240,7 @@ def plan_sweep(spec: SweepSpec) -> SweepPlan:
                             "config": spec.config,
                             "noise": spec.noise,
                         },
-                        deps=(
-                            layout.key,
-                            analysis.key,
-                            *transpile_keys[bench_name],
-                        ),
+                        deps=(analysis.key, *transpile_keys[bench_name]),
                     )
                 )
                 cells[(topo_name, bench_name, engine_name)] = cell_job.key

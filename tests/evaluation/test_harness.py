@@ -142,7 +142,8 @@ def test_engine_evaluations_share_sweep_layout_artifacts(small_eval, tmp_path):
         ["grid"], ["tetris"], small_eval, cache_dir=cache, resume=True
     )
     by_kind = tables.stats.by_kind
-    # gp and lg come from the sweep's artifacts; only metrics is new.
+    # gp, lg and the lg layout's analysis all come from the sweep.
     assert by_kind["gp"]["cached"] == 1
     assert by_kind["lg"]["cached"] == 1
-    assert by_kind["metrics"]["computed"] == 1
+    assert by_kind["analyze"]["cached"] == 1
+    assert tables.stats.computed == 0

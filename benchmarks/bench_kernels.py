@@ -21,6 +21,7 @@ import time
 from pathlib import Path
 
 from repro.core.config import QGDPConfig
+from repro.geometry import count_pairwise_crossings
 from repro.legalization import get_engine, run_legalization
 from repro.legalization.macro_lp import legalize_macros
 from repro.legalization.qubit_legalizer import legalize_qubits
@@ -28,7 +29,6 @@ from repro.placement import GlobalPlacer, build_layout
 from repro.routing.crossings import (
     _candidate_pairs,
     _pair_intersection_counts,
-    _trace_intersections,
     build_traces,
     count_crossings,
     trace_bbox,
@@ -104,7 +104,9 @@ def run_kernels(sides=SIDES) -> dict:
         )
         orient_scalar_ms = _best_ms(
             lambda: {
-                pair: _trace_intersections(traces[pair[0]], traces[pair[1]])
+                pair: count_pairwise_crossings(
+                    traces[pair[0]], traces[pair[1]]
+                )
                 for pair in pairs
             }
         )

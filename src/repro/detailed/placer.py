@@ -5,21 +5,22 @@ maze-routes a fresh corridor from qubit_i to qubit_j inside the processing
 window (avoiding foreign blocks, steered away from near-resonant
 components by an extra cost), lays the blocks contiguously along that
 corridor, and grows any remainder with the Algorithm-1 adjacency rule.
-The new window layout is kept only when neither the window's cluster count
-nor its hotspot score regresses — otherwise everything is restored
-(Algorithm 2 lines 7-9).
+The new window layout is kept only when none of the window's cluster
+count, hotspot score and crossing count regresses and one of them
+improves — otherwise everything is restored (Algorithm 2 lines 7-9).
 
-The accept/revert metric evaluations dominated the runtime of a naive
-implementation: every window check rebuilt every resonator's MST trace and
-re-scored the whole netlist.  This placer is *incremental* instead — it
-keeps per-resonator caches (traces, sampled trace sites, trace bboxes,
-cluster counts, crossing counts, pairwise intersection counts and the
-full hotspot score map) that are only invalidated for the ripped-up resonator and reinstated
-wholesale on revert, which is exact because every other resonator's blocks
-are untouched.  One :class:`~repro.routing.maze.MazeRouter` (and its
-Dijkstra scratch arrays) is shared across all flagged resonators, and the
-frequency steering cost is precomputed as a vectorized overlay instead of
-a per-site callback.
+Every attempt that re-places its target is scored with the same
+layout-wide analyses the final report uses — cluster counts,
+:func:`~repro.frequency.hotspots.resonator_hotspots` and
+:func:`~repro.routing.crossings.count_crossings` — so a window decision
+and Table III's ``X`` never disagree.  Across attempts the placer keeps
+only the MST traces, the qubit-pair hotspot terms (qubits never move in
+DP) and the current score maps: a rip-up changes only its target's trace,
+an accept makes the attempt's scores current, and a revert restores the
+target's blocks and trace while the pre-attempt scores still hold.  One
+:class:`~repro.routing.maze.MazeRouter` (and its Dijkstra scratch arrays)
+is shared across all flagged resonators, and the frequency steering cost
+is precomputed as a vectorized overlay instead of a per-site callback.
 """
 
 from __future__ import annotations
@@ -36,13 +37,7 @@ from repro.legalization.bins import KIND_BLOCK, KIND_QUBIT, BinGrid
 from repro.netlist.clusters import block_clusters, cluster_count_map
 from repro.netlist.netlist import QuantumNetlist
 from repro.netlist.traces import resonator_trace
-from repro.routing.crossings import (
-    build_traces,
-    count_crossings,
-    resonator_crossings,
-    trace_bbox,
-    trace_site_indices,
-)
+from repro.routing.crossings import build_traces, count_crossings
 from repro.routing.maze import MazeRouter
 
 
@@ -197,29 +192,27 @@ class DetailedPlacer:
         cfg = self.config
         lb = cfg.lb
 
-        # Metric caches, valid for the *current* block positions.
+        # MST traces of the current block positions; an attempt changes
+        # only its target's trace.
         traces = build_traces(netlist, lb)
-        samples = {
-            key: trace_site_indices(trace, bins)
-            for key, trace in traces.items()
-        }
-        bboxes = {key: trace_bbox(trace) for key, trace in traces.items()}
         # Qubit macros never move during detailed placement, so their
         # pairwise hotspot terms are computed once for the whole run.
         qubit_pairs = qubit_hotspot_pairs(netlist, cfg.reach, cfg.delta_c)
-        hotspot_scores = resonator_hotspots(
-            netlist,
-            cfg.reach,
-            cfg.delta_c,
-            lb=lb,
-            traces=traces,
-            qubit_pairs=qubit_pairs,
-        )
-        crossing_report = count_crossings(
-            netlist, bins, traces=traces, samples=samples, bboxes=bboxes
-        )
-        crossing_counts = dict(crossing_report.per_resonator)
-        pair_counts = dict(crossing_report.pair_crossings)
+
+        def score() -> tuple:
+            """Per-resonator ``(hotspot, crossing)`` maps of the layout."""
+            hotspots = resonator_hotspots(
+                netlist,
+                cfg.reach,
+                cfg.delta_c,
+                lb=lb,
+                traces=traces,
+                qubit_pairs=qubit_pairs,
+            )
+            crossings = count_crossings(netlist, bins, traces=traces)
+            return hotspots, crossings.per_resonator
+
+        hotspot_scores, crossing_counts = score()
         cluster_counts = cluster_count_map(netlist.resonators, lb)
 
         flagged = find_violations(
@@ -237,39 +230,10 @@ class DetailedPlacer:
         attempted = accepted = reverted = 0
         router = MazeRouter(bins, crossing_cost=25.0)
 
-        def window_crossings(keys) -> int:
-            total = 0
-            for k in keys:
-                if k not in crossing_counts:
-                    crossing_counts[k] = resonator_crossings(
-                        netlist,
-                        netlist.resonator(*k),
-                        bins,
-                        traces=traces,
-                        samples=samples.get(k),
-                        pair_counts=pair_counts,
-                        bboxes=bboxes,
-                    )
-                total += crossing_counts[k]
-            return total
-
-        def drop_pairs_involving(key) -> dict:
-            removed = {
-                pair: count
-                for pair, count in pair_counts.items()
-                if key in pair
-            }
-            for pair in removed:
-                del pair_counts[pair]
-            return removed
-
         for key in flagged:
             resonator = netlist.resonator(*key)
             window = build_window(netlist, bins.grid, key)
             keys = window.resonator_keys
-            clusters_before = sum(cluster_counts[k] for k in keys)
-            hotspots_before = sum(hotspot_scores.get(k, 0.0) for k in keys)
-            crossings_before = window_crossings(keys)
             old_sites = {
                 b.ordinal: (bins.grid.site_of(b.center), (b.x, b.y))
                 for b in resonator.blocks
@@ -282,46 +246,25 @@ class DetailedPlacer:
                 reverted += 1
                 continue
 
-            # The target's geometry changed; every other resonator's
-            # blocks (hence trace, samples and cluster count) did not.
+            # Only the target's blocks moved: rebuild its trace and
+            # cluster count, then re-score the whole layout once.
             old_trace = traces[key]
-            old_samples = samples[key]
-            old_bbox = bboxes[key]
-            old_pairs = drop_pairs_involving(key)
             target_cluster_blocks = block_clusters(resonator, lb)
             traces[key] = resonator_trace(
                 netlist, resonator, lb, clusters=target_cluster_blocks
             )
-            samples[key] = trace_site_indices(traces[key], bins)
-            bboxes[key] = trace_bbox(traces[key])
             target_clusters = len(target_cluster_blocks)
+            after_hotspots, after_crossings = score()
 
+            clusters_before = sum(cluster_counts[k] for k in keys)
             clusters_after = sum(
                 target_clusters if k == key else cluster_counts[k]
                 for k in keys
             )
-            after_scores = resonator_hotspots(
-                netlist,
-                cfg.reach,
-                cfg.delta_c,
-                lb=lb,
-                traces=traces,
-                qubit_pairs=qubit_pairs,
-            )
-            hotspots_after = sum(after_scores.get(k, 0.0) for k in keys)
-            after_crossings = {
-                k: resonator_crossings(
-                    netlist,
-                    netlist.resonator(*k),
-                    bins,
-                    traces=traces,
-                    samples=samples.get(k),
-                    pair_counts=pair_counts,
-                    bboxes=bboxes,
-                )
-                for k in keys
-            }
-            crossings_after = sum(after_crossings.values())
+            hotspots_before = sum(hotspot_scores.get(k, 0.0) for k in keys)
+            hotspots_after = sum(after_hotspots.get(k, 0.0) for k in keys)
+            crossings_before = sum(crossing_counts[k] for k in keys)
+            crossings_after = sum(after_crossings[k] for k in keys)
 
             improved = (
                 clusters_after <= clusters_before
@@ -335,24 +278,17 @@ class DetailedPlacer:
             )
             if improved:
                 accepted += 1
-                hotspot_scores = after_scores
                 cluster_counts[key] = target_clusters
-                # The target's occupancy moved, which can change any
-                # resonator's bridged count — keep only the freshly
-                # evaluated window keys and recompute the rest on demand.
-                crossing_counts = dict(after_crossings)
+                hotspot_scores = after_hotspots
+                crossing_counts = after_crossings
             else:
                 for block in resonator.blocks:
                     bins.release(*bins.grid.site_of(block.center))
                 self._restore(bins, resonator, old_sites)
                 reverted += 1
-                # Positions are back to the pre-attempt state: reinstate
-                # the caches touched while evaluating the attempt.
+                # Positions are back to the pre-attempt state, so the
+                # current score maps still hold; only the trace reverts.
                 traces[key] = old_trace
-                samples[key] = old_samples
-                bboxes[key] = old_bbox
-                drop_pairs_involving(key)
-                pair_counts.update(old_pairs)
 
         clusters_after_total = sum(
             cluster_counts[r.key] for r in netlist.resonators

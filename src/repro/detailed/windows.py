@@ -49,8 +49,9 @@ def find_violations(
     attacks the most fragmented resonators before the marginal ones.
 
     ``hotspot_scores`` / ``crossing_scores`` let a caller that already
-    evaluated the layout (the detailed placer seeds its metric caches
-    this way) pass the per-resonator maps instead of recomputing them.
+    scored the layout (the detailed placer, which keeps these maps as
+    its current scores) pass the per-resonator maps instead of
+    recomputing them.
     """
     if hotspot_scores is None:
         hotspot_scores = resonator_hotspots(netlist, reach, delta_c, lb=lb)

@@ -29,6 +29,7 @@ import numpy as np
 
 from repro.frequency.proximity import DEFAULT_DELTA_C, tau
 from repro.geometry import adjacency_length, gap_between
+from repro.geometry.segments import expand_samples
 from repro.netlist.clusters import block_cluster_map
 from repro.netlist.netlist import QuantumNetlist
 from repro.netlist.traces import resonator_trace
@@ -150,29 +151,6 @@ class _BlockRaster:
             self.bfreq[flat] = freq
 
 
-def _expand_samples(segments: list) -> tuple:
-    """``(x, y, sample_len, res_idx)`` sample arrays over all segments.
-
-    ``segments`` rows are ``(x1, y1, x2, y2, length, steps, res_idx)`` in
-    walk order; each expands to ``steps + 1`` samples.  Sample coordinates
-    use exactly the historical per-point arithmetic
-    (``x1 + (x2 - x1) * (k / steps)``), elementwise, so they are
-    bit-identical to the scalar walk.
-    """
-    seg = np.array([row[:6] for row in segments], dtype=np.float64)
-    res = np.array([row[6] for row in segments], dtype=np.int64)
-    steps = seg[:, 5].astype(np.int64)
-    counts = steps + 1
-    starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    seg_id = np.repeat(np.arange(len(counts)), counts)
-    k = np.arange(int(counts.sum()), dtype=np.int64) - starts[seg_id]
-    t_frac = k / steps[seg_id]
-    x = seg[seg_id, 0] + (seg[seg_id, 2] - seg[seg_id, 0]) * t_frac
-    y = seg[seg_id, 1] + (seg[seg_id, 3] - seg[seg_id, 1]) * t_frac
-    sample_len = (seg[:, 4] / steps)[seg_id]
-    return (x, y, sample_len, res[seg_id])
-
-
 def _trace_pairs(
     netlist: QuantumNetlist,
     reach: float,
@@ -224,7 +202,7 @@ def _trace_pairs(
             segments.append((x1, y1, x2, y2, length, steps, idx))
     if not segments:
         return []
-    x, y, sample_len, res_idx = _expand_samples(segments)
+    x, y, sample_len, res_idx = expand_samples(segments)
     res_freq = np.array(
         [r.frequency for r in netlist.resonators], dtype=np.float64
     )

@@ -1,9 +1,11 @@
-"""Line-segment intersection, used by the crossing counter.
+"""Line-segment intersection and sampling, used by the trace metrics.
 
 :func:`segments_intersect` is the scalar kernel; :func:`proper_crossings_mask`
 is its vectorized twin over stacked endpoint arrays.  Both run the same
 IEEE float64 subtractions, multiplications and strict-``tol`` comparisons,
 so the mask is bit-equal to calling the scalar kernel per row.
+:func:`expand_samples` walks many segments at once for the crossing
+counter's bridged-block walk and the Eq. 4 hotspot walk.
 """
 
 from __future__ import annotations
@@ -75,3 +77,26 @@ def count_pairwise_crossings(segments_a: list, segments_b: list) -> int:
             if segments_intersect(p1, p2, q1, q2):
                 count += 1
     return count
+
+
+def expand_samples(segments: list) -> tuple:
+    """``(x, y, sample_len, tag)`` sample arrays over all segments.
+
+    ``segments`` rows are ``(x1, y1, x2, y2, length, steps, tag)`` in
+    walk order; each expands to ``steps + 1`` samples, each carrying its
+    segment's integer ``tag``.  Sample coordinates use exactly the
+    historical per-point arithmetic (``x1 + (x2 - x1) * (k / steps)``),
+    elementwise, so they are bit-identical to a scalar walk.
+    """
+    seg = np.array([row[:6] for row in segments], dtype=np.float64)
+    tag = np.array([row[6] for row in segments], dtype=np.int64)
+    steps = seg[:, 5].astype(np.int64)
+    counts = steps + 1
+    starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
+    seg_id = np.repeat(np.arange(len(counts)), counts)
+    k = np.arange(int(counts.sum()), dtype=np.int64) - starts[seg_id]
+    t_frac = k / steps[seg_id]
+    x = seg[seg_id, 0] + (seg[seg_id, 2] - seg[seg_id, 0]) * t_frac
+    y = seg[seg_id, 1] + (seg[seg_id, 3] - seg[seg_id, 1]) * t_frac
+    sample_len = (seg[:, 4] / steps)[seg_id]
+    return (x, y, sample_len, tag[seg_id])

@@ -910,21 +910,27 @@ def sync_stores(
     is fetched once up front (one ``/v1/list`` round trip for a remote)
     rather than probed per artifact, so pushing a 100k-artifact cache
     costs one listing, not 100k HEAD requests.  This is the engine
-    behind ``repro cache push`` / ``pull``.
+    behind ``repro cache push`` / ``pull``.  Backends it opens from URL
+    strings are closed on return; caller-supplied backends stay open.
     """
     src = backend_from_url(source)
     dst = backend_from_url(destination)
     stats = SyncStats()
-    existing = {(entry.kind, entry.key) for entry in dst.entries()}
-    for entry in src.entries():
-        if (entry.kind, entry.key) in existing:
-            stats.skipped += 1
-            continue
-        text = src.get_text(entry.kind, entry.key)
-        if text is None:  # vanished mid-walk (concurrent gc); skip honestly
-            stats.skipped += 1
-            continue
-        dst.put_text(entry.kind, entry.key, text)
-        stats.copied += 1
-        stats.bytes_copied += len(text.encode("utf-8"))
+    try:
+        existing = {(entry.kind, entry.key) for entry in dst.entries()}
+        for entry in src.entries():
+            if (entry.kind, entry.key) in existing:
+                stats.skipped += 1
+                continue
+            text = src.get_text(entry.kind, entry.key)
+            if text is None:  # vanished mid-walk (concurrent gc); skip honestly
+                stats.skipped += 1
+                continue
+            dst.put_text(entry.kind, entry.key, text)
+            stats.copied += 1
+            stats.bytes_copied += len(text.encode("utf-8"))
+    finally:
+        for given, backend in ((source, src), (destination, dst)):
+            if isinstance(given, str):
+                backend.close()
     return stats

@@ -18,10 +18,11 @@ split — over exactly the foreign blocks that filled it (paper Section
 II-B).  Intersections *at* a shared qubit endpoint are not counted — two
 couplers legitimately meet at their common qubit pad.
 
-Hot-path notes: the sampled bridged-block walk gathers the BinGrid's flat
-occupancy arrays in one vectorized pass, and all entry points accept a
-precomputed ``traces`` dict so callers that evaluate the same layout many
-times (the detailed placer) never rebuild the MST traces.  Trace-pair
+Hot-path notes: the bridged-block walk samples every trace in one batched
+pass (:func:`~repro.geometry.segments.expand_samples`) and gathers the
+BinGrid's flat occupancy arrays once, and :func:`count_crossings` accepts
+precomputed ``traces`` so a caller that re-scores one layout many times
+(the detailed placer) never rebuilds the MST traces.  Trace-pair
 intersection tests are pruned with bounding boxes — disjoint boxes cannot
 properly intersect, so pruning is exact — and candidate pairs come from a
 sort-by-x sweep over the trace bboxes (:func:`_candidate_pairs`) instead
@@ -40,7 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.geometry.segments import proper_crossings_mask, segments_intersect
+from repro.geometry.segments import expand_samples, proper_crossings_mask
 from repro.legalization.bins import KIND_BLOCK, BinGrid
 from repro.netlist.clusters import block_cluster_map
 from repro.netlist.netlist import QuantumNetlist
@@ -70,32 +71,6 @@ class CrossingReport:
         )
 
 
-def trace_site_indices(trace: list, bins: BinGrid) -> np.ndarray:
-    """Flat site indices a trace's sampled walk touches (in walk order).
-
-    Segments are sampled at 0.45 ``lb`` steps, fine enough that no unit
-    site the segment traverses is skipped; out-of-grid samples are
-    dropped.  The result depends only on the trace geometry, so callers
-    may cache it per trace.
-    """
-    grid = bins.grid
-    lb = grid.lb
-    chunks = []
-    for (x1, y1), (x2, y2) in trace:
-        length = ((x2 - x1) ** 2 + (y2 - y1) ** 2) ** 0.5
-        steps = max(1, int(length / (0.45 * lb)))
-        t = np.arange(steps + 1, dtype=np.float64) / steps
-        x = x1 + (x2 - x1) * t
-        y = y1 + (y2 - y1) * t
-        col = np.floor_divide(x, lb).astype(np.int64)
-        row = np.floor_divide(y, lb).astype(np.int64)
-        ok = (col >= 0) & (col < grid.cols) & (row >= 0) & (row < grid.rows)
-        chunks.append(col[ok] * grid.rows + row[ok])
-    if not chunks:
-        return np.empty(0, dtype=np.int64)
-    return np.concatenate(chunks)
-
-
 def trace_bbox(trace: list) -> tuple:
     """``(xlo, ylo, xhi, yhi)`` bounding box of a trace (None when empty)."""
     if not trace:
@@ -105,20 +80,15 @@ def trace_bbox(trace: list) -> tuple:
     return (min(xs), min(ys), max(xs), max(ys))
 
 
-def _bboxes_disjoint(a: tuple, b: tuple) -> bool:
-    if a is None or b is None:
-        return True
-    return a[2] < b[0] or b[2] < a[0] or a[3] < b[1] or b[3] < a[1]
-
-
 def _candidate_pairs(keys: list, bboxes: dict) -> list:
     """Sorted key pairs whose trace bboxes overlap (sweep over x).
 
-    Exactly the pairs the all-pairs ``_bboxes_disjoint`` filter would
-    keep: a later trace (larger ``xlo``) x-overlaps an active one iff the
-    active ``xhi`` has not fallen behind the sweep line, and touching
-    boxes count as overlapping, matching the strict inequalities of
-    ``_bboxes_disjoint``.  Empty (``None``) bboxes never overlap.
+    Exactly the pairs an all-pairs disjointness filter (``a.xhi < b.xlo``
+    or the mirror, likewise in y) would keep: a later trace (larger
+    ``xlo``) x-overlaps an active one iff the active ``xhi`` has not
+    fallen behind the sweep line, and touching boxes count as
+    overlapping, matching the filter's strict inequalities.  Empty
+    (``None``) bboxes never overlap.
     """
     events = sorted(
         ((bboxes[key], key) for key in keys if bboxes[key] is not None),
@@ -138,36 +108,49 @@ def _candidate_pairs(keys: list, bboxes: dict) -> list:
     return pairs
 
 
-def _bridged_blocks(
-    trace: list, own_key: tuple, bins: BinGrid, samples: np.ndarray = None
-) -> set:
-    """Foreign blocks any trace segment passes over (sampled walk)."""
-    if samples is None:
-        samples = trace_site_indices(trace, bins)
-    if samples.size == 0:
-        return set()
-    foreign = bins.kind_flat[samples] == KIND_BLOCK
-    own_idx = bins.res_key_index(own_key)
-    if own_idx >= 0:
-        foreign &= bins.res_idx_flat[samples] != own_idx
-    owners = bins.owners
-    return {owners[idx] for idx in np.unique(bins.owner_idx_flat[samples][foreign])}
+def _bridged_blocks(traces: dict, keys: list, bins: BinGrid) -> dict:
+    """``{key: sorted foreign block ids}`` each trace passes over.
 
-
-def _trace_intersections(trace_a: list, trace_b: list) -> int:
-    """Proper segment intersections between two traces (scalar kernel).
-
-    Retained for the incremental :func:`resonator_crossings` path (one
-    trace against the layout); the whole-layout scan batches every
-    surviving candidate pair through :func:`_pair_intersection_counts`
-    instead, which is bit-equal per pair.
+    Segments are sampled at 0.45 ``lb`` steps, fine enough that no unit
+    site a segment traverses is skipped; out-of-grid samples are dropped.
+    Every trace's samples are expanded, classified and deduplicated in
+    one pass: a sample bridges the block under it unless the block is
+    the trace's own resonator's, and ``np.unique`` over (trace, owner)
+    codes leaves each bridged block once per trace.
     """
-    count = 0
-    for seg_a in trace_a:
-        for seg_b in trace_b:
-            if segments_intersect(*seg_a, *seg_b):
-                count += 1
-    return count
+    grid = bins.grid
+    lb = grid.lb
+    segments = []
+    for index, key in enumerate(keys):
+        for (x1, y1), (x2, y2) in traces[key]:
+            length = ((x2 - x1) ** 2 + (y2 - y1) ** 2) ** 0.5
+            steps = max(1, int(length / (0.45 * lb)))
+            segments.append((x1, y1, x2, y2, length, steps, index))
+    bridged = {key: [] for key in keys}
+    if not segments:
+        return bridged
+    x, y, _, trace_idx = expand_samples(segments)
+    col = np.floor_divide(x, lb).astype(np.int64)
+    row = np.floor_divide(y, lb).astype(np.int64)
+    ok = (col >= 0) & (col < grid.cols) & (row >= 0) & (row < grid.rows)
+    sites = col[ok] * grid.rows + row[ok]
+    trace_idx = trace_idx[ok]
+    own = np.array(
+        [bins.res_key_index(key) for key in keys], dtype=np.int64
+    )[trace_idx]
+    foreign = (bins.kind_flat[sites] == KIND_BLOCK) & (
+        (own < 0) | (bins.res_idx_flat[sites] != own)
+    )
+    owners = bins.owners
+    num_owners = len(owners)
+    codes = np.unique(
+        trace_idx[foreign] * num_owners + bins.owner_idx_flat[sites][foreign]
+    )
+    for code in codes.tolist():
+        bridged[keys[code // num_owners]].append(owners[code % num_owners])
+    for blocks in bridged.values():
+        blocks.sort()
+    return bridged
 
 
 def _pair_intersection_counts(traces: dict, pairs: list) -> dict:
@@ -179,7 +162,8 @@ def _pair_intersection_counts(traces: dict, pairs: list) -> dict:
     :func:`~repro.geometry.segments.proper_crossings_mask` call tests all
     pairs' segment combinations together.  Per-pair counts come from a
     ``bincount`` over the surviving rows, so each count equals the
-    scalar :func:`_trace_intersections` for that pair exactly.
+    scalar :func:`~repro.geometry.segments.count_pairwise_crossings`
+    for that pair exactly.
     """
     if not pairs:
         return {}
@@ -231,46 +215,23 @@ def build_traces(netlist: QuantumNetlist, lb: float) -> dict:
 
 
 def count_crossings(
-    netlist: QuantumNetlist,
-    bins: BinGrid,
-    lb: float = None,
-    traces: dict = None,
-    samples: dict = None,
-    bboxes: dict = None,
+    netlist: QuantumNetlist, bins: BinGrid, traces: dict = None
 ) -> CrossingReport:
     """Crossing report for the whole layout.
 
-    ``traces`` optionally supplies precomputed MST traces (as returned by
-    :func:`build_traces`), ``samples`` their sampled site indices (per
-    :func:`trace_site_indices`) and ``bboxes`` their bounding boxes (per
-    :func:`trace_bbox`); missing keys are computed on demand (and stored
-    into a caller-provided ``bboxes`` dict for reuse).  Candidate
-    intersection pairs come from the bbox sweep of
-    :func:`_candidate_pairs`, evaluated in sorted-pair order so the
-    report's dict iteration order matches the historical all-pairs scan.
+    ``traces`` optionally supplies the layout's precomputed MST traces
+    (as returned by :func:`build_traces`).  Candidate intersection pairs
+    come from the bbox sweep of :func:`_candidate_pairs`, evaluated in
+    sorted-pair order so the report's dict iteration order matches the
+    historical all-pairs scan.
     """
-    lb = bins.grid.lb if lb is None else lb
-    report = CrossingReport()
     if traces is None:
-        traces = build_traces(netlist, lb)
-    else:
-        traces = dict(traces)
-        for resonator in netlist.resonators:
-            if resonator.key not in traces:
-                traces[resonator.key] = resonator_trace(netlist, resonator, lb)
-    if samples is None:
-        samples = {}
+        traces = build_traces(netlist, bins.grid.lb)
     keys = sorted(traces)
-    if bboxes is None:
-        bboxes = {}
-    for key in keys:
-        if key not in bboxes:
-            bboxes[key] = trace_bbox(traces[key])
-    per_res = {key: 0 for key in keys}
-    for key in keys:
-        bridged = _bridged_blocks(traces[key], key, bins, samples.get(key))
-        report.bridged_blocks[key] = sorted(bridged)
-        per_res[key] += len(bridged)
+    report = CrossingReport()
+    report.bridged_blocks = _bridged_blocks(traces, keys, bins)
+    per_res = {key: len(report.bridged_blocks[key]) for key in keys}
+    bboxes = {key: trace_bbox(traces[key]) for key in keys}
     pairs = _candidate_pairs(keys, bboxes)
     pair_intersections = _pair_intersection_counts(traces, pairs)
     for key_a, key_b in pairs:
@@ -281,56 +242,3 @@ def count_crossings(
             per_res[key_b] += count
     report.per_resonator = per_res
     return report
-
-
-def resonator_crossings(
-    netlist: QuantumNetlist,
-    resonator,
-    bins: BinGrid,
-    traces: dict = None,
-    samples: np.ndarray = None,
-    pair_counts: dict = None,
-    bboxes: dict = None,
-) -> int:
-    """Crossings involving one resonator's trace (for DP window checks).
-
-    ``traces`` / ``samples`` / ``bboxes`` reuse precomputed geometry;
-    ``pair_counts`` is an optional ``{(key_a, key_b): count}`` memo (keys
-    ordered) that the caller invalidates whenever either trace changes.
-    Bboxes are only cached into a caller-provided ``bboxes`` dict for
-    traces that came from the ``traces`` cache — on-demand traces are
-    rebuilt per call, so their boxes must be too.
-    """
-    lb = bins.grid.lb
-    key = resonator.key
-
-    def cached_geometry(res) -> tuple:
-        """``(trace, bbox)`` via the caches where possible."""
-        if traces is not None and res.key in traces:
-            res_trace = traces[res.key]
-            if bboxes is not None:
-                if res.key not in bboxes:
-                    bboxes[res.key] = trace_bbox(res_trace)
-                return res_trace, bboxes[res.key]
-        else:
-            res_trace = resonator_trace(netlist, res, lb)
-        return res_trace, trace_bbox(res_trace)
-
-    trace, bbox = cached_geometry(resonator)
-    count = len(_bridged_blocks(trace, key, bins, samples))
-    for other in netlist.resonators:
-        if other.key == key:
-            continue
-        pair = (min(key, other.key), max(key, other.key))
-        if pair_counts is not None and pair in pair_counts:
-            count += pair_counts[pair]
-            continue
-        other_trace, other_bbox = cached_geometry(other)
-        if _bboxes_disjoint(bbox, other_bbox):
-            pair_count = 0
-        else:
-            pair_count = _trace_intersections(trace, other_trace)
-        if pair_counts is not None:
-            pair_counts[pair] = pair_count
-        count += pair_count
-    return count

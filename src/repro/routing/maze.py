@@ -13,8 +13,9 @@ per-site cost model:
   except that target qubits are reached by touching any site 4-adjacent to
   their footprint.
 
-Used both to count crossings on finished layouts and as the optimizer
-``M(W)`` inside the detailed placer (Algorithm 2).
+Used only as the optimizer ``M(W)`` inside the detailed placer
+(Algorithm 2); crossings on finished layouts are counted on MST traces by
+:mod:`repro.routing.crossings`, not on routes.
 
 The search runs over **flat site indices** (Enola-style array routing):
 per-site entry costs are precomputed into one vectorized cost array from

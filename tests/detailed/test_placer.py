@@ -3,7 +3,9 @@
 import pytest
 
 from repro.core.config import QGDPConfig
+from repro.core.pipeline import QGDPFlow
 from repro.detailed import DetailedPlacer
+from repro.evaluation.fingerprint import positions_digest
 from repro.frequency.hotspots import hotspot_proportion
 from repro.metrics import check_legality, total_clusters
 from repro.routing import count_crossings
@@ -59,3 +61,49 @@ def test_accounting_adds_up(dp_run):
     _netlist, _grid, _bins, _before, result = dp_run
     assert result.attempted == result.accepted + result.reverted
     assert result.attempted <= result.flagged
+
+
+#: ``(topology, engine) -> (flagged, accepted, reverted, positions digest)``
+#: of DP after GP (60 iterations) and LG, on legalizers that leave many
+#: windows to re-place; every accept/revert decision feeds the digest.
+DP_OUTCOMES = {
+    ("grid", "tetris"): (
+        36, 6, 30,
+        "97db24387255746d00bfa8168090ad3dac07b57b43a8344b46da9d7d531390e2",
+    ),
+    ("grid", "q-abacus"): (
+        24, 5, 19,
+        "2230f6eb89a87598dbbf8912418701078981e676bcfd894d1d41187d1ec5e23d",
+    ),
+    ("falcon", "tetris"): (
+        20, 13, 7,
+        "b3fdf8e3c9761ab033cb2b76ec1c0c930ec80677481d56f2d92af66dda39cfdd",
+    ),
+    ("aspen11", "tetris"): (
+        37, 30, 7,
+        "76aab87511359e7f01d2805028a40dc9614bbf76a9b11b3f8696f04238be50cf",
+    ),
+    ("aspen11", "q-abacus"): (
+        22, 10, 12,
+        "da699057a903baf13401537a7241a36e242e59a1bfd12fd8c7d1b13dba1ccd06",
+    ),
+    ("xtree", "tetris"): (
+        39, 22, 17,
+        "e0cbe2316f858ca2dd445a29b30715b23bc62da01db36bfb825bd23e1470645c",
+    ),
+}
+
+
+@pytest.mark.parametrize("topology,engine", sorted(DP_OUTCOMES))
+def test_dp_outcomes_pinned(topology, engine, fast_config):
+    flow = QGDPFlow(topology, fast_config)
+    flow.place()
+    flow.legalize(engine)
+    dp = flow.detail()
+    got = (
+        dp.metrics["flagged"],
+        dp.metrics["accepted"],
+        dp.metrics["reverted"],
+        positions_digest(dp.positions),
+    )
+    assert got == DP_OUTCOMES[(topology, engine)]

@@ -187,6 +187,26 @@ def test_sync_stores_round_trip(tmp_path):
     assert open(tmp_path / "back" / "gp" / "a.json").read() == '{"x": 1}'
 
 
+def test_sync_stores_closes_only_the_backends_it_opens(tmp_path, monkeypatch):
+    closed = []
+    close = SqliteBackend.close
+
+    def recording_close(self):
+        closed.append(self.path)
+        close(self)
+
+    monkeypatch.setattr(SqliteBackend, "close", recording_close)
+    supplied = SqliteBackend(str(tmp_path / "src.db"))
+    supplied.put_text("gp", "a", '{"x": 1}')
+    dst = f"{tmp_path}/dst.db"
+
+    assert sync_stores(supplied, f"sqlite:{dst}").copied == 1
+    assert closed == [dst]
+    # The caller's backend is still open and usable.
+    assert supplied.get_text("gp", "a") == '{"x": 1}'
+    supplied.close()
+
+
 def test_tiered_store_serves_sweep_artifacts(tmp_path):
     # TieredStore is the ArtifactStore face of TieredBackend: payloads
     # computed through it land in both layers and read back canonical.

@@ -1,8 +1,9 @@
-"""Parity: vectorized bridged-block sampling equals the scalar walk.
+"""Parity: the batched bridged-block walk equals the scalar walk.
 
 The reference below transcribes the original per-sample Python loop; the
-vectorized gather in ``routing.crossings`` must report the same foreign
-block set for arbitrary traces, including segments leaving the grid.
+one-pass walk in ``routing.crossings`` must report the same foreign block
+set for every trace it walks together, including traces with no
+segments, segments leaving the grid and own keys the occupancy never saw.
 """
 
 from hypothesis import given, settings
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from repro.geometry import SiteGrid
 from repro.legalization import BinGrid
-from repro.routing.crossings import _bridged_blocks, trace_site_indices
+from repro.routing.crossings import _bridged_blocks
 
 COLS, ROWS = 9, 8
 
@@ -41,29 +42,30 @@ point = st.tuples(coord, coord)
 trace_st = st.lists(st.tuples(point, point), max_size=5)
 site_st = st.tuples(st.integers(0, COLS - 1), st.integers(0, ROWS - 1))
 
+#: Block owners; trace keys (k, k + 1) for k >= 2 own no block, so their
+#: ``res_key_index`` is -1.
+OWNER_KEYS = [(0, 1), (1, 2), (7, 9)]
+
 
 @settings(max_examples=60, deadline=None)
 @given(
-    trace=trace_st,
-    foreign=st.sets(site_st, max_size=25),
-    own=st.sets(site_st, max_size=10),
+    traces=st.lists(trace_st, min_size=3, max_size=5),
+    blocks=st.dictionaries(site_st, st.sampled_from(OWNER_KEYS), max_size=30),
     qubits=st.sets(site_st, max_size=8),
 )
-def test_bridged_blocks_match_scalar_walk(trace, foreign, own, qubits):
-    own_key = (0, 1)
+def test_bridged_blocks_match_scalar_walk(traces, blocks, qubits):
     bins = BinGrid(SiteGrid(COLS, ROWS))
-    taken = set()
     for i, site in enumerate(sorted(qubits)):
         bins.occupy(site[0], site[1], ("q", i))
-        taken.add(site)
-    for i, site in enumerate(sorted(foreign - taken)):
-        bins.occupy(site[0], site[1], ("b", (7, 9), i))
-        taken.add(site)
-    for i, site in enumerate(sorted(own - taken)):
-        bins.occupy(site[0], site[1], ("b", own_key, i))
+    for i, (site, key) in enumerate(sorted(blocks.items())):
+        if site not in qubits:
+            bins.occupy(site[0], site[1], ("b", key, i))
+    keyed = {(k, k + 1): trace for k, trace in enumerate(traces)}
+    keyed[(8, 9)] = []  # a trace with no segments
+    keys = sorted(keyed)
+    assert bins.res_key_index((2, 3)) == -1
 
-    want = reference_bridged(trace, own_key, bins)
-    assert _bridged_blocks(trace, own_key, bins) == want
-    # The cached-samples path gives the same answer.
-    samples = trace_site_indices(trace, bins)
-    assert _bridged_blocks(trace, own_key, bins, samples) == want
+    got = _bridged_blocks(keyed, keys, bins)
+    assert list(got) == keys
+    for key in keys:
+        assert got[key] == sorted(reference_bridged(keyed[key], key, bins))

@@ -1,16 +1,16 @@
 """Parity: the bbox sweep candidate index equals the all-pairs scan.
 
 ``_candidate_pairs`` replaced the historical O(R²) per-pair
-``_bboxes_disjoint`` filter; the sweep must surface *exactly* the
+``bboxes_disjoint`` filter; the sweep must surface *exactly* the
 non-disjoint pairs (touching boxes included, ``None`` boxes excluded),
-and the full ``count_crossings`` / ``resonator_crossings`` results —
-including dict iteration order, which the Eq. 7 fidelity product folds
-over — must match a verbatim transcription of the old pair loop.
+and the full ``count_crossings`` result — including dict iteration
+order, which the Eq. 7 fidelity product folds over — must match a
+transcription of the old pair loop over the scalar references.
 
 The batched orientation pass is pinned here too:
 ``proper_crossings_mask`` row-for-row against the scalar
 ``segments_intersect``, and ``_pair_intersection_counts`` pair-for-pair
-against the scalar ``_trace_intersections`` loop it replaced in the
+against the scalar ``count_pairwise_crossings`` loop it replaced in the
 whole-layout scan.
 """
 
@@ -19,26 +19,35 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.geometry import SiteGrid
-from repro.geometry.segments import proper_crossings_mask, segments_intersect
+from repro.geometry.segments import (
+    count_pairwise_crossings,
+    proper_crossings_mask,
+    segments_intersect,
+)
 from repro.legalization import BinGrid
 from repro.netlist import QuantumNetlist, Qubit, Resonator, WireBlock
 from repro.routing.crossings import (
     CrossingReport,
-    _bboxes_disjoint,
-    _bridged_blocks,
     _candidate_pairs,
     _pair_intersection_counts,
-    _trace_intersections,
     build_traces,
     count_crossings,
-    resonator_crossings,
     trace_bbox,
 )
+from test_crossings_parity import reference_bridged
+
+
+def bboxes_disjoint(a: tuple, b: tuple) -> bool:
+    """The historical all-pairs bbox filter (scalar reference)."""
+    if a is None or b is None:
+        return True
+    return a[2] < b[0] or b[2] < a[0] or a[3] < b[1] or b[3] < a[1]
+
 
 # -- candidate index vs. all-pairs filter ------------------------------------
 coord = st.floats(-3.0, 12.0, allow_nan=False, allow_infinity=False)
 # Snapping some coordinates to a coarse lattice makes touching/equal
-# edges (the strict-inequality boundary of _bboxes_disjoint) common.
+# edges (the strict-inequality boundary of bboxes_disjoint) common.
 lattice = st.integers(-2, 10).map(float)
 span = st.tuples(
     st.one_of(lattice, coord), st.one_of(lattice, coord)
@@ -60,14 +69,14 @@ def test_candidate_pairs_match_all_pairs_filter(boxes):
         (key_a, key_b)
         for a_pos, key_a in enumerate(keys)
         for key_b in keys[a_pos + 1 :]
-        if not _bboxes_disjoint(bboxes[key_a], bboxes[key_b])
+        if not bboxes_disjoint(bboxes[key_a], bboxes[key_b])
     ]
     assert _candidate_pairs(keys, bboxes) == want
 
 
 # -- full report vs. the historical pair loop --------------------------------
 def reference_count_crossings(netlist, bins):
-    """The original all-pairs ``count_crossings`` body, verbatim."""
+    """The original all-pairs ``count_crossings`` body, on scalar kernels."""
     lb = bins.grid.lb
     report = CrossingReport()
     traces = build_traces(netlist, lb)
@@ -75,14 +84,14 @@ def reference_count_crossings(netlist, bins):
     bboxes = {key: trace_bbox(traces[key]) for key in keys}
     per_res = {key: 0 for key in keys}
     for key in keys:
-        bridged = _bridged_blocks(traces[key], key, bins)
+        bridged = reference_bridged(traces[key], key, bins)
         report.bridged_blocks[key] = sorted(bridged)
         per_res[key] += len(bridged)
     for a_pos, key_a in enumerate(keys):
         for key_b in keys[a_pos + 1 :]:
-            if _bboxes_disjoint(bboxes[key_a], bboxes[key_b]):
+            if bboxes_disjoint(bboxes[key_a], bboxes[key_b]):
                 continue
-            count = _trace_intersections(traces[key_a], traces[key_b])
+            count = count_pairwise_crossings(traces[key_a], traces[key_b])
             if count:
                 report.pair_crossings[(key_a, key_b)] = count
                 per_res[key_a] += count
@@ -156,20 +165,6 @@ def test_count_crossings_matches_all_pairs_reference(layout):
     assert got.total == want.total
 
 
-@settings(max_examples=30, deadline=None)
-@given(layout=layouts())
-def test_resonator_crossings_cached_paths_agree(layout):
-    nl, bins = layout
-    traces = build_traces(nl, bins.grid.lb)
-    bboxes = {}
-    for r in nl.resonators:
-        bare = resonator_crossings(nl, r, bins)
-        cached = resonator_crossings(
-            nl, r, bins, traces=traces, bboxes=bboxes
-        )
-        assert bare == cached
-
-
 # -- batched orientation tests vs. the scalar kernels ------------------------
 point_st = st.tuples(
     st.one_of(
@@ -216,7 +211,7 @@ def test_pair_intersection_counts_match_scalar_loop(traces, data):
     pairs = data.draw(st.permutations(all_pairs).map(lambda p: p[: len(p)]))
     got = _pair_intersection_counts(keyed, pairs)
     assert got == {
-        pair: _trace_intersections(keyed[pair[0]], keyed[pair[1]])
+        pair: count_pairwise_crossings(keyed[pair[0]], keyed[pair[1]])
         for pair in pairs
     }
 

@@ -29,6 +29,13 @@ def test_examples_import_cleanly():
     assert checker.check_examples(_ROOT) == []
 
 
+def test_benchmarks_import_cleanly():
+    """pytest collects only ``test_*.py``, so nothing else imports the
+    benches; a renamed ``repro`` name they use fails here instead."""
+    checker = _load_checker()
+    assert checker.check_examples(_ROOT, "benchmarks/bench_*.py") == []
+
+
 def test_python_fences_parse():
     checker = _load_checker()
     assert checker.check_fences(_ROOT) == []

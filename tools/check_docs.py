@@ -25,6 +25,7 @@ Exit code 0 when everything resolves, 1 otherwise (failures listed).
 from __future__ import annotations
 
 import argparse
+import glob
 import importlib.util
 import os
 import re
@@ -164,17 +165,13 @@ def check_rule_catalog(root: str) -> list:
     return problems
 
 
-def check_examples(root: str) -> list:
-    """Import every examples/*.py; returns ``(script, error)`` failures."""
+def check_examples(root: str, pattern: str = "examples/*.py") -> list:
+    """Import every script matching ``pattern``; returns ``(script,
+    error)`` failures.  tests/test_docs.py also runs it over
+    ``benchmarks/bench_*.py``, which pytest never collects."""
     failures = []
-    examples_dir = os.path.join(root, "examples")
-    if not os.path.isdir(examples_dir):
-        return failures
-    for name in sorted(os.listdir(examples_dir)):
-        if not name.endswith(".py"):
-            continue
-        path = os.path.join(examples_dir, name)
-        module_name = f"_example_{name[:-3]}"
+    for path in sorted(glob.glob(os.path.join(root, pattern))):
+        module_name = f"_checked_{os.path.basename(path)[:-3]}"
         try:
             spec = importlib.util.spec_from_file_location(module_name, path)
             module = importlib.util.module_from_spec(spec)

@@ -1,11 +1,14 @@
 """Scalability — qGDP-LG runtime and quality vs. device size.
 
 The paper motivates qGDP by the scaling of NISQ devices (25 → 127 qubits
-in Table I).  This bench sweeps square grids from 16 to 576 qubits
-(sides 4–24, well past the paper's largest device) and records
-legalization *and* detailed-placement runtime alongside
-integration quality; runtime should grow polynomially (the LP is the
-dominant term, O(n²) constraints) while integration stays near-perfect.
+in Table I).  This bench runs the whole flow (:meth:`QGDPFlow.run`:
+build, GP, qGDP-LG, DP and both layout-metric passes) on square grids
+from 16 to 576 qubits (sides 4–24, well past the paper's largest
+device).  It records the flow's wall time (``flow_ms``) and, from the
+stage reports, the legalization and detailed-placement runtimes
+alongside integration quality; runtime should grow polynomially (the LP
+is the dominant legalization term, O(n²) constraints) while integration
+stays near-perfect.
 
 Each run also dumps the wall-clock numbers to ``BENCH_scaling.json`` at
 the repo root so successive PRs leave a perf trajectory (compare against
@@ -18,11 +21,7 @@ import json
 import time
 from pathlib import Path
 
-from repro.core.config import QGDPConfig
-from repro.detailed import DetailedPlacer
-from repro.legalization import get_engine, run_legalization
-from repro.metrics import check_legality, integration_ratio
-from repro.placement import GlobalPlacer, build_layout
+from repro.core.pipeline import QGDPFlow
 from repro.topologies import grid_topology
 
 SIDES = (4, 5, 6, 8, 10, 12, 16, 20, 24)
@@ -31,27 +30,24 @@ RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_scaling.json"
 
 
 def run_sweep(sides=SIDES):
-    """place → legalize → detailed-place one square grid per side."""
+    """One full qGDP flow (with DP) per square-grid side."""
     rows = {}
     for side in sides:
-        cfg = QGDPConfig()
-        topology = grid_topology(side)
-        netlist, grid = build_layout(topology, cfg)
-        GlobalPlacer(cfg).run(netlist, grid)
-        outcome = run_legalization(netlist, grid, get_engine("qgdp"), cfg)
         t0 = time.perf_counter()
-        dp = DetailedPlacer(cfg).run(netlist, outcome.bins)
-        td = time.perf_counter() - t0
-        unified, total = integration_ratio(netlist)
+        result = QGDPFlow(grid_topology(side)).run("qgdp", detailed=True)
+        flow_s = time.perf_counter() - t0
+        lg = result.stage("lg")
+        dp = result.stage("dp")
         rows[side * side] = {
-            "tq_ms": outcome.qubit_time_s * 1e3,
-            "te_ms": outcome.resonator_time_s * 1e3,
-            "td_ms": td * 1e3,
-            "dp_flagged": dp.flagged,
-            "dp_accepted": dp.accepted,
-            "unified": unified,
-            "total": total,
-            "legal": not check_legality(netlist, grid),
+            "tq_ms": lg.metrics["qubit_time_s"] * 1e3,
+            "te_ms": lg.metrics["resonator_time_s"] * 1e3,
+            "td_ms": dp.runtime_s * 1e3,
+            "flow_ms": flow_s * 1e3,
+            "dp_flagged": dp.metrics["flagged"],
+            "dp_accepted": dp.metrics["accepted"],
+            "unified": dp.metrics["unified"],
+            "total": dp.metrics["total_resonators"],
+            "legal": dp.metrics["legality_violations"] == 0,
         }
     return rows
 
@@ -65,6 +61,7 @@ def test_qgdp_scaling_on_grids(benchmark):
         print(
             f"  {qubits:3d} qubits  tq {row['tq_ms']:7.1f} ms  "
             f"te {row['te_ms']:6.1f} ms  td {row['td_ms']:7.1f} ms  "
+            f"flow {row['flow_ms']:8.1f} ms  "
             f"Iedge {row['unified']}/{row['total']}"
         )
 

@@ -87,3 +87,7 @@ class QGDPConfig:
             )
         if not (0.05 <= self.utilization <= 0.95):
             raise ValueError(f"utilization out of range: {self.utilization}")
+        if self.reach <= 0 or self.delta_c <= 0:  # Eq. 4 and tau divide by them
+            raise ValueError(
+                f"reach and delta_c must be positive: {self.reach}, {self.delta_c}"
+            )

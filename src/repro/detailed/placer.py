@@ -36,8 +36,8 @@ from repro.frequency.hotspots import qubit_hotspot_pairs, resonator_hotspots
 from repro.legalization.bins import KIND_BLOCK, KIND_QUBIT, BinGrid
 from repro.netlist.clusters import block_clusters, cluster_count_map
 from repro.netlist.netlist import QuantumNetlist
-from repro.netlist.traces import resonator_trace
-from repro.routing.crossings import build_traces, count_crossings
+from repro.netlist.traces import build_traces, resonator_trace
+from repro.routing.crossings import count_crossings
 from repro.routing.maze import MazeRouter
 
 

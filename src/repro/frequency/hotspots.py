@@ -28,11 +28,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.frequency.proximity import DEFAULT_DELTA_C, tau
-from repro.geometry import adjacency_length, gap_between
+from repro.geometry import adjacency_length, gap_between, near_pairs, rect_bounds
 from repro.geometry.segments import expand_samples
-from repro.netlist.clusters import block_cluster_map
 from repro.netlist.netlist import QuantumNetlist
-from repro.netlist.traces import resonator_trace
+from repro.netlist.traces import build_traces
 
 #: Default interaction reach in layout units (site pitches).
 DEFAULT_REACH = 2.0
@@ -83,30 +82,28 @@ def qubit_hotspot_pairs(
     """
     pairs = []
     qubits = netlist.qubits
-    for a_pos, qa in enumerate(qubits):
-        for qb in qubits[a_pos + 1 :]:
-            gap = gap_between(qa.rect, qb.rect)
-            if gap > reach:
-                continue
-            t = tau(qa.frequency, qb.frequency, delta_c)
-            if t <= 0.0:
-                continue
-            adjacency = adjacency_length(qa.rect, qb.rect, reach)
-            if adjacency <= 0.0:
-                continue
-            decay = max(0.0, 1.0 - gap / reach)
-            contribution = adjacency * decay * t
-            if contribution > 0.0:
-                pairs.append(
-                    HotspotPair(
-                        ("q", qa.index),
-                        ("q", qb.index),
-                        adjacency,
-                        gap,
-                        t,
-                        contribution,
-                    )
+    # gap_between is never below either axis gap, so every pair kept
+    # here (gap <= reach) is within reach on both axes.
+    bounds = rect_bounds([q.rect for q in qubits])
+    for a_pos, b_pos in near_pairs(*bounds, reach).tolist():
+        qa, qb = qubits[a_pos], qubits[b_pos]
+        gap = gap_between(qa.rect, qb.rect)
+        if gap > reach:
+            continue
+        t = tau(qa.frequency, qb.frequency, delta_c)
+        if t <= 0.0:
+            continue
+        adjacency = adjacency_length(qa.rect, qb.rect, reach)
+        if adjacency <= 0.0:
+            continue
+        decay = max(0.0, 1.0 - gap / reach)
+        contribution = adjacency * decay * t
+        if contribution > 0.0:
+            pairs.append(
+                HotspotPair(
+                    ("q", qa.index), ("q", qb.index), adjacency, gap, t, contribution
                 )
+            )
     return pairs
 
 
@@ -160,8 +157,9 @@ def _trace_pairs(
 ) -> list:
     """Trace-exposure hotspot pairs, aggregated per resonator pair.
 
-    ``traces`` optionally maps resonator keys to precomputed MST traces,
-    sparing the per-call trace rebuild on repeated evaluations.
+    ``traces`` optionally maps every resonator key to its precomputed MST
+    trace (as :func:`~repro.netlist.traces.build_traces` returns), sparing
+    the per-call trace rebuild on repeated evaluations.
 
     The candidate scan (every sample point × its ``(2r+1)²`` neighbor
     sites) is vectorized over the block raster; the few candidates that
@@ -181,20 +179,11 @@ def _trace_pairs(
 
     # Batch every resonator's trace samples into one array pass (walk
     # order: resonator, then segment, then sample).
-    untraced = [
-        r
-        for r in netlist.resonators
-        if traces is None or r.key not in traces
-    ]
-    clusters = block_cluster_map(untraced, lb) if untraced else {}
+    if traces is None:
+        traces = build_traces(netlist, lb)
     segments = []
     for resonator in netlist.resonators:
-        if traces is not None and resonator.key in traces:
-            trace = traces[resonator.key]
-        else:
-            trace = resonator_trace(
-                netlist, resonator, lb, clusters=clusters[resonator.key]
-            )
+        trace = traces[resonator.key]
         idx = raster.key_index[resonator.key]
         for (x1, y1), (x2, y2) in trace:
             length = math.hypot(x2 - x1, y2 - y1)

@@ -15,6 +15,8 @@ from repro.geometry.rect import (
     overlap_length_y,
     adjacency_length,
     gap_between,
+    near_pairs,
+    rect_bounds,
 )
 from repro.geometry.grid import SiteGrid
 from repro.geometry.segments import segments_intersect, count_pairwise_crossings
@@ -29,6 +31,8 @@ __all__ = [
     "overlap_length_y",
     "adjacency_length",
     "gap_between",
+    "near_pairs",
+    "rect_bounds",
     "SiteGrid",
     "segments_intersect",
     "count_pairwise_crossings",

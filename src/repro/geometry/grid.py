@@ -58,11 +58,6 @@ class SiteGrid:
         """Column-major flat index of a site (no bounds check)."""
         return col * self.rows + row
 
-    def site_of_flat(self, index: int) -> tuple:
-        """Inverse of :meth:`flat_index`."""
-        col, row = divmod(index, self.rows)
-        return (col, row)
-
     # -- coordinate mapping ----------------------------------------------
     def site_center(self, col: int, row: int) -> Point:
         """Centre of site ``(col, row)`` in layout coordinates."""

@@ -9,7 +9,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.geometry.point import Point
+
+#: x-candidate pairs :func:`near_pairs` expands and tests at a time.
+_PAIR_CHUNK = 1 << 14
 
 
 @dataclass
@@ -118,6 +123,52 @@ def gap_between(a: Rect, b: Rect) -> float:
     if dx > 0.0 and dy > 0.0:
         return (dx * dx + dy * dy) ** 0.5
     return max(dx, dy)
+
+
+def rect_bounds(rects: list) -> tuple:
+    """``(lo, hi)`` corner arrays of ``rects``, bit-equal to ``xlo`` etc."""
+    boxes = np.array([(r.cx, r.cy, r.w, r.h) for r in rects]).reshape(-1, 4)
+    return boxes[:, :2] - boxes[:, 2:] / 2.0, boxes[:, :2] + boxes[:, 2:] / 2.0
+
+
+def near_pairs(lo, hi, cutoff: float) -> np.ndarray:
+    """``(m, 2)`` rows ``(i, j)``, ``i < j``, in lexicographic order, of
+    the boxes whose per-axis gap ``max(lo) - min(hi)`` is at most
+    ``cutoff`` on both axes (a negative gap is an overlap).
+
+    ``lo`` and ``hi`` are ``(n, 2)`` corner arrays.  One sweep over the
+    boxes sorted by ``xlo``: a later box is within ``cutoff`` in x only
+    if its ``xlo`` is at most this box's ``xhi + cutoff``, so
+    ``searchsorted`` (with a little slack against rounding) bounds each
+    box's x-candidates, and the exact two-axis test on them decides.
+    Candidates are expanded :data:`_PAIR_CHUNK` at a time, so memory
+    stays flat however many boxes share an x-range.
+    """
+    lo = np.asarray(lo, dtype=np.float64).reshape(-1, 2)
+    hi = np.asarray(hi, dtype=np.float64).reshape(-1, 2)
+    n = len(lo)
+    if n < 2:
+        return np.empty((0, 2), dtype=np.intp)
+    order = np.argsort(lo[:, 0], kind="stable")
+    xlo, ylo = lo[order].T.copy()
+    xhi, yhi = hi[order].T.copy()
+    scale = 1.0 + abs(cutoff) + max(np.abs(lo).max(), np.abs(hi).max())
+    end = np.searchsorted(xlo, xhi + (cutoff + 1e-9 * scale), side="right")
+    counts = np.maximum(end - np.arange(1, n + 1), 0)
+    stop = np.cumsum(counts)
+    found = [np.empty((2, 0), dtype=np.intp)]
+    for first in range(0, int(stop[-1]), _PAIR_CHUNK):
+        flat = np.arange(first, min(first + _PAIR_CHUNK, int(stop[-1])))
+        a = np.searchsorted(stop, flat, side="right")
+        b = a + 1 + flat - (stop[a] - counts[a])
+        # b sorts after a, so xlo[b] is the pair's max(xlo).
+        gap_x = xlo[b] - np.minimum(xhi[a], xhi[b])
+        gap_y = np.maximum(ylo[a], ylo[b]) - np.minimum(yhi[a], yhi[b])
+        keep = (gap_x <= cutoff) & (gap_y <= cutoff)
+        found.append(np.sort(order[np.stack((a[keep], b[keep]))], axis=0))
+    i, j = np.concatenate(found, axis=1)
+    rank = np.lexsort((j, i))
+    return np.stack((i[rank], j[rank]), axis=1)
 
 
 def adjacency_length(a: Rect, b: Rect, reach: float) -> float:

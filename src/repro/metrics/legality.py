@@ -1,16 +1,17 @@
 """Legality checking: Eq. 1 (non-overlap), Eq. 2 (borders), and the
 quantum minimum-spacing rule of Section III-C.
 
-Checks use a spatial hash so full-layout validation is near-linear; the
-qGDP test-suite runs them after every legalization.
+Both pair checks take their candidates from one sort-by-x sweep,
+:func:`~repro.geometry.near_pairs`, so full-layout validation touches
+only nearby pairs; the qGDP test-suite runs them after every
+legalization.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from repro.geometry import Rect, SiteGrid, gap_between
+from repro.geometry import SiteGrid, gap_between, near_pairs, rect_bounds
 from repro.netlist.netlist import QuantumNetlist
 
 
@@ -57,32 +58,19 @@ def check_legality(
             )
             violations.append(LegalityViolation("border", cid, None, excess))
 
-    cell = max(max(r.w, r.h) for _, r in rects)
-    buckets = {}
-    for k, (_cid, rect) in enumerate(rects):
-        key = (int(math.floor(rect.cx / cell)), int(math.floor(rect.cy / cell)))
-        buckets.setdefault(key, []).append(k)
-    for (bx, by), members in buckets.items():
-        neighborhood = []
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                neighborhood.extend(buckets.get((bx + dx, by + dy), ()))
-        for i in members:
-            cid_i, rect_i = rects[i]
-            for j in neighborhood:
-                if j <= i:
-                    continue
-                cid_j, rect_j = rects[j]
-                if rect_i.overlaps(rect_j, tol):
-                    overlap = min(
-                        rect_i.xhi - rect_j.xlo,
-                        rect_j.xhi - rect_i.xlo,
-                        rect_i.yhi - rect_j.ylo,
-                        rect_j.yhi - rect_i.ylo,
-                    )
-                    violations.append(
-                        LegalityViolation("overlap", cid_i, cid_j, overlap)
-                    )
+    # An axis overlap above tol is exactly an axis gap below -tol (IEEE
+    # subtraction is antisymmetric), so -tol admits every overlap.
+    for i, j in near_pairs(*rect_bounds([r for _, r in rects]), -tol).tolist():
+        cid_i, rect_i = rects[i]
+        cid_j, rect_j = rects[j]
+        if rect_i.overlaps(rect_j, tol):
+            overlap = min(
+                rect_i.xhi - rect_j.xlo,
+                rect_j.xhi - rect_i.xlo,
+                rect_i.yhi - rect_j.ylo,
+                rect_j.yhi - rect_i.ylo,
+            )
+            violations.append(LegalityViolation("overlap", cid_i, cid_j, overlap))
     return violations
 
 
@@ -104,16 +92,16 @@ def qubit_spacing_violations(
     """
     violations = []
     qubits = netlist.qubits
-    for a_pos, qa in enumerate(qubits):
-        for qb in qubits[a_pos + 1 :]:
-            gap = gap_between(qa.rect, qb.rect)
-            if gap < min_spacing - tol:
-                violations.append(
-                    LegalityViolation(
-                        "qubit_spacing",
-                        ("q", qa.index),
-                        ("q", qb.index),
-                        min_spacing - gap,
-                    )
+    # gap_between is never below either axis gap, so a kept pair (gap <
+    # min_spacing - tol, tol >= 0) is within min_spacing on both axes.
+    bounds = rect_bounds([q.rect for q in qubits])
+    for a_pos, b_pos in near_pairs(*bounds, min_spacing).tolist():
+        qa, qb = qubits[a_pos], qubits[b_pos]
+        gap = gap_between(qa.rect, qb.rect)
+        if gap < min_spacing - tol:
+            violations.append(
+                LegalityViolation(
+                    "qubit_spacing", ("q", qa.index), ("q", qb.index), min_spacing - gap
                 )
+            )
     return violations

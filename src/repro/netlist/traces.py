@@ -18,30 +18,15 @@ kernel's output.
 
 Both the crossing counter (:mod:`repro.routing.crossings`) and the
 trace-exposure hotspot model (:mod:`repro.frequency.hotspots`) consume
-these traces.
+these traces, built for the whole layout by :func:`build_traces`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.netlist.clusters import block_clusters
+from repro.netlist.clusters import block_cluster_map, block_clusters
 from repro.netlist.netlist import QuantumNetlist
-
-
-def _closest_pair(points_a: list, points_b: list) -> tuple:
-    """``(d2, pa, pb)`` — the closest cross pair between two point sets.
-
-    Scalar reference kernel; :func:`mst_segments` reproduces its
-    first-minimum tie-break with an array argmin.
-    """
-    best = None
-    for pa in points_a:
-        for pb in points_b:
-            d2 = (pa[0] - pb[0]) ** 2 + (pa[1] - pb[1]) ** 2
-            if best is None or d2 < best[0]:
-                best = (d2, pa, pb)
-    return best
 
 
 def mst_segments(terminal_sets: list) -> list:
@@ -128,3 +113,17 @@ def resonator_trace(
     for cluster in clusters:
         terminal_sets.append([(b.x, b.y) for b in cluster])
     return mst_segments(terminal_sets)
+
+
+def build_traces(netlist: QuantumNetlist, lb: float) -> dict:
+    """``{resonator key: MST trace}`` for the whole layout.
+
+    Clusters for all resonators come from one batched
+    :func:`~repro.netlist.clusters.block_cluster_map` pass (the cluster
+    extraction is about half of a cold trace build).
+    """
+    clusters = block_cluster_map(netlist.resonators, lb)
+    return {
+        r.key: resonator_trace(netlist, r, lb, clusters=clusters[r.key])
+        for r in netlist.resonators
+    }

@@ -24,15 +24,10 @@ BinGrid's flat occupancy arrays once, and :func:`count_crossings` accepts
 precomputed ``traces`` so a caller that re-scores one layout many times
 (the detailed placer) never rebuilds the MST traces.  Trace-pair
 intersection tests are pruned with bounding boxes — disjoint boxes cannot
-properly intersect, so pruning is exact — and candidate pairs come from a
-sort-by-x sweep over the trace bboxes (:func:`_candidate_pairs`) instead
-of the historical all-pairs scan: traces enter the sweep in ascending
-``xlo`` order, leave the active set once their ``xhi`` falls behind the
-sweep line, and only y-overlapping active pairs survive.  The surviving
-pair set is exactly the non-disjoint-bbox set, so crossing counts are
-unchanged; the scan does O(R log R) sorting plus work proportional to
-the *x-overlapping* pairs (worst case — everything sharing one x-range —
-still O(R²), but typical legalized layouts spread traces in x).
+properly intersect, so pruning is exact — and the candidate pairs are the
+touching-or-overlapping bboxes that :func:`~repro.geometry.near_pairs`
+finds at cutoff 0 (:func:`_candidate_pairs`), the same sort-by-x sweep
+the legality, spacing and qubit-hotspot scans use.
 """
 
 from __future__ import annotations
@@ -41,11 +36,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.geometry import near_pairs
 from repro.geometry.segments import expand_samples, proper_crossings_mask
 from repro.legalization.bins import KIND_BLOCK, BinGrid
-from repro.netlist.clusters import block_cluster_map
 from repro.netlist.netlist import QuantumNetlist
-from repro.netlist.traces import resonator_trace
+from repro.netlist.traces import build_traces
 
 
 @dataclass
@@ -81,31 +76,18 @@ def trace_bbox(trace: list) -> tuple:
 
 
 def _candidate_pairs(keys: list, bboxes: dict) -> list:
-    """Sorted key pairs whose trace bboxes overlap (sweep over x).
+    """Sorted key pairs whose trace bboxes overlap or touch.
 
     Exactly the pairs an all-pairs disjointness filter (``a.xhi < b.xlo``
-    or the mirror, likewise in y) would keep: a later trace (larger
-    ``xlo``) x-overlaps an active one iff the active ``xhi`` has not
-    fallen behind the sweep line, and touching boxes count as
-    overlapping, matching the filter's strict inequalities.  Empty
-    (``None``) bboxes never overlap.
+    or the mirror, likewise in y) would keep: :func:`near_pairs` at
+    cutoff 0 keeps a pair iff ``max(lo) <= min(hi)`` on both axes, which
+    for ordered bboxes is the filter's negation.  Empty (``None``) bboxes
+    never overlap.
     """
-    events = sorted(
-        ((bboxes[key], key) for key in keys if bboxes[key] is not None),
-        key=lambda item: item[0][0],
-    )
-    active = []
-    pairs = []
-    for bbox, key in events:
-        active = [item for item in active if item[0][2] >= bbox[0]]
-        for other_bbox, other_key in active:
-            if not (bbox[3] < other_bbox[1] or other_bbox[3] < bbox[1]):
-                pairs.append(
-                    (key, other_key) if key < other_key else (other_key, key)
-                )
-        active.append((bbox, key))
-    pairs.sort()
-    return pairs
+    present = sorted(key for key in keys if bboxes[key] is not None)
+    boxes = np.array([bboxes[key] for key in present]).reshape(-1, 4)
+    pairs = near_pairs(boxes[:, :2], boxes[:, 2:], 0.0).tolist()
+    return [(present[i], present[j]) for i, j in pairs]
 
 
 def _bridged_blocks(traces: dict, keys: list, bins: BinGrid) -> dict:
@@ -200,30 +182,16 @@ def _pair_intersection_counts(traces: dict, pairs: list) -> dict:
     return {pair: int(count) for pair, count in zip(pairs, counts)}
 
 
-def build_traces(netlist: QuantumNetlist, lb: float) -> dict:
-    """``{resonator key: MST trace}`` for the whole layout.
-
-    Clusters for all resonators come from one batched
-    :func:`~repro.netlist.clusters.block_cluster_map` pass (the cluster
-    extraction is about half of a cold trace build).
-    """
-    clusters = block_cluster_map(netlist.resonators, lb)
-    return {
-        r.key: resonator_trace(netlist, r, lb, clusters=clusters[r.key])
-        for r in netlist.resonators
-    }
-
-
 def count_crossings(
     netlist: QuantumNetlist, bins: BinGrid, traces: dict = None
 ) -> CrossingReport:
     """Crossing report for the whole layout.
 
     ``traces`` optionally supplies the layout's precomputed MST traces
-    (as returned by :func:`build_traces`).  Candidate intersection pairs
-    come from the bbox sweep of :func:`_candidate_pairs`, evaluated in
-    sorted-pair order so the report's dict iteration order matches the
-    historical all-pairs scan.
+    (as returned by :func:`~repro.netlist.traces.build_traces`).
+    Candidate intersection pairs come from :func:`_candidate_pairs`,
+    evaluated in sorted-pair order so the report's dict iteration order
+    matches the historical all-pairs scan.
     """
     if traces is None:
         traces = build_traces(netlist, bins.grid.lb)

@@ -39,6 +39,22 @@ def test_rejects_extreme_utilization():
         QGDPConfig(utilization=0.01)
 
 
+@pytest.mark.parametrize("reach", [0.0, -1.0])
+def test_rejects_nonpositive_reach(reach):
+    # Zero reach used to pass here and divide by zero in the Eq. 4 decay
+    # of two touching, resonant qubits.
+    with pytest.raises(ValueError, match="reach"):
+        QGDPConfig(reach=reach)
+
+
+@pytest.mark.parametrize("delta_c", [0.0, -0.04])
+def test_rejects_nonpositive_delta_c(delta_c):
+    # Zero delta_c used to survive GP and LG and fail only inside tau,
+    # during the layout metrics.
+    with pytest.raises(ValueError, match="delta_c"):
+        QGDPConfig(delta_c=delta_c)
+
+
 def test_custom_values_accepted():
     cfg = QGDPConfig(utilization=0.5, seed=7, delta_c=0.08)
     assert cfg.utilization == 0.5

@@ -3,7 +3,9 @@
 One small end-to-end flow (place → legalize → detailed-place on a 5×5
 qubit grid), analysis-kernel guards (legalize + MST trace build +
 crossing count on 12×12 and 16×16 grids), a 24×24 legalize-only guard
-(576 qubits — the BENCH_scaling ceiling), a cache-server round-trip
+(576 qubits — the BENCH_scaling ceiling), the full 24×24 flow with both
+layout-metric passes, a nearby-pair scan guard (legality, spacing and
+qubit hotspots on a 2,304-qubit lattice), a cache-server round-trip
 guard (50 artifacts pushed and read back through a live
 ``serve-cache``) and a coordinator-drain guard (the paper sweep's job
 DAG leased and completed in-process), each with a *generous*
@@ -32,9 +34,17 @@ from repro.orchestration import (
     plan_sweep,
     serialize_graph,
 )
+from repro.core.pipeline import QGDPFlow
 from repro.detailed import DetailedPlacer
+from repro.frequency.hotspots import qubit_hotspot_pairs
+from repro.geometry import SiteGrid
 from repro.legalization import PAPER_ENGINE_ORDER, get_engine, run_legalization
-from repro.metrics import check_legality, integration_ratio
+from repro.metrics import (
+    check_legality,
+    integration_ratio,
+    qubit_spacing_violations,
+)
+from repro.netlist import QuantumNetlist, Qubit, Resonator, WireBlock
 from repro.placement import GlobalPlacer, build_layout
 from repro.routing.crossings import build_traces, count_crossings
 from repro.topologies import PAPER_TOPOLOGIES, grid_topology
@@ -59,6 +69,19 @@ KERNEL_16_BUDGET_S = 10.0
 #: cold full-graph solve); trips only on a complexity-class regression
 #: in the LP assembly, presolve or resonator pass.
 LEGALIZE_24_BUDGET_S = 20.0
+
+#: Budget for the full 24x24 flow (build, GP, legalize, DP and both
+#: layout-metric passes), seconds.  Typical: ~3.7 s on a 2-vCPU host
+#: with the sorted-sweep pair scans (~8 s when legality, spacing and
+#: qubit hotspots walked every pair or a 3x3 bucket hash).
+FLOW_24_BUDGET_S = 40.0
+
+#: Budget for check_legality, qubit_spacing_violations and
+#: qubit_hotspot_pairs on a 2,304-qubit lattice with planted
+#: violations, seconds.  Typical: ~0.4 s with near_pairs; the all-pairs
+#: qubit loops alone took ~23 s, so only a return to a quadratic scan
+#: trips it.
+PAIR_SCANS_BUDGET_S = 4.0
 
 #: Budget for 50 artifacts pushed and read back through a live cache
 #: server over loopback HTTP, seconds.  Typical: well under 0.5 s; the
@@ -148,6 +171,79 @@ def test_legalize_24x24_within_budget():
     assert elapsed < LEGALIZE_24_BUDGET_S, (
         f"legalization took {elapsed:.2f}s on a 24x24 grid "
         f"(budget {LEGALIZE_24_BUDGET_S}s) — LP/resonator regression?"
+    )
+
+
+@pytest.mark.perf_smoke
+def test_flow_24x24_within_budget():
+    t0 = time.perf_counter()
+    result = QGDPFlow(grid_topology(24)).run("qgdp", detailed=True)
+    elapsed = time.perf_counter() - t0
+
+    metrics = result.final.metrics
+    assert metrics["legality_violations"] == 0
+    assert metrics["spacing_violations"] == 0
+    assert elapsed < FLOW_24_BUDGET_S, (
+        f"the 24x24 flow took {elapsed:.2f}s "
+        f"(budget {FLOW_24_BUDGET_S}s) — flow or layout-metrics regression?"
+    )
+
+
+def _lattice_netlist(side: int) -> QuantumNetlist:
+    """``side``² 3x3 qubits at pitch 4 (gap 1 = min spacing), one wire
+    block in each horizontal channel; every sixth column is shifted half
+    a site left, onto its channel's block and 0.5 from its neighbour."""
+    netlist = QuantumNetlist()
+    for row in range(side):
+        for col in range(side):
+            netlist.add_qubit(
+                Qubit(
+                    index=row * side + col,
+                    w=3,
+                    h=3,
+                    x=2.5 + 4.0 * col - (0.5 if col % 6 == 5 else 0.0),
+                    y=2.5 + 4.0 * row,
+                    frequency=5.0 + 0.01 * ((row + col) % 3),
+                )
+            )
+    for row in range(side):
+        for col in range(side - 1):
+            qi = row * side + col
+            resonator = netlist.add_resonator(
+                Resonator(qi=qi, qj=qi + 1, wirelength=1.0)
+            )
+            resonator.blocks = [
+                WireBlock(
+                    resonator_key=resonator.key,
+                    ordinal=0,
+                    x=4.5 + 4.0 * col,
+                    y=2.5 + 4.0 * row,
+                )
+            ]
+    return netlist
+
+
+@pytest.mark.perf_smoke
+def test_pair_scans_2304_qubits_within_budget():
+    side = 48
+    netlist = _lattice_netlist(side)
+    grid = SiteGrid(4 * side + 2, 4 * side + 2)
+    planted = side * (side // 6)
+
+    t0 = time.perf_counter()
+    overlaps = check_legality(netlist, grid)
+    spacing = qubit_spacing_violations(netlist, 1.0)
+    hotspots = qubit_hotspot_pairs(netlist, 2.0, 0.04)
+    elapsed = time.perf_counter() - t0
+
+    assert len(overlaps) == planted
+    assert all(v.kind == "overlap" for v in overlaps)
+    assert len(spacing) == planted
+    assert hotspots
+    assert elapsed < PAIR_SCANS_BUDGET_S, (
+        f"legality+spacing+hotspot scans took {elapsed:.2f}s on "
+        f"{side * side} qubits (budget {PAIR_SCANS_BUDGET_S}s) — "
+        "is a scan walking every pair again?"
     )
 
 

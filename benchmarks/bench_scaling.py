@@ -5,10 +5,10 @@ in Table I).  This bench runs the whole flow (:meth:`QGDPFlow.run`:
 build, GP, qGDP-LG, DP and both layout-metric passes) on square grids
 from 16 to 576 qubits (sides 4–24, well past the paper's largest
 device).  It records the flow's wall time (``flow_ms``) and, from the
-stage reports, the legalization and detailed-placement runtimes
-alongside integration quality; runtime should grow polynomially (the LP
-is the dominant legalization term, O(n²) constraints) while integration
-stays near-perfect.
+stage reports, the build + global placement (``gp_ms``), legalization
+and detailed-placement runtimes alongside integration quality; runtime
+should grow polynomially (the LP is the dominant legalization term,
+O(n²) constraints) while integration stays near-perfect.
 
 Each run also dumps the wall-clock numbers to ``BENCH_scaling.json`` at
 the repo root so successive PRs leave a perf trajectory (compare against
@@ -39,6 +39,7 @@ def run_sweep(sides=SIDES):
         lg = result.stage("lg")
         dp = result.stage("dp")
         rows[side * side] = {
+            "gp_ms": result.stage("gp").runtime_s * 1e3,
             "tq_ms": lg.metrics["qubit_time_s"] * 1e3,
             "te_ms": lg.metrics["resonator_time_s"] * 1e3,
             "td_ms": dp.runtime_s * 1e3,
@@ -59,7 +60,8 @@ def test_qgdp_scaling_on_grids(benchmark):
     print("== qGDP-LG scaling on square grids ==")
     for qubits, row in rows.items():
         print(
-            f"  {qubits:3d} qubits  tq {row['tq_ms']:7.1f} ms  "
+            f"  {qubits:3d} qubits  gp {row['gp_ms']:7.1f} ms  "
+            f"tq {row['tq_ms']:7.1f} ms  "
             f"te {row['te_ms']:6.1f} ms  td {row['td_ms']:7.1f} ms  "
             f"flow {row['flow_ms']:8.1f} ms  "
             f"Iedge {row['unified']}/{row['total']}"

@@ -87,6 +87,8 @@ class QGDPConfig:
             )
         if not (0.05 <= self.utilization <= 0.95):
             raise ValueError(f"utilization out of range: {self.utilization}")
+        if self.margin <= 0:  # a collinear device would get a zero-area die
+            raise ValueError(f"margin must be positive, got {self.margin}")
         if self.reach <= 0 or self.delta_c <= 0:  # Eq. 4 and tau divide by them
             raise ValueError(
                 f"reach and delta_c must be positive: {self.reach}, {self.delta_c}"

@@ -334,9 +334,15 @@ def hotspot_report(
     reach: float = DEFAULT_REACH,
     delta_c: float = DEFAULT_DELTA_C,
     lb: float = 1.0,
+    traces: dict = None,
 ) -> HotspotReport:
-    """Full hotspot analysis: pairs, Ph, HQ and per-resonator He."""
-    pairs = hotspot_pairs(netlist, reach, delta_c, lb)
+    """Full hotspot analysis: pairs, Ph, HQ and per-resonator He.
+
+    ``traces`` optionally supplies the layout's MST traces (as
+    :func:`~repro.netlist.traces.build_traces` returns), so a caller that
+    also counts crossings builds them once.
+    """
+    pairs = hotspot_pairs(netlist, reach, delta_c, lb, traces)
     per_res = resonator_hotspots(netlist, reach, delta_c, pairs, lb)
     affected = set()
     for pair in pairs:

@@ -11,6 +11,7 @@ from repro.legalization.bins import BinGrid
 from repro.metrics.integration import integration_ratio, total_clusters
 from repro.metrics.legality import check_legality, qubit_spacing_violations
 from repro.netlist.netlist import QuantumNetlist
+from repro.netlist.traces import build_traces
 from repro.routing.crossings import CrossingReport, count_crossings
 
 
@@ -83,11 +84,18 @@ def analyze_layout(
     bins: BinGrid,
     config: QGDPConfig = None,
 ) -> tuple:
-    """Analyse the layout once: ``(LayoutMetrics, fidelity_inputs)``."""
+    """Analyse the layout once: ``(LayoutMetrics, fidelity_inputs)``.
+
+    The MST traces are built once, at ``config.lb`` (the grid's pitch),
+    for both the hotspot and the crossing analysis.
+    """
     config = config or QGDPConfig()
     unified, total = integration_ratio(netlist, config.lb)
-    hotspots = hotspot_report(netlist, config.reach, config.delta_c, config.lb)
-    crossings = count_crossings(netlist, bins)
+    traces = build_traces(netlist, config.lb)
+    hotspots = hotspot_report(
+        netlist, config.reach, config.delta_c, config.lb, traces
+    )
+    crossings = count_crossings(netlist, bins, traces)
     violations = qubit_spacing_violations(netlist, config.min_qubit_spacing)
     metrics = LayoutMetrics(
         num_cells=netlist.num_cells,

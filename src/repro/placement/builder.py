@@ -36,7 +36,8 @@ def size_grid(topology: Topology, config: QGDPConfig, total_area: float) -> tupl
 
     The scale is the larger of (a) the utilization-driven scale and (b)
     the spacing-driven scale that lets the closest ideal qubit pair sit at
-    ``qubit_size + min_qubit_spacing`` apart.
+    ``qubit_size + min_qubit_spacing`` apart.  A one-qubit device has no
+    pair, so its spacing scale is 0 and (a) sizes it.
     """
     xs = [p[0] for p in topology.ideal_positions.values()]
     ys = [p[1] for p in topology.ideal_positions.values()]
@@ -48,9 +49,12 @@ def size_grid(topology: Topology, config: QGDPConfig, total_area: float) -> tupl
     # coupled or not (radial topologies place siblings closer than edges).
     positions = list(topology.ideal_positions.values())
     min_pair = min(
-        math.hypot(xa - xb, ya - yb)
-        for i, (xa, ya) in enumerate(positions)
-        for (xb, yb) in positions[i + 1 :]
+        (
+            math.hypot(xa - xb, ya - yb)
+            for i, (xa, ya) in enumerate(positions)
+            for (xb, yb) in positions[i + 1 :]
+        ),
+        default=math.inf,
     )
     scale_spacing = (
         config.qubit_size + config.min_qubit_spacing + config.lb

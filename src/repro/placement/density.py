@@ -37,9 +37,14 @@ class DensityMap:
 
     def deposit(self, xs: np.ndarray, ys: np.ndarray, areas: np.ndarray) -> None:
         """Recompute the density from scratch for the given cells."""
-        self._density.fill(0.0)
         bx, by = self.bin_of(xs, ys)
-        np.add.at(self._density, (by, bx), areas)
+        # Each bin adds its cells' areas one by one from 0.0 in cell order,
+        # bit-identical to ``np.add.at``; the cast is for no cells, where
+        # ``np.bincount`` returns int64 zeros.
+        flat = np.bincount(by * self.nx + bx, areas, minlength=self.nx * self.ny)
+        self._density = flat.astype(np.float64, copy=False).reshape(
+            self.ny, self.nx
+        )
 
     def smoothed(self) -> np.ndarray:
         """Density after one 3x3 box blur (keeps the gradient stable)."""

@@ -74,7 +74,6 @@ class GlobalPlacer:
             k = index_of[("b", b.resonator_key, b.ordinal)]
             pos[k] = (b.x, b.y)
             areas[k] = b.rect.area
-        anchors = pos[:num_qubits].copy()
 
         # Small symmetric noise so collinear seeds can spread sideways.
         pos[num_qubits:] += rng.normal(0.0, cfg.gp_noise, (n - num_qubits, 2))
@@ -82,43 +81,53 @@ class GlobalPlacer:
         nets = netlist.nets(style)
         src = np.array([index_of[u] for u, _ in nets], dtype=int)
         dst = np.array([index_of[v] for _, v in nets], dtype=int)
+        ends = np.concatenate((src, dst))
 
         density = DensityMap(grid, bin_size=2.0 * cfg.lb)
         half = np.where(
             np.arange(n) < num_qubits, cfg.qubit_size / 2.0, cfg.lb / 2.0
         )
+        x_max = grid.width - half
+        y_max = grid.height - half
+        cap = 1.5 * cfg.lb
+        # One contiguous array per axis; the noise left the qubits alone,
+        # so their current positions are the anchors.
+        x = pos[:, 0].copy()
+        y = pos[:, 1].copy()
+        anchor_x = x[:num_qubits].copy()
+        anchor_y = y[:num_qubits].copy()
 
         step = cfg.gp_step
         for _ in range(cfg.gp_iterations):
-            force = np.zeros_like(pos)
             # Net attraction (linear springs on 2-pin nets).
-            delta = pos[dst] - pos[src]
-            np.add.at(force, src, cfg.gp_attraction * delta)
-            np.add.at(force, dst, -cfg.gp_attraction * delta)
+            fx = _spring_force(x, src, dst, ends, cfg.gp_attraction)
+            fy = _spring_force(y, src, dst, ends, cfg.gp_attraction)
             # Density spreading.
-            density.deposit(pos[:, 0], pos[:, 1], areas)
-            gx, gy = density.gradient_at(pos[:, 0], pos[:, 1])
-            force[:, 0] -= cfg.gp_density * gx
-            force[:, 1] -= cfg.gp_density * gy
+            density.deposit(x, y, areas)
+            gx, gy = density.gradient_at(x, y)
+            fx -= cfg.gp_density * gx
+            fy -= cfg.gp_density * gy
             # Qubit anchors.
-            force[:num_qubits] += cfg.gp_anchor * (anchors - pos[:num_qubits])
+            fx[:num_qubits] += cfg.gp_anchor * (anchor_x - x[:num_qubits])
+            fy[:num_qubits] += cfg.gp_anchor * (anchor_y - y[:num_qubits])
 
-            # Capped, decaying step.
-            norm = np.linalg.norm(force, axis=1, keepdims=True)
-            cap = 1.5 * cfg.lb
+            # Capped, decaying step; the norm adds x² + y² in the order
+            # np.linalg.norm(axis=1) does on the two columns.
+            norm = np.sqrt(fx * fx + fy * fy)
             scale = np.minimum(1.0, cap / np.maximum(norm, 1e-12))
-            pos += step * (force * scale)
+            x += step * (fx * scale)
+            y += step * (fy * scale)
 
             # Border clamp (Eq. 2).
-            pos[:, 0] = np.clip(pos[:, 0], half, grid.width - half)
-            pos[:, 1] = np.clip(pos[:, 1], half, grid.height - half)
+            np.clip(x, half, x_max, out=x)
+            np.clip(y, half, y_max, out=y)
             step *= 0.995
 
-        self._write_back(netlist, node_ids, pos)
-        density.deposit(pos[:, 0], pos[:, 1], areas)
+        self._write_back(netlist, node_ids, x, y)
+        density.deposit(x, y, areas)
         bin_cap = density.bin_size**2
         overflow = float(np.max(density.density) / bin_cap)
-        positions = {nid: tuple(pos[k]) for nid, k in index_of.items()}
+        positions = {nid: (x[k], y[k]) for nid, k in index_of.items()}
         return GlobalPlaceResult(
             iterations=cfg.gp_iterations,
             hpwl=total_hpwl(nets, positions),
@@ -126,11 +135,38 @@ class GlobalPlacer:
         )
 
     @staticmethod
-    def _write_back(netlist: QuantumNetlist, node_ids: list, pos: np.ndarray) -> None:
+    def _write_back(
+        netlist: QuantumNetlist, node_ids: list, x: np.ndarray, y: np.ndarray
+    ) -> None:
         for k, nid in enumerate(node_ids):
             if nid[0] == "q":
-                netlist.qubit(nid[1]).move_to(float(pos[k, 0]), float(pos[k, 1]))
+                netlist.qubit(nid[1]).move_to(float(x[k]), float(y[k]))
             else:
                 _, key, ordinal = nid
                 block = netlist.resonator(*key).blocks[ordinal]
-                block.move_to(float(pos[k, 0]), float(pos[k, 1]))
+                block.move_to(float(x[k]), float(y[k]))
+
+
+def _spring_force(
+    coord: np.ndarray,
+    src: np.ndarray,
+    dst: np.ndarray,
+    ends: np.ndarray,
+    attraction: float,
+) -> np.ndarray:
+    """One axis of the net attraction: ``+a·d`` on each net's source and
+    ``−a·d`` on its sink, ``d = coord[dst] − coord[src]``.
+
+    ``np.bincount`` over ``ends = concat(src, dst)`` adds every node's
+    terms one by one from 0.0: its source terms in net order, then its
+    sink terms.  That is the order of ``np.add.at`` over ``src`` then
+    ``dst``, and ``−(a·d)`` is ``(−a)·d`` exactly, so the forces are
+    bit-identical to that reference
+    (``tests/placement/test_global_placer_parity.py``).
+    """
+    pull = attraction * (coord[dst] - coord[src])
+    force = np.bincount(
+        ends, np.concatenate((pull, -pull)), minlength=len(coord)
+    )
+    # An empty ``ends`` (no nets) gives int64 zeros; the force stays float.
+    return force.astype(np.float64, copy=False)

@@ -49,6 +49,15 @@ class Topology:
         missing = set(range(self.num_qubits)) - set(self.ideal_positions)
         if missing:
             raise ValueError(f"qubits without ideal positions: {sorted(missing)}")
+        # Coincident qubits have no spacing-driven layout scale.
+        owner = {}
+        for qubit, position in self.ideal_positions.items():
+            other = owner.setdefault(tuple(position), qubit)
+            if other != qubit:
+                raise ValueError(
+                    f"qubits {other} and {qubit} share the ideal position "
+                    f"{tuple(position)}"
+                )
 
     @property
     def num_edges(self) -> int:

@@ -55,6 +55,14 @@ def test_rejects_nonpositive_delta_c(delta_c):
         QGDPConfig(delta_c=delta_c)
 
 
+@pytest.mark.parametrize("margin", [0.0, -0.5])
+def test_rejects_nonpositive_margin(margin):
+    # A zero margin gave a collinear device a zero-area die, and
+    # size_grid divided by it; a negative one took a negative sqrt.
+    with pytest.raises(ValueError, match="margin"):
+        QGDPConfig(margin=margin)
+
+
 def test_custom_values_accepted():
     cfg = QGDPConfig(utilization=0.5, seed=7, delta_c=0.08)
     assert cfg.utilization == 0.5

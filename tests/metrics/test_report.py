@@ -7,9 +7,13 @@ from repro.compiler import transpile
 from repro.core.config import QGDPConfig
 from repro.core.pipeline import QGDPFlow
 from repro.crosstalk import program_fidelity
+from repro.frequency import hotspots as hotspots_module
 from repro.frequency.hotspots import hotspot_pairs, hotspot_report
+from repro.metrics import report as report_module
 from repro.metrics.report import analyze_layout, layout_metrics
+from repro.netlist import traces as traces_module
 from repro.routing import count_crossings
+from repro.routing import crossings as crossings_module
 
 #: A coarser site pitch than the default ``lb=1.0``.
 LB2_CONFIG = QGDPConfig(
@@ -70,3 +74,17 @@ def test_layout_metrics_is_the_analysis_metrics(lb2_flow):
     assert len(inputs["bridges"]) + sum(
         row[4] for row in inputs["crossings"]
     ) == metrics.crossings
+
+
+def test_analysis_builds_the_traces_once(lb2_flow, monkeypatch):
+    # The hotspot walk and the crossing count share one trace build.
+    built = []
+
+    def counting_build(netlist, lb):
+        built.append(lb)
+        return traces_module.build_traces(netlist, lb)
+
+    for module in (report_module, hotspots_module, crossings_module):
+        monkeypatch.setattr(module, "build_traces", counting_build, raising=False)
+    analyze_layout(lb2_flow.netlist, lb2_flow.bins, LB2_CONFIG)
+    assert built == [LB2_CONFIG.lb]

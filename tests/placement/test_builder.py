@@ -5,8 +5,9 @@ import math
 import pytest
 
 from repro.core.config import QGDPConfig
+from repro.core.pipeline import QGDPFlow
 from repro.placement import build_layout, size_grid
-from repro.topologies import PAPER_TOPOLOGIES, get_topology
+from repro.topologies import PAPER_TOPOLOGIES, Topology, get_topology
 
 
 @pytest.mark.parametrize("name", PAPER_TOPOLOGIES)
@@ -79,3 +80,26 @@ def test_resonator_wirelength_scales_with_frequency():
     for r in netlist.resonators:
         expected = cfg.resonator_length * 7.0 / r.frequency
         assert r.wirelength == pytest.approx(expected)
+
+
+def test_one_qubit_grid_uses_utilization_scale():
+    # One qubit has no pair to space, so only utilization sizes the die.
+    cfg = QGDPConfig()
+    topo = Topology("one", "One", 1, [], {0: (3.0, 4.0)})
+    area = 9.0
+    grid, scale, offset = size_grid(topo, cfg, area)
+    side = 2.0 * cfg.margin
+    assert scale == math.sqrt(area / (cfg.utilization * side * side))
+    assert offset == (3.0, 4.0)
+    assert (grid.cols, grid.rows) == (4, 4)
+
+
+@pytest.mark.parametrize("engine", ["qgdp", "q-abacus", "tetris"])
+def test_one_qubit_flow_is_legal(engine):
+    topo = Topology("one", "One", 1, [], {0: (0.0, 0.0)})
+    result = QGDPFlow(topo).run(engine, detailed=True)
+    for stage in result.stages[1:]:
+        assert stage.metrics["legality_violations"] == 0
+        assert stage.metrics["spacing_violations"] == 0
+    (qubit,) = result.final.positions
+    assert qubit == ("q", 0)

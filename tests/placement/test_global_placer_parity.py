@@ -1,0 +1,177 @@
+"""The GP force loop and ``DensityMap.deposit`` against ``np.add.at`` references.
+
+``GlobalPlacer.run`` keeps x and y as separate arrays and scatters the
+spring forces with one ``np.bincount`` per axis; ``DensityMap.deposit``
+is one ``np.bincount`` over flat bin indices.  The references below are
+the two-column ``np.add.at`` loop and deposit they replaced, kept
+verbatim, and every output must match them bit for bit.
+"""
+
+import numpy as np
+import pytest
+
+from repro.core.config import QGDPConfig
+from repro.geometry import SiteGrid
+from repro.netlist import ConnectionStyle
+from repro.placement import DensityMap, GlobalPlacer, build_layout, total_hpwl
+from repro.topologies import PAPER_TOPOLOGIES, Topology, get_topology, grid_topology
+
+
+class ReferenceDensityMap(DensityMap):
+    """``DensityMap`` with the ``np.add.at`` deposit."""
+
+    def deposit(self, xs, ys, areas):
+        self._density.fill(0.0)
+        bx, by = self.bin_of(xs, ys)
+        np.add.at(self._density, (by, bx), areas)
+
+
+def reference_run(netlist, grid, cfg, style):
+    """The two-column ``np.add.at`` GP loop; returns ``(hpwl, overflow)``."""
+    rng = np.random.default_rng(cfg.seed)
+
+    node_ids = [("q", q.index) for q in netlist.qubits]
+    node_ids += [("b", b.resonator_key, b.ordinal) for b in netlist.wire_blocks]
+    index_of = {nid: k for k, nid in enumerate(node_ids)}
+    num_qubits = netlist.num_qubits
+    n = len(node_ids)
+
+    pos = np.zeros((n, 2))
+    areas = np.zeros(n)
+    for q in netlist.qubits:
+        k = index_of[("q", q.index)]
+        pos[k] = (q.x, q.y)
+        areas[k] = q.rect.area
+    for b in netlist.wire_blocks:
+        k = index_of[("b", b.resonator_key, b.ordinal)]
+        pos[k] = (b.x, b.y)
+        areas[k] = b.rect.area
+    anchors = pos[:num_qubits].copy()
+
+    pos[num_qubits:] += rng.normal(0.0, cfg.gp_noise, (n - num_qubits, 2))
+
+    nets = netlist.nets(style)
+    src = np.array([index_of[u] for u, _ in nets], dtype=int)
+    dst = np.array([index_of[v] for _, v in nets], dtype=int)
+
+    density = ReferenceDensityMap(grid, bin_size=2.0 * cfg.lb)
+    half = np.where(np.arange(n) < num_qubits, cfg.qubit_size / 2.0, cfg.lb / 2.0)
+
+    step = cfg.gp_step
+    for _ in range(cfg.gp_iterations):
+        force = np.zeros_like(pos)
+        delta = pos[dst] - pos[src]
+        np.add.at(force, src, cfg.gp_attraction * delta)
+        np.add.at(force, dst, -cfg.gp_attraction * delta)
+        density.deposit(pos[:, 0], pos[:, 1], areas)
+        gx, gy = density.gradient_at(pos[:, 0], pos[:, 1])
+        force[:, 0] -= cfg.gp_density * gx
+        force[:, 1] -= cfg.gp_density * gy
+        force[:num_qubits] += cfg.gp_anchor * (anchors - pos[:num_qubits])
+
+        norm = np.linalg.norm(force, axis=1, keepdims=True)
+        cap = 1.5 * cfg.lb
+        scale = np.minimum(1.0, cap / np.maximum(norm, 1e-12))
+        pos += step * (force * scale)
+
+        pos[:, 0] = np.clip(pos[:, 0], half, grid.width - half)
+        pos[:, 1] = np.clip(pos[:, 1], half, grid.height - half)
+        step *= 0.995
+
+    for k, nid in enumerate(node_ids):
+        if nid[0] == "q":
+            netlist.qubit(nid[1]).move_to(float(pos[k, 0]), float(pos[k, 1]))
+        else:
+            _, key, ordinal = nid
+            block = netlist.resonator(*key).blocks[ordinal]
+            block.move_to(float(pos[k, 0]), float(pos[k, 1]))
+    density.deposit(pos[:, 0], pos[:, 1], areas)
+    overflow = float(np.max(density.density) / density.bin_size**2)
+    positions = {nid: tuple(pos[k]) for nid, k in index_of.items()}
+    return (total_hpwl(nets, positions), overflow)
+
+
+def bits(values) -> np.ndarray:
+    """IEEE bit patterns, so 0.0 and -0.0 (or two NaNs) are told apart."""
+    return np.asarray(values, dtype=np.float64).view(np.uint64)
+
+
+def snapshot_bits(netlist) -> tuple:
+    snapshot = netlist.snapshot()
+    return (list(snapshot), bits(list(snapshot.values())))
+
+
+def assert_gp_parity(topology, cfg, style):
+    netlist, grid = build_layout(topology, cfg)
+    result = GlobalPlacer(cfg).run(netlist, grid, style=style)
+    ref_netlist, ref_grid = build_layout(topology, cfg)
+    ref_hpwl, ref_overflow = reference_run(ref_netlist, ref_grid, cfg, style)
+
+    ids, got = snapshot_bits(netlist)
+    ref_ids, want = snapshot_bits(ref_netlist)
+    assert ids == ref_ids
+    assert np.array_equal(got, want)
+    assert result.hpwl.hex() == ref_hpwl.hex()
+    assert result.max_bin_overflow.hex() == ref_overflow.hex()
+
+
+TOPOLOGIES = [*PAPER_TOPOLOGIES, "grid8"]
+
+
+def _topology(name):
+    return grid_topology(8) if name == "grid8" else get_topology(name)
+
+
+@pytest.mark.parametrize("seed", [2025, 7])
+@pytest.mark.parametrize("style", list(ConnectionStyle), ids=lambda s: s.value)
+@pytest.mark.parametrize("name", TOPOLOGIES)
+def test_gp_matches_add_at_loop(name, style, seed):
+    cfg = QGDPConfig(gp_iterations=40, seed=seed)
+    assert_gp_parity(_topology(name), cfg, style)
+
+
+def test_gp_without_couplers_matches_add_at_loop():
+    """No couplers means no nets: ``np.bincount`` then returns int64 zeros,
+    which the force arrays must not inherit."""
+    topology = Topology(
+        name="isolated",
+        display_name="Isolated",
+        num_qubits=3,
+        edges=[],
+        ideal_positions={0: (0.0, 0.0), 1: (2.0, 0.0), 2: (1.0, 2.0)},
+    )
+    cfg = QGDPConfig(gp_iterations=40)
+    for style in ConnectionStyle:
+        assert_gp_parity(topology, cfg, style)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_deposit_matches_add_at(seed):
+    grid = SiteGrid(cols=13, rows=9)
+    rng = np.random.default_rng(seed)
+    # Cells beyond both borders (clipped into the edge bins) plus a run
+    # of coincident cells whose areas pile into one bin in order.
+    xs = np.concatenate((rng.uniform(-4.0, 17.0, 200), np.full(7, 6.3)))
+    ys = np.concatenate((rng.uniform(-4.0, 13.0, 200), np.full(7, 4.1)))
+    areas = np.concatenate((rng.uniform(0.1, 9.0, 200), rng.uniform(0.1, 1.0, 7)))
+    for bin_size in (1.0, 2.0, 3.7):
+        got = DensityMap(grid, bin_size)
+        want = ReferenceDensityMap(grid, bin_size)
+        got.deposit(xs, ys, areas)
+        want.deposit(xs, ys, areas)
+        assert got.density.dtype == np.float64
+        assert got.density.shape == want.density.shape
+        assert np.array_equal(bits(got.density), bits(want.density))
+        gx, gy = got.gradient_at(xs, ys)
+        rx, ry = want.gradient_at(xs, ys)
+        assert np.array_equal(bits(gx), bits(rx))
+        assert np.array_equal(bits(gy), bits(ry))
+
+
+def test_empty_deposit_is_float_zeros():
+    density = DensityMap(SiteGrid(cols=8, rows=6), bin_size=2.0)
+    density.deposit(np.array([3.0]), np.array([3.0]), np.array([5.0]))
+    density.deposit(np.zeros(0), np.zeros(0), np.zeros(0))
+    assert density.density.dtype == np.float64
+    assert density.density.shape == (density.ny, density.nx)
+    assert not density.density.any()

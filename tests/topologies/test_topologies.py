@@ -5,6 +5,7 @@ import pytest
 
 from repro.topologies import (
     PAPER_TOPOLOGIES,
+    Topology,
     available_topologies,
     eagle_topology,
     falcon_topology,
@@ -171,3 +172,16 @@ def test_topology_validates_edges():
         Topology("bad", "Bad", 2, [(0, 5)], {0: (0, 0), 1: (1, 0)})
     with pytest.raises(ValueError):
         Topology("bad", "Bad", 2, [(0, 1)], {0: (0, 0)})
+
+
+def test_coincident_positions_rejected():
+    # Two qubits at one ideal point have no closest-pair distance, and
+    # size_grid divided by it.
+    with pytest.raises(ValueError, match="qubits 0 and 2 share"):
+        Topology(
+            name="stacked",
+            display_name="Stacked",
+            num_qubits=3,
+            edges=[(0, 1), (1, 2)],
+            ideal_positions={0: (1.0, 1.0), 1: (2.0, 1.0), 2: (1.0, 1.0)},
+        )

@@ -8,7 +8,7 @@ drain, no goodbye.  Its leases expire, the surviving worker steals the
 orphaned jobs, and the merged manifest still accounts for every job
 (the revoked leases show up in the failure ledger, not as lost work).
 
-Run from the repo root::
+Run with the package importable, from any directory::
 
     PYTHONPATH=src python examples/fleet_sweep.py
 
@@ -29,7 +29,9 @@ import subprocess
 import sys
 import tempfile
 import time
+from pathlib import Path
 
+import repro
 from repro.core.config import QGDPConfig
 from repro.orchestration import (
     CacheServer,
@@ -44,8 +46,16 @@ from repro.orchestration import (
 )
 
 
+#: The directory this process imported ``repro`` from, so the workers
+#: import the same code whatever the working directory is.
+PACKAGE_ROOT = str(Path(repro.__file__).resolve().parent.parent)
+
+
 def _spawn_worker(url: str, name: str) -> subprocess.Popen:
     """A real ``repro worker`` child process pulling from ``url``."""
+    path = os.pathsep.join(
+        p for p in (PACKAGE_ROOT, os.environ.get("PYTHONPATH")) if p
+    )
     return subprocess.Popen(
         [
             sys.executable, "-m", "repro", "worker",
@@ -55,8 +65,19 @@ def _spawn_worker(url: str, name: str) -> subprocess.Popen:
             "--poll-s", "0.1",
             "--quiet",
         ],
-        env={**os.environ, "PYTHONPATH": "src"},
+        env={**os.environ, "PYTHONPATH": path},
     )
+
+
+def _check_alive(workers: dict) -> None:
+    """Raise if a worker failed; a worker exits 0 only once the sweep is done."""
+    for name, proc in workers.items():
+        code = proc.poll()
+        if code not in (None, 0):
+            raise RuntimeError(
+                f"worker {name!r} exited with code {code} before the sweep "
+                "finished"
+            )
 
 
 def main() -> None:
@@ -85,12 +106,20 @@ def main() -> None:
                 # SIGKILL it while it still holds leases: no drain, no
                 # release — the coordinator only learns from the silence.
                 while client.status()["counts"]["done"] < 2:
+                    _check_alive({"doomed": doomed, "survivor": survivor})
                     time.sleep(0.1)
                 doomed.send_signal(signal.SIGKILL)
                 doomed.wait()
                 print("killed worker 'doomed' mid-sweep (leases orphaned)")
 
-                result = run_fleet_sweep(spec, server.url, poll_s=0.2)
+                result = run_fleet_sweep(
+                    spec,
+                    server.url,
+                    poll_s=0.2,
+                    progress=lambda _status: _check_alive(
+                        {"survivor": survivor}
+                    ),
+                )
             finally:
                 for proc in (doomed, survivor):
                     if proc.poll() is None:

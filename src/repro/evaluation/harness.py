@@ -9,11 +9,11 @@ same legalized layouts.
 Since the orchestration subsystem landed, this module is a thin facade:
 :func:`evaluate_engines` and :func:`evaluate_fidelity` plan the same
 content-addressed job graphs the ``repro sweep`` CLI runs (GP once per
-topology, transpilations once per (topology, benchmark, seed), one
-``analyze`` job per layout) and execute them with the in-process serial
-executor.  Results are bit-identical whether the jobs run here, in
-a worker pool, or come back from the disk artifact cache — see
-``docs/orchestration.md``.
+topology, one transpile job per (topology, benchmark) that maps the
+benchmark once per mapping seed, one ``analyze`` job per layout) and
+execute them with the in-process serial executor.  Results are
+bit-identical whether the jobs run here, in a worker pool, or come back
+from the disk artifact cache — see ``docs/orchestration.md``.
 """
 
 from __future__ import annotations

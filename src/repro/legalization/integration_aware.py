@@ -103,12 +103,9 @@ def integration_aware_legalize(
             block.move_to(center.x, center.y)
             placed[block.name] = site
             # Baa update f(Baa, Ba, p(s)): add the new block's free
-            # neighbours, drop anything no longer free.
-            for neighbor in bins.free_neighbors(*site):
-                adjacent_available.add(neighbor)
-            adjacent_available = {
-                s for s in adjacent_available if bins.is_free(*s)
-            }
+            # neighbours.  The placed site, the only one whose occupancy
+            # changed, was discarded above, so every member stays free.
+            adjacent_available.update(bins.free_neighbors(*site))
 
     return IntegrationLegalizationResult(
         placed=placed,

@@ -24,7 +24,7 @@ from typing import Iterable
 #: and deps, or caches serve the old payload under a key that no longer
 #: describes it (``tests/golden/test_job_payloads.py`` pins payloads).
 KIND_VERSIONS = {
-    "gp": 1, "lg": 1, "dp": 1, "transpile": 1, "analyze": 1, "fidelity": 1
+    "gp": 1, "lg": 1, "dp": 1, "transpile": 2, "analyze": 1, "fidelity": 1
 }
 JOB_KINDS = tuple(KIND_VERSIONS)
 

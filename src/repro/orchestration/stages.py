@@ -11,6 +11,9 @@ skipped entirely because the artifact store already holds its payload.
 The gp, lg and dp runners each call one stage method of
 :class:`~repro.core.pipeline.QGDPFlow`, the code an in-process
 :meth:`QGDPFlow.run` chains, so a job chain and an in-process run agree.
+A ``transpile`` job maps one benchmark onto one topology once per
+mapping seed of the sweep, all on one topology build, and a ``fidelity``
+job folds its per-seed stats in seed order.
 
 ``execute_job`` is the single dispatch point and is importable at module
 level so :class:`concurrent.futures.ProcessPoolExecutor` can pickle it.
@@ -150,11 +153,20 @@ def run_dp_job(params: dict, deps: list) -> dict:
 
 
 def run_transpile_job(params: dict, deps: list) -> dict:
-    """Map + route + schedule one benchmark onto one topology (one seed)."""
+    """Map + route + schedule one benchmark onto one topology, per seed.
+
+    The topology and circuit are built once, so every seed of
+    ``params["seeds"]`` shares one coupling graph and its shortest-path
+    memo; ``stats`` holds one payload per seed, in seed order.
+    """
     topology = get_topology(params["topology"])
     circuit = get_benchmark(params["benchmark"])
-    transpiled = transpile(circuit, topology, seed=params["seed"])
-    return transpile_stats_to_dict(transpiled)
+    return {
+        "stats": [
+            transpile_stats_to_dict(transpile(circuit, topology, seed=seed))
+            for seed in params["seeds"]
+        ]
+    }
 
 
 def run_analyze_job(params: dict, deps: list) -> dict:
@@ -173,8 +185,9 @@ def run_fidelity_job(params: dict, deps: list) -> dict:
     """Eq. 7 fidelity samples of one (topology, benchmark, engine) cell.
 
     ``deps[0]`` is the layout's ``analyze`` payload, whose rows carry every
-    gap and frequency Eq. 7 reads; the rest are the seed-ordered transpile
-    payloads.  No layout is built.
+    gap and frequency Eq. 7 reads; ``deps[1]`` is the benchmark's
+    ``transpile`` payload, one sample per seed in seed order.  No layout
+    is built.
     """
     inputs = deps[0]["fidelity_inputs"]
     delta_c = params["config"]["delta_c"]
@@ -184,7 +197,7 @@ def run_fidelity_job(params: dict, deps: list) -> dict:
             layout_fidelity(
                 inputs, transpile_stats_from_dict(stats), delta_c, noise
             ).fidelity
-            for stats in deps[1:]
+            for stats in deps[1]["stats"]
         ]
     }
 

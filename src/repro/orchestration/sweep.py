@@ -8,18 +8,21 @@ expands it into a content-addressed job graph:
 * one ``lg`` job per (topology, engine), plus a ``dp`` job on top of the
   qGDP ``lg`` when the spec runs detailed placement
   (:func:`add_layout_jobs`, shared with the ``repro tables`` planner),
-* one ``transpile`` job per (topology, benchmark, seed) that fits,
+* one ``transpile`` job per (topology, benchmark) that fits, mapping
+  the benchmark once per mapping seed (its params carry the whole seed
+  list, so its key does too),
 * one ``analyze`` job per (topology, engine) layout — the layout's one
   analysis (metrics and Eq. 7 rows), shared by that layout's cells — and
 * one ``fidelity`` job per (topology, benchmark, engine) cell, depending
-  on the layout's analysis and its seed-ordered transpile jobs.
+  on the layout's analysis and the benchmark's transpile job.
 
 ``run_sweep`` executes the graph (serially or across worker processes,
 optionally against the disk artifact store) and assembles the cells in
 plan order, so results are deterministic regardless of scheduling.
 Sharding keeps ``1/n``-th of the cells plus the transitive upstream jobs
 they need; shards share the artifact cache, so a topology's GP or a
-seed's transpilation computed by one shard is a cache hit for the next.
+benchmark's transpilations computed by one shard are a cache hit for
+the next.
 """
 
 from __future__ import annotations
@@ -197,39 +200,34 @@ def plan_sweep(spec: SweepSpec) -> SweepPlan:
     """Expand a spec into its content-addressed job graph."""
     graph = JobGraph()
     cells = {}
+    seeds = [spec.mapping_seed(k) for k in range(spec.num_seeds)]
     for topo_name in spec.topologies:
         topology = get_topology(topo_name)
         chains = add_layout_jobs(
             graph, topo_name, spec.engines, spec.config, spec.detailed
         )
 
-        # Transpilations are engine-independent: one job per (benchmark,
-        # seed) that fits the device, shared by every engine's cell.
+        # Transpilations are engine-independent: one job per benchmark
+        # that fits the device, covering every mapping seed, shared by
+        # every engine's cell.
         transpile_keys = {}
-        fitting = []
         for bench_name in spec.benchmarks:
-            circuit = get_benchmark(bench_name)
-            if circuit.num_qubits > topology.num_qubits:
+            if get_benchmark(bench_name).num_qubits > topology.num_qubits:
                 continue
-            fitting.append(bench_name)
-            keys = []
-            for k in range(spec.num_seeds):
-                job = graph.add(
-                    Job.create(
-                        "transpile",
-                        {
-                            "topology": topo_name,
-                            "benchmark": bench_name,
-                            "seed": spec.mapping_seed(k),
-                        },
-                    )
+            transpile_keys[bench_name] = graph.add(
+                Job.create(
+                    "transpile",
+                    {
+                        "topology": topo_name,
+                        "benchmark": bench_name,
+                        "seeds": seeds,
+                    },
                 )
-                keys.append(job.key)
-            transpile_keys[bench_name] = keys
+            ).key
 
         for engine_name, chain in chains.items():
             analysis = graph.add(analysis_job(chain[-1]))
-            for bench_name in fitting:
+            for bench_name, transpile_key in transpile_keys.items():
                 cell_job = graph.add(
                     Job.create(
                         "fidelity",
@@ -240,7 +238,7 @@ def plan_sweep(spec: SweepSpec) -> SweepPlan:
                             "config": spec.config,
                             "noise": spec.noise,
                         },
-                        deps=(analysis.key, *transpile_keys[bench_name]),
+                        deps=(analysis.key, transpile_key),
                     )
                 )
                 cells[(topo_name, bench_name, engine_name)] = cell_job.key

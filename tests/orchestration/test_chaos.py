@@ -2,7 +2,7 @@
 
 The choreography (see ISSUE acceptance criteria):
 
-1. A coordinator-backed cache server holds a 9-job sweep DAG.
+1. A coordinator-backed cache server holds an 11-job sweep DAG.
 2. Worker ``killer`` leases all three ready roots in one batch, completes
    exactly one, then SIGKILLs itself while still holding the other two
    leases — no drain, no release, like a machine losing power.
@@ -43,7 +43,7 @@ _CFG = config_to_dict(QGDPConfig(gp_iterations=40))
 def _spec():
     return SweepSpec(
         topologies=("grid",),
-        benchmarks=("bv-4",),
+        benchmarks=("bv-4", "qaoa-4"),
         engines=("qgdp", "tetris"),
         num_seeds=2,
         config=_CFG,

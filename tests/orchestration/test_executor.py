@@ -40,7 +40,7 @@ def _small_graph():
         graph.add(
             Job.create(
                 "transpile",
-                {"topology": "grid", "benchmark": "bv-4", "seed": seed},
+                {"topology": "grid", "benchmark": "bv-4", "seeds": [seed]},
             )
         )
     return graph
@@ -104,7 +104,7 @@ def test_failing_job_raises_jobfailure():
     graph.add(
         Job.create(
             "transpile",
-            {"topology": "grid", "benchmark": "no-such-99", "seed": 1},
+            {"topology": "grid", "benchmark": "no-such-99", "seeds": [1]},
         )
     )
     with pytest.raises(JobFailure):
@@ -116,7 +116,7 @@ def _bad_job_graph():
     graph.add(
         Job.create(
             "transpile",
-            {"topology": "grid", "benchmark": "no-such-99", "seed": 1},
+            {"topology": "grid", "benchmark": "no-such-99", "seeds": [1]},
         )
     )
     return graph

@@ -28,6 +28,7 @@ from repro.orchestration import (
     CacheServer,
     DirBackend,
     FleetCoordinator,
+    JobGraph,
     RemoteHTTPBackend,
     SweepSpec,
     TieredStore,
@@ -89,11 +90,12 @@ PAIR_SCANS_BUDGET_S = 4.0
 #: churn, payload re-encoding, server-side scans per artifact).
 CACHE_SERVER_BUDGET_S = 15.0
 
-#: Budget for draining the paper sweep's 2,382-job DAG through an
-#: in-process coordinator — one lease and one complete per job, nothing
-#: executed — in seconds.  Typical: ~0.02 s with the ready/deadline
-#: heaps and running state counts; ~1.3 s when lease and complete walk
-#: every job, which every local sweep would pay on top of its compute.
+#: Budget for draining a 2,592-job DAG (ten paper sweeps that differ in
+#: their mapping seeds) through an in-process coordinator — one lease
+#: and one complete per job, nothing executed — in seconds.  Typical:
+#: ~0.02 s with the ready/deadline heaps and running state counts;
+#: ~1.3 s when lease and complete walk every job, which every local
+#: sweep would pay on top of its compute.
 COORDINATOR_DRAIN_BUDGET_S = 0.25
 
 
@@ -275,13 +277,23 @@ def test_cache_server_round_trip_within_budget(tmp_path):
 
 @pytest.mark.perf_smoke
 def test_coordinator_drain_within_budget():
-    """The paper protocol's DAG, one lease and one complete per job."""
-    spec = SweepSpec(
-        PAPER_TOPOLOGIES, PAPER_BENCHMARKS, PAPER_ENGINE_ORDER,
-        num_seeds=50, detailed=True,
-    )
-    rows = serialize_graph(plan_sweep(spec).graph)
-    assert len(rows) == 2382
+    """Paper-protocol DAGs, one lease and one complete per job.
+
+    One paper sweep plans 324 jobs.  Nine more mapping-seed bases add
+    their own transpile and fidelity jobs on top of the shared layout
+    jobs, so the drain stays above the 2,382 jobs the sweep planned when
+    every mapping seed was a job; at 324 a quadratic lease would hide.
+    """
+    graph = JobGraph()
+    for base_seed in range(11, 21):
+        spec = SweepSpec(
+            PAPER_TOPOLOGIES, PAPER_BENCHMARKS, PAPER_ENGINE_ORDER,
+            num_seeds=50, base_seed=base_seed, detailed=True,
+        )
+        for job in plan_sweep(spec).graph.ordered():
+            graph.add(job)
+    rows = serialize_graph(graph)
+    assert len(rows) >= 2382
     coordinator = FleetCoordinator()
     coordinator.enqueue(rows)
 

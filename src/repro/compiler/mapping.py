@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import networkx as nx
 import numpy as np
 
 from repro.circuits.circuit import QuantumCircuit
@@ -65,7 +66,7 @@ def random_mapping(
             slot = min(
                 free_slots,
                 key=lambda p: (
-                    sum(_distance(graph, p, q) for q in partners),
+                    sum(_distance(topology, p, q) for q in partners),
                     p,
                 ),
             )
@@ -76,9 +77,9 @@ def random_mapping(
     return mapping
 
 
-def _distance(graph, a: int, b: int) -> int:
+def _distance(topology: Topology, a: int, b: int) -> int:
     """Memoized hop distance on the coupling graph."""
-    return len(_shortest_path_cache(graph, a, b)) - 1
+    return len(_shortest_path_cache(topology, a, b)) - 1
 
 
 def greedy_mapping(circuit: QuantumCircuit, topology: Topology) -> dict:
@@ -120,7 +121,8 @@ def greedy_mapping(circuit: QuantumCircuit, topology: Topology) -> dict:
                 candidates,
                 key=lambda p: (
                     sum(
-                        len(_shortest_path_cache(graph, p, q)) for q in partners
+                        len(_shortest_path_cache(topology, p, q))
+                        for q in partners
                     ),
                     -graph.degree[p],
                     p,
@@ -133,15 +135,23 @@ def greedy_mapping(circuit: QuantumCircuit, topology: Topology) -> dict:
     return mapping
 
 
-def _shortest_path_cache(graph, a: int, b: int) -> list:
-    """Memoized shortest path; topology graphs are static per run.
+def _shortest_path_cache(topology: Topology, a: int, b: int) -> list:
+    """Memoized shortest path between physical qubits ``a`` and ``b``.
 
-    The memo lives in the graph's own attribute dict, so it is freed with
-    its graph and can never serve one topology's paths to another.
+    The one path function of the compiler: mapping and routing both take
+    their paths from it.  Topology graphs are static per run; the memo
+    lives in the graph's own attribute dict, so it is freed with its
+    graph and can never serve one topology's paths to another.  Raises
+    ``ValueError`` when ``a`` and ``b`` lie in different components of a
+    disconnected coupling graph.
     """
+    graph = topology.graph
     memo = graph.graph.setdefault("_shortest_paths", {})
     if (a, b) not in memo:
-        import networkx as nx
-
-        memo[(a, b)] = nx.shortest_path(graph, a, b)
+        try:
+            memo[(a, b)] = nx.shortest_path(graph, a, b)
+        except nx.NetworkXNoPath:
+            raise ValueError(
+                f"{topology.name}: no path between physical qubits {a} and {b}"
+            ) from None
     return memo[(a, b)]

@@ -5,64 +5,61 @@ adjacent on the device, SWAPs walk one operand along the shortest path
 toward the other (each SWAP decomposing to 3 CX).  Simple, deterministic,
 and adequate for the fidelity study — the paper's protocol averages over
 random initial mappings rather than optimizing any single route.
+
+Routing is a stream: it yields each physical gate's qubits as a plain
+tuple and builds no gate list, so :func:`~repro.compiler.scheduling
+.schedule` can consume it in one pass.
 """
 
 from __future__ import annotations
 
-import networkx as nx
+from typing import Iterator
 
 from repro.circuits.circuit import QuantumCircuit
-from repro.circuits.gates import Gate
+from repro.compiler.mapping import _shortest_path_cache
 from repro.topologies.base import Topology
 
 
 def route_circuit(
     circuit: QuantumCircuit,
     topology: Topology,
-    initial_mapping: dict,
-) -> tuple:
-    """Route ``circuit`` under ``initial_mapping`` (logical → physical).
+    mapping: dict,
+) -> Iterator[tuple]:
+    """Route ``circuit`` under ``mapping`` (logical → physical).
 
-    Returns ``(physical_gates, final_mapping)`` where ``physical_gates``
-    is a list of :class:`~repro.circuits.gates.Gate` over physical qubit
-    indices with SWAPs already decomposed into 3 CX each.
+    Yields the physical qubits of every routed gate in order: ``(q,)``
+    for a one-qubit gate, ``(a, b)`` on a coupling edge for a two-qubit
+    gate, and three CX tuples per SWAP.  ``mapping`` starts as the
+    initial mapping and is updated in place as SWAPs move logical
+    qubits; once the stream is exhausted it is the final mapping.
     """
     graph = topology.graph
-    mapping = dict(initial_mapping)  # logical -> physical
     inverse = {phys: logical for logical, phys in mapping.items()}
-    physical_gates = []
-
-    def emit_cx(a: int, b: int) -> None:
-        physical_gates.append(Gate("cx", (a, b)))
-
-    def do_swap(a: int, b: int) -> None:
-        emit_cx(a, b)
-        emit_cx(b, a)
-        emit_cx(a, b)
-        la, lb = inverse.get(a), inverse.get(b)
-        if la is not None:
-            mapping[la] = b
-        if lb is not None:
-            mapping[lb] = a
-        inverse[a], inverse[b] = lb, la
-
     for gate in circuit.gates:
         if gate.num_qubits == 1:
-            physical_gates.append(
-                Gate(gate.name, (mapping[gate.qubits[0]],), gate.params)
-            )
+            yield (mapping[gate.qubits[0]],)
             continue
         la, lb = gate.qubits
         pa, pb = mapping[la], mapping[lb]
         if not graph.has_edge(pa, pb):
-            path = nx.shortest_path(graph, pa, pb)
+            path = _shortest_path_cache(topology, pa, pb)
             # Walk qubit ``la`` along the path until adjacent to ``pb``.
             for hop in path[1:-1]:
-                do_swap(mapping[la], hop)
+                a = mapping[la]
+                yield (a, hop)
+                yield (hop, a)
+                yield (a, hop)
+                at_a, at_hop = inverse.get(a), inverse.get(hop)
+                if at_a is not None:
+                    mapping[at_a] = hop
+                if at_hop is not None:
+                    mapping[at_hop] = a
+                inverse[a], inverse[hop] = at_hop, at_a
             pa, pb = mapping[la], mapping[lb]
+            # Coupling graphs have no self-loops, so an edge also
+            # guarantees two distinct qubits.
             if not graph.has_edge(pa, pb):
                 raise AssertionError(
                     f"routing failed to make ({la},{lb}) adjacent"
                 )
-        physical_gates.append(Gate(gate.name, (pa, pb), gate.params))
-    return (physical_gates, mapping)
+        yield (pa, pb)

@@ -1,8 +1,8 @@
-"""Transpiler facade: map → route → schedule → statistics."""
+"""Transpiler facade: map, then schedule the routed gate stream."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.circuits.circuit import QuantumCircuit
 from repro.compiler.mapping import greedy_mapping, random_mapping
@@ -13,17 +13,32 @@ from repro.topologies.base import Topology
 
 @dataclass
 class TranspiledCircuit:
-    """A routed, scheduled circuit plus the statistics the noise model needs."""
+    """A routed, scheduled circuit: the statistics the noise model needs.
+
+    ``timing`` holds the makespan, the per-qubit busy times and gate
+    tallies and the active edges; no routed gate list is kept.
+    """
 
     name: str
     topology_name: str
     initial_mapping: dict
     final_mapping: dict
-    physical_gates: list
     timing: Schedule
-    gates_1q: dict = field(default_factory=dict)  # physical qubit -> count
-    gates_2q: dict = field(default_factory=dict)
-    active_edges: set = field(default_factory=set)  # resonators used by 2q gates
+
+    @property
+    def gates_1q(self) -> dict:
+        """Physical qubit → one-qubit gate count."""
+        return self.timing.gates_1q
+
+    @property
+    def gates_2q(self) -> dict:
+        """Physical qubit → two-qubit gate count (SWAPs as 3 CX)."""
+        return self.timing.gates_2q
+
+    @property
+    def active_edges(self) -> set:
+        """Resonators used by two-qubit gates, as ``(qi, qj)``, ``qi < qj``."""
+        return self.timing.active_edges
 
     @property
     def active_qubits(self) -> set:
@@ -58,32 +73,12 @@ def transpile(
         else:
             initial_mapping = greedy_mapping(circuit, topology)
 
-    physical_gates, final_mapping = route_circuit(
-        circuit, topology, initial_mapping
-    )
-    timing = schedule(physical_gates)
-
-    gates_1q = {}
-    gates_2q = {}
-    active_edges = set()
-    for gate in physical_gates:
-        if gate.num_qubits == 1:
-            q = gate.qubits[0]
-            gates_1q[q] = gates_1q.get(q, 0) + 1
-        else:
-            a, b = gate.qubits
-            for q in (a, b):
-                gates_2q[q] = gates_2q.get(q, 0) + 1
-            active_edges.add((min(a, b), max(a, b)))
-
+    final_mapping = dict(initial_mapping)
+    timing = schedule(route_circuit(circuit, topology, final_mapping))
     return TranspiledCircuit(
         name=circuit.name,
         topology_name=topology.name,
         initial_mapping=dict(initial_mapping),
         final_mapping=final_mapping,
-        physical_gates=physical_gates,
         timing=timing,
-        gates_1q=gates_1q,
-        gates_2q=gates_2q,
-        active_edges=active_edges,
     )

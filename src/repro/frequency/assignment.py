@@ -3,9 +3,11 @@
 IBM-style fixed-frequency devices use a small set of qubit frequency groups
 laid out so that coupled qubits never share a group (a graph-coloring
 problem on the coupling graph).  Readout/coupler resonators sit several GHz
-above the qubits and are likewise detuned from one another locally — we
-color the *line graph* of the coupling graph so resonators sharing a qubit
-get different bands.
+above the qubits and are likewise detuned from one another locally: a
+resonator's *hard* neighbours are the couplers sharing a qubit with it
+(its line-graph neighbours) and its *soft* neighbours the couplers two
+line-graph hops away.  Both sets are read off one qubit → incident
+couplers index, without building the line graph.
 """
 
 from __future__ import annotations
@@ -70,28 +72,51 @@ def _greedy_coloring(graph: nx.Graph, num_colors: int) -> dict:
     return {node: color % num_colors for node, color in coloring.items()}
 
 
-def _two_tier_coloring(
-    hard: nx.Graph, soft: nx.Graph, num_colors: int
-) -> dict:
-    """Conflict-minimizing coloring with hard and soft constraint graphs.
+def _coupler_neighbours(graph: nx.Graph) -> tuple:
+    """Hard and soft neighbour sets of every coupler, keyed ``(qi, qj)``.
 
-    ``hard`` edges (resonators sharing a qubit) must be detuned at all
-    cost; ``soft`` edges (distance-2 neighbourhood) should be when bands
+    Hard: the couplers sharing a qubit with it.  Soft: the couplers
+    touching either endpoint or a neighbour of one, minus the hard ones
+    and itself — its distance-2 line-graph neighbourhood.
+    """
+    couplers = [(min(u, v), max(u, v)) for u, v in graph.edges]
+    incident = {}  # qubit -> couplers touching it
+    for coupler in couplers:
+        for qubit in coupler:
+            incident.setdefault(qubit, set()).add(coupler)
+    hard = {}
+    soft = {}
+    for coupler in couplers:
+        qa, qb = coupler
+        near = (incident[qa] | incident[qb]) - {coupler}
+        hard[coupler] = near
+        ring = {qubit for other in near for qubit in other}
+        reach = set().union(*(incident[qubit] for qubit in ring))
+        soft[coupler] = reach - near - {coupler}
+    return (hard, soft)
+
+
+def _two_tier_coloring(hard: dict, soft: dict, num_colors: int) -> dict:
+    """Conflict-minimizing coloring with hard and soft neighbour sets.
+
+    ``hard[node]`` (resonators sharing a qubit) must be detuned at all
+    cost; ``soft[node]`` (distance-2 neighbourhood) should be when bands
     suffice.  Each node greedily takes the band minimizing
     ``1000 * hard_conflicts + soft_conflicts`` — a real frequency planner
-    never sacrifices a direct-neighbour detuning to fix a far one.
+    never sacrifices a direct-neighbour detuning to fix a far one.  A
+    band's cost is a sum of integers, so neighbour order cannot change a
+    color.
     """
-    degree = {
-        node: hard.degree[node] + soft.degree[node] for node in hard.nodes
-    }
-    order = sorted(hard.nodes, key=lambda node: (-degree[node], node))
+    order = sorted(
+        hard, key=lambda node: (-(len(hard[node]) + len(soft[node])), node)
+    )
     colors = {}
     for node in order:
         cost = [0] * num_colors
-        for nbr in hard.neighbors(node):
+        for nbr in hard[node]:
             if nbr in colors:
                 cost[colors[nbr]] += 1000
-        for nbr in soft.neighbors(node):
+        for nbr in soft[node]:
             if nbr in colors:
                 cost[colors[nbr]] += 1
         best = min(range(num_colors), key=lambda c: (cost[c], c))
@@ -110,10 +135,11 @@ def assign_frequencies(
 ) -> FrequencyPlan:
     """Allocate frequencies and write them onto the netlist components.
 
-    Qubits are colored on the coupling graph; resonators on the *square*
-    of its line graph — frequency planners detune a resonator against
-    everything within two coupler hops, because that is the neighbourhood
-    a well-placed (unified, in-channel) resonator can physically touch.
+    Qubits are colored on the coupling graph; resonators against their
+    hard and soft neighbours (:func:`_coupler_neighbours`) — frequency
+    planners detune a resonator against everything within two coupler
+    hops, because that is the neighbourhood a well-placed (unified,
+    in-channel) resonator can physically touch.
     The assigned frequencies are stored on
     :class:`~repro.netlist.components.Qubit`,
     :class:`~repro.netlist.components.Resonator` and every wire block, and
@@ -133,26 +159,8 @@ def assign_frequencies(
         qubit.frequency = freq
         plan.qubit_freq[qubit.index] = freq
 
-    line_graph = nx.line_graph(topology.graph)
-    # line_graph nodes are edge tuples in arbitrary orientation; canonicalize.
-    canon = nx.Graph()
-    canon.add_nodes_from((min(u), max(u)) if isinstance(u, tuple) else u
-                         for u in line_graph.nodes)
-    for u, v in line_graph.edges:
-        cu = (min(u), max(u))
-        cv = (min(v), max(v))
-        canon.add_edge(cu, cv)
-    if canon.number_of_nodes() > 0 and canon.number_of_edges() > 0:
-        squared = nx.power(canon, 2)
-        soft = nx.Graph()
-        soft.add_nodes_from(canon.nodes)
-        soft.add_edges_from(
-            (u, v) for u, v in squared.edges if not canon.has_edge(u, v)
-        )
-    else:
-        soft = nx.Graph()
-        soft.add_nodes_from(canon.nodes)
-    res_colors = _two_tier_coloring(canon, soft, len(resonator_bands))
+    hard, soft = _coupler_neighbours(topology.graph)
+    res_colors = _two_tier_coloring(hard, soft, len(resonator_bands))
     for resonator in netlist.resonators:
         freq = resonator_bands[res_colors[resonator.key]]
         freq += (

@@ -7,6 +7,14 @@ whenever neighbouring clusters would overlap (the classic PlaceRow
 recurrence).  Obstacles (qubit macros) split each row into independent
 segments.
 
+Each segment keeps its running displacement cost after every cluster,
+so a trial insertion re-scores only the cluster the new cell merges
+into: PlaceRow's leftward merges are simulated on ``(n, adj_sum)``
+alone, and the cost is the stored prefix before the merge point plus
+the merged cluster's cells.  The prefix is accumulated cell by cell in
+left-to-right order, so every cost is the float a full left-to-right
+sum over the segment gives.
+
 Like Tetris, Abacus is integration-blind: it optimizes displacement per
 cell and happily splits a resonator's blocks across rows and segments.
 """
@@ -22,73 +30,84 @@ from repro.legalization.bins import BinGrid
 class _Cluster:
     """A maximal run of touching unit cells within one segment.
 
-    ``cells`` holds ``(block, raw_target)`` in left-to-right order; the
-    cell at list index ``k`` sits at ``start + k``.  ``adj_sum`` maintains
-    ``Σ (raw_target_k - k)`` so the mean-optimal start is ``adj_sum / n``.
+    ``cells`` holds the ``n`` pairs ``(block, raw_target)`` in
+    left-to-right order; the cell at list index ``k`` sits at
+    ``start + k``.  ``adj_sum`` is ``Σ (raw_target_k - k)``, so the
+    mean-optimal start is ``adj_sum / n`` and ``start`` is that mean
+    clamped so the cluster fits its segment.
     """
 
-    cells: list = field(default_factory=list)
-    adj_sum: float = 0.0
-
-    @property
-    def n(self) -> int:
-        return len(self.cells)
-
-    def optimal_start(self, seg_lo: float, seg_hi_excl: float) -> float:
-        """Mean-optimal start clamped so the cluster fits the segment."""
-        raw = self.adj_sum / self.n
-        return min(max(raw, seg_lo), seg_hi_excl - self.n)
+    cells: list
+    n: int
+    adj_sum: float
+    start: float
 
 
 @dataclass
 class _Segment:
-    """A maximal free interval of one row: columns ``lo .. hi`` inclusive."""
+    """A maximal free interval of one row: columns ``lo .. hi`` inclusive.
+
+    ``costs[i]`` is the quadratic x-displacement of every cell in
+    ``clusters[: i + 1]``, summed cell by cell from 0.0 in left-to-right
+    order; ``used`` counts the cells.
+    """
 
     lo: int
     hi: int
     clusters: list = field(default_factory=list)
+    costs: list = field(default_factory=list)
+    used: int = 0
 
     @property
     def capacity(self) -> int:
         return self.hi - self.lo + 1
 
     @property
-    def used(self) -> int:
-        return sum(c.n for c in self.clusters)
-
     def total_cost(self) -> float:
         """Quadratic x-displacement of every cell currently in the segment."""
-        cost = 0.0
-        for cluster in self.clusters:
-            start = cluster.optimal_start(float(self.lo), float(self.hi + 1))
-            for k, (_block, raw_target) in enumerate(cluster.cells):
-                cost += (start + k - raw_target) ** 2
-        return cost
+        return self.costs[-1] if self.costs else 0.0
+
+    def _merge(self, raw_target: float) -> tuple:
+        """PlaceRow's leftward merges of a new cell, on ``(n, adj_sum)``.
+
+        The new cell absorbs ``clusters[first:]`` into one cluster of
+        ``n`` cells whose start is ``adj_sum / n`` clamped to the
+        segment.  Returns ``(first, n, adj_sum, start, cost)``, where
+        ``cost`` is the segment's total cost after the insertion.
+        """
+        seg_lo, seg_hi = float(self.lo), float(self.hi + 1)
+        n, adj_sum = 1, raw_target
+        start = min(max(adj_sum / n, seg_lo), seg_hi - n)
+        first = len(self.clusters)
+        while first:
+            prev = self.clusters[first - 1]
+            if prev.start + prev.n <= start + 1e-9:
+                break
+            adj_sum = prev.adj_sum + adj_sum - n * prev.n
+            n += prev.n
+            start = min(max(adj_sum / n, seg_lo), seg_hi - n)
+            first -= 1
+        cost = self.costs[first - 1] if first else 0.0
+        k = 0
+        for cluster in self.clusters[first:]:
+            for _block, target in cluster.cells:
+                cost += (start + k - target) ** 2
+                k += 1
+        cost += (start + k - raw_target) ** 2
+        return (first, n, adj_sum, start, cost)
+
+    def trial_cost(self, raw_target: float) -> float:
+        """Total cost the segment would have after inserting ``raw_target``."""
+        return self._merge(raw_target)[4]
 
     def insert(self, block, raw_target: float) -> None:
         """PlaceRow append: new singleton cluster, merge leftward while overlapping."""
-        self.clusters.append(_Cluster(cells=[(block, raw_target)], adj_sum=raw_target))
-        seg_lo, seg_hi = float(self.lo), float(self.hi + 1)
-        while len(self.clusters) >= 2:
-            cur = self.clusters[-1]
-            prev = self.clusters[-2]
-            if prev.optimal_start(seg_lo, seg_hi) + prev.n <= cur.optimal_start(
-                seg_lo, seg_hi
-            ) + 1e-9:
-                break
-            merged = _Cluster(
-                cells=prev.cells + cur.cells,
-                adj_sum=prev.adj_sum + cur.adj_sum - cur.n * prev.n,
-            )
-            self.clusters[-2:] = [merged]
-
-    def clone(self) -> "_Segment":
-        """Deep-enough copy for trial insertions."""
-        return _Segment(
-            self.lo,
-            self.hi,
-            [_Cluster(list(c.cells), c.adj_sum) for c in self.clusters],
-        )
+        first, n, adj_sum, start, cost = self._merge(raw_target)
+        cells = [cell for cluster in self.clusters[first:] for cell in cluster.cells]
+        cells.append((block, raw_target))
+        self.clusters[first:] = [_Cluster(cells, n, adj_sum, start)]
+        self.costs[first:] = [cost]
+        self.used += 1
 
 
 def _segments_of_row(bins: BinGrid, row: int) -> list:
@@ -116,6 +135,12 @@ def abacus_legalize(blocks: list, bins: BinGrid) -> dict:
     are written back to the blocks **and** committed to ``bins``; returns
     block name → (col, row).  Raises ``RuntimeError`` when no segment can
     host a cell.
+
+    Each cluster's start is rounded to a column and clamped to its
+    segment, and a segment's clusters are committed left to right with
+    none starting before the previous one ends: two touching clusters
+    whose starts round to the same column (half-integer starts round to
+    even) are laid side by side instead of onto one site.
     """
     grid = bins.grid
     row_segments = [_segments_of_row(bins, r) for r in range(grid.rows)]
@@ -136,10 +161,9 @@ def abacus_legalize(blocks: list, bins: BinGrid) -> dict:
                 for segment in row_segments[row]:
                     if segment.used >= segment.capacity:
                         continue
-                    trial = segment.clone()
-                    before = trial.total_cost()
-                    trial.insert(block, raw_target)
-                    delta = y_cost + trial.total_cost() - before
+                    delta = (
+                        y_cost + segment.trial_cost(raw_target) - segment.total_cost
+                    )
                     if best is None or delta < best[0]:
                         best = (delta, row, segment)
         if best is None:
@@ -151,18 +175,18 @@ def abacus_legalize(blocks: list, bins: BinGrid) -> dict:
     placed = {}
     for row_idx, segments in enumerate(row_segments):
         for segment in segments:
+            next_col = segment.lo
             for cluster in segment.clusters:
-                start = cluster.optimal_start(
-                    float(segment.lo), float(segment.hi + 1)
-                )
-                start_col = int(round(start))
+                start_col = int(round(cluster.start))
                 start_col = max(
                     segment.lo, min(start_col, segment.hi + 1 - cluster.n)
                 )
+                start_col = max(start_col, next_col)
                 for offset, (block, _t) in enumerate(cluster.cells):
                     col = start_col + offset
                     bins.occupy(col, row_idx, block.node_id)
                     center = grid.site_center(col, row_idx)
                     block.move_to(center.x, center.y)
                     placed[block.name] = (col, row_idx)
+                next_col = start_col + cluster.n
     return placed

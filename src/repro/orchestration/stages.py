@@ -98,14 +98,13 @@ def transpile_stats_from_dict(data: dict) -> TranspiledCircuit:
         topology_name=data["topology_name"],
         initial_mapping={},
         final_mapping={},
-        physical_gates=[],
         timing=Schedule(
             duration_ns=data["duration_ns"],
             busy_ns={int(q): t for q, t in data["busy_ns"].items()},
+            gates_1q={int(q): n for q, n in data["gates_1q"].items()},
+            gates_2q={int(q): n for q, n in data["gates_2q"].items()},
+            active_edges={tuple(edge) for edge in data["active_edges"]},
         ),
-        gates_1q={int(q): n for q, n in data["gates_1q"].items()},
-        gates_2q={int(q): n for q, n in data["gates_2q"].items()},
-        active_edges={tuple(edge) for edge in data["active_edges"]},
     )
 
 

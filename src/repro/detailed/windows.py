@@ -39,6 +39,7 @@ def find_violations(
     bins=None,
     hotspot_scores: dict = None,
     crossing_scores: dict = None,
+    cluster_counts: dict = None,
 ) -> list:
     """Resonator keys needing detailed placement: ``E_c ∪ E_h ∪ E_x``.
 
@@ -48,10 +49,10 @@ def find_violations(
     worst-first (cluster count, hotspot score, crossings) so the placer
     attacks the most fragmented resonators before the marginal ones.
 
-    ``hotspot_scores`` / ``crossing_scores`` let a caller that already
-    scored the layout (the detailed placer, which keeps these maps as
-    its current scores) pass the per-resonator maps instead of
-    recomputing them.
+    ``hotspot_scores`` / ``crossing_scores`` / ``cluster_counts`` let a
+    caller that already scored the layout (the detailed placer, which
+    keeps these maps as its current scores) pass the per-resonator maps
+    instead of recomputing them.
     """
     if hotspot_scores is None:
         hotspot_scores = resonator_hotspots(netlist, reach, delta_c, lb=lb)
@@ -59,7 +60,8 @@ def find_violations(
         crossing_scores = {}
         if bins is not None:
             crossing_scores = count_crossings(netlist, bins).per_resonator
-    cluster_counts = cluster_count_map(netlist.resonators, lb)
+    if cluster_counts is None:
+        cluster_counts = cluster_count_map(netlist.resonators, lb)
     flagged = []
     for resonator in netlist.resonators:
         clusters = cluster_counts[resonator.key]

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.geometry import SiteGrid, gap_between, near_pairs, rect_bounds
 from repro.netlist.netlist import QuantumNetlist
 
@@ -30,12 +32,15 @@ class LegalityViolation:
         return f"{self.kind}: {self.id_a} vs {self.id_b} by {self.amount:.3f}"
 
 
-def _all_rects(netlist: QuantumNetlist) -> list:
-    out = [(("q", q.index), q.rect) for q in netlist.qubits]
-    out.extend(
-        (("b", b.resonator_key, b.ordinal), b.rect) for b in netlist.wire_blocks
-    )
-    return out
+def _component_bounds(qubits: list, blocks: list) -> tuple:
+    """``(lo, hi)`` corner arrays of ``qubits`` then ``blocks``, bit-equal
+    to each component's ``rect.xlo`` etc. (``centre ∓ size / 2.0``)."""
+    boxes = np.array(
+        [(q.x, q.y, q.w, q.h) for q in qubits]
+        + [(b.x, b.y, b.size, b.size) for b in blocks],
+        dtype=np.float64,
+    ).reshape(-1, 4)
+    return boxes[:, :2] - boxes[:, 2:] / 2.0, boxes[:, :2] + boxes[:, 2:] / 2.0
 
 
 def check_legality(
@@ -43,26 +48,41 @@ def check_legality(
     grid: SiteGrid,
     tol: float = 1e-6,
 ) -> list:
-    """All overlap and border violations in the current layout."""
+    """All overlap and border violations in the current layout.
+
+    Border violations come first, in component order (qubits, then wire
+    blocks), then overlaps in ``near_pairs`` order.  The border test runs
+    on the corner arrays; a ``Rect`` is built only for a violator or an
+    overlapping pair, whose amount keeps its scalar expression.
+    """
     violations = []
     border = grid.border
-    rects = _all_rects(netlist)
+    qubits, blocks = netlist.qubits, netlist.wire_blocks
+    components = [*qubits, *blocks]
+    lo, hi = _component_bounds(qubits, blocks)
 
-    for cid, rect in rects:
-        if not rect.inside(border, tol):
-            excess = max(
-                border.xlo - rect.xlo,
-                rect.xhi - border.xhi,
-                border.ylo - rect.ylo,
-                rect.yhi - border.yhi,
-            )
-            violations.append(LegalityViolation("border", cid, None, excess))
+    # Rect.inside, negated so a NaN corner is a violation, as there.
+    outside = ~(
+        (lo[:, 0] >= border.xlo - tol)
+        & (hi[:, 0] <= border.xhi + tol)
+        & (lo[:, 1] >= border.ylo - tol)
+        & (hi[:, 1] <= border.yhi + tol)
+    )
+    for k in np.flatnonzero(outside).tolist():
+        component = components[k]
+        rect = component.rect
+        excess = max(
+            border.xlo - rect.xlo,
+            rect.xhi - border.xhi,
+            border.ylo - rect.ylo,
+            rect.yhi - border.yhi,
+        )
+        violations.append(LegalityViolation("border", component.node_id, None, excess))
 
     # An axis overlap above tol is exactly an axis gap below -tol (IEEE
     # subtraction is antisymmetric), so -tol admits every overlap.
-    for i, j in near_pairs(*rect_bounds([r for _, r in rects]), -tol).tolist():
-        cid_i, rect_i = rects[i]
-        cid_j, rect_j = rects[j]
+    for i, j in near_pairs(lo, hi, -tol).tolist():
+        rect_i, rect_j = components[i].rect, components[j].rect
         if rect_i.overlaps(rect_j, tol):
             overlap = min(
                 rect_i.xhi - rect_j.xlo,
@@ -70,7 +90,8 @@ def check_legality(
                 rect_i.yhi - rect_j.ylo,
                 rect_j.yhi - rect_i.ylo,
             )
-            violations.append(LegalityViolation("overlap", cid_i, cid_j, overlap))
+            ids = (components[i].node_id, components[j].node_id)
+            violations.append(LegalityViolation("overlap", *ids, overlap))
     return violations
 
 

@@ -10,6 +10,7 @@ from repro.geometry import gap_between
 from repro.legalization.bins import BinGrid
 from repro.metrics.integration import integration_ratio, total_clusters
 from repro.metrics.legality import check_legality, qubit_spacing_violations
+from repro.netlist.clusters import block_cluster_map
 from repro.netlist.netlist import QuantumNetlist
 from repro.netlist.traces import build_traces
 from repro.routing.crossings import CrossingReport, count_crossings
@@ -83,15 +84,22 @@ def analyze_layout(
     netlist: QuantumNetlist,
     bins: BinGrid,
     config: QGDPConfig = None,
+    traces: dict = None,
 ) -> tuple:
     """Analyse the layout once: ``(LayoutMetrics, fidelity_inputs)``.
 
-    The MST traces are built once, at ``config.lb`` (the grid's pitch),
-    for both the hotspot and the crossing analysis.
+    One batched cluster pass at ``config.lb`` (the grid's pitch) feeds
+    Iedge, the cluster total and, unless ``traces`` supplies the layout's
+    MST traces (as :func:`~repro.netlist.traces.build_traces` returns),
+    the one trace build that both the hotspot and the crossing analysis
+    read.
     """
     config = config or QGDPConfig()
-    unified, total = integration_ratio(netlist, config.lb)
-    traces = build_traces(netlist, config.lb)
+    clusters = block_cluster_map(netlist.resonators, config.lb)
+    counts = {key: len(found) for key, found in clusters.items()}
+    unified, total = integration_ratio(netlist, config.lb, counts)
+    if traces is None:
+        traces = build_traces(netlist, config.lb, clusters)
     hotspots = hotspot_report(
         netlist, config.reach, config.delta_c, config.lb, traces
     )
@@ -101,7 +109,7 @@ def analyze_layout(
         num_cells=netlist.num_cells,
         unified=unified,
         total_resonators=total,
-        clusters=total_clusters(netlist, config.lb),
+        clusters=total_clusters(netlist, config.lb, counts),
         crossings=crossings.total,
         ph_percent=hotspots.ph_percent,
         hq=hotspots.hq,
@@ -116,6 +124,10 @@ def layout_metrics(
     netlist: QuantumNetlist,
     bins: BinGrid,
     config: QGDPConfig = None,
+    traces: dict = None,
 ) -> LayoutMetrics:
-    """Compute the full metric set on the current (legalized) layout."""
-    return analyze_layout(netlist, bins, config)[0]
+    """Compute the full metric set on the current (legalized) layout.
+
+    ``traces`` is passed on to :func:`analyze_layout`.
+    """
+    return analyze_layout(netlist, bins, config, traces)[0]

@@ -41,32 +41,22 @@ def block_node(resonator_key: tuple, ordinal: int) -> tuple:
     return ("b", resonator_key, ordinal)
 
 
-def snake_connection_nets(resonator: Resonator) -> list:
-    """Chain nets: qubit_i — b0 — b1 — ... — b(n-1) — qubit_j."""
-    key = resonator.key
-    n = resonator.num_blocks
-    if n == 0:
-        return [(qubit_node(resonator.qi), qubit_node(resonator.qj))]
-    nets = [(qubit_node(resonator.qi), block_node(key, 0))]
-    nets.extend(
-        (block_node(key, i), block_node(key, i + 1)) for i in range(n - 1)
-    )
-    nets.append((block_node(key, n - 1), qubit_node(resonator.qj)))
-    return nets
+def net_pattern(style: ConnectionStyle, num_blocks: int) -> tuple:
+    """One resonator's nets as ``(a, b)`` pairs of local node numbers.
 
-
-def pseudo_connection_nets(resonator: Resonator) -> list:
-    """Snake nets plus all-neighbour links in the reshaped rectangle.
-
-    Blocks are conceptually arranged row-major in the ``cols x rows``
-    rectangle from :func:`reshape_to_rectangle`; each block gets a net to
-    its right and upper neighbour (covering every adjacent pair once).
+    The net structure depends only on the style and the block count:
+    local node 0 is qubit_i, node ``k`` (``1 ≤ k ≤ n``) is block
+    ``k − 1`` and node ``n + 1`` is qubit_j.  The order is the net order
+    every consumer sees: the snake chain qubit_i — b0 — ... — b(n-1) —
+    qubit_j (just qubit_i — qubit_j without blocks), then, for pseudo
+    connections, each block's link to its right and upper neighbour in
+    the ``cols x rows`` rectangle from :func:`reshape_to_rectangle`
+    (blocks row-major), skipping pairs already joined.
     """
-    nets = snake_connection_nets(resonator)
-    key = resonator.key
-    n = resonator.num_blocks
-    if n <= 1:
-        return nets
+    n = num_blocks
+    nets = [(k, k + 1) for k in range(n + 1)]
+    if style is not ConnectionStyle.PSEUDO or n <= 1:
+        return tuple(nets)
     cols, _rows = reshape_to_rectangle(n)
     seen = {frozenset(net) for net in nets}
     for i in range(n):
@@ -80,21 +70,40 @@ def pseudo_connection_nets(resonator: Resonator) -> list:
             )
             if not adjacent:
                 continue
-            net = (block_node(key, i), block_node(key, j))
+            net = (i + 1, j + 1)
             if frozenset(net) not in seen:
                 seen.add(frozenset(net))
                 nets.append(net)
-    return nets
+    return tuple(nets)
 
 
 def build_block_nets(resonators: list, style: ConnectionStyle) -> list:
-    """Nets for every resonator under the chosen connection style."""
-    builder = (
-        pseudo_connection_nets
-        if style is ConnectionStyle.PSEUDO
-        else snake_connection_nets
-    )
+    """Nets for every resonator under the chosen connection style, as
+    node-id pairs: :func:`net_pattern` over each resonator's nodes, in
+    resonator order."""
+    patterns = {}
     nets = []
     for resonator in resonators:
-        nets.extend(builder(resonator))
+        n = resonator.num_blocks
+        if n not in patterns:
+            patterns[n] = net_pattern(style, n)
+        nodes = [qubit_node(resonator.qi)]
+        nodes.extend(block_node(resonator.key, k) for k in range(n))
+        nodes.append(qubit_node(resonator.qj))
+        nets.extend((nodes[a], nodes[b]) for a, b in patterns[n])
     return nets
+
+
+def snake_connection_nets(resonator: Resonator) -> list:
+    """Chain nets: qubit_i — b0 — b1 — ... — b(n-1) — qubit_j."""
+    return build_block_nets([resonator], ConnectionStyle.SNAKE)
+
+
+def pseudo_connection_nets(resonator: Resonator) -> list:
+    """Snake nets plus all-neighbour links in the reshaped rectangle.
+
+    Blocks are conceptually arranged row-major in the ``cols x rows``
+    rectangle from :func:`reshape_to_rectangle`; each block gets a net to
+    its right and upper neighbour (covering every adjacent pair once).
+    """
+    return build_block_nets([resonator], ConnectionStyle.PSEUDO)

@@ -115,14 +115,16 @@ def resonator_trace(
     return mst_segments(terminal_sets)
 
 
-def build_traces(netlist: QuantumNetlist, lb: float) -> dict:
+def build_traces(netlist: QuantumNetlist, lb: float, clusters: dict = None) -> dict:
     """``{resonator key: MST trace}`` for the whole layout.
 
     Clusters for all resonators come from one batched
     :func:`~repro.netlist.clusters.block_cluster_map` pass (the cluster
-    extraction is about half of a cold trace build).
+    extraction is about half of a cold trace build); ``clusters`` lets a
+    caller that already ran that pass at ``lb`` hand its map in.
     """
-    clusters = block_cluster_map(netlist.resonators, lb)
+    if clusters is None:
+        clusters = block_cluster_map(netlist.resonators, lb)
     return {
         r.key: resonator_trace(netlist, r, lb, clusters=clusters[r.key])
         for r in netlist.resonators

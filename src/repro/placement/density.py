@@ -35,8 +35,11 @@ class DensityMap:
         by = np.clip((ys / self.bin_size).astype(int), 0, self.ny - 1)
         return (bx, by)
 
-    def deposit(self, xs: np.ndarray, ys: np.ndarray, areas: np.ndarray) -> None:
-        """Recompute the density from scratch for the given cells."""
+    def deposit(self, xs: np.ndarray, ys: np.ndarray, areas: np.ndarray) -> tuple:
+        """Recompute the density from scratch for the given cells.
+
+        Returns the cells' ``(bx, by)`` bins, for :meth:`gradient_at`.
+        """
         bx, by = self.bin_of(xs, ys)
         # Each bin adds its cells' areas one by one from 0.0 in cell order,
         # bit-identical to ``np.add.at``; the cast is for no cells, where
@@ -45,6 +48,7 @@ class DensityMap:
         self._density = flat.astype(np.float64, copy=False).reshape(
             self.ny, self.nx
         )
+        return (bx, by)
 
     def smoothed(self) -> np.ndarray:
         """Density after one 3x3 box blur (keeps the gradient stable)."""
@@ -56,12 +60,12 @@ class DensityMap:
                 out += padded[dy : dy + d.shape[0], dx : dx + d.shape[1]]
         return out / 9.0
 
-    def gradient_at(self, xs: np.ndarray, ys: np.ndarray) -> tuple:
-        """Smoothed density gradient sampled at cell centres.
+    def gradient_at(self, bx: np.ndarray, by: np.ndarray) -> tuple:
+        """Smoothed density gradient sampled at bins ``(bx, by)``, as
+        :meth:`bin_of` and :meth:`deposit` return them.
 
         Returns ``(gx, gy)`` arrays; the spreading force is ``-grad``.
         """
         smooth = self.smoothed()
         gy, gx = np.gradient(smooth)
-        bx, by = self.bin_of(xs, ys)
         return (gx[by, bx], gy[by, bx])

@@ -21,9 +21,8 @@ import numpy as np
 from repro.core.config import QGDPConfig
 from repro.geometry import SiteGrid
 from repro.netlist.netlist import QuantumNetlist
-from repro.netlist.pseudo import ConnectionStyle
+from repro.netlist.pseudo import ConnectionStyle, net_pattern
 from repro.placement.density import DensityMap
-from repro.placement.wirelength import total_hpwl
 
 
 @dataclass
@@ -56,31 +55,27 @@ class GlobalPlacer:
         cfg = self.config
         rng = np.random.default_rng(cfg.seed)
 
-        node_ids = [("q", q.index) for q in netlist.qubits]
-        node_ids += [
-            ("b", b.resonator_key, b.ordinal) for b in netlist.wire_blocks
-        ]
-        index_of = {nid: k for k, nid in enumerate(node_ids)}
-        num_qubits = netlist.num_qubits
-        n = len(node_ids)
-
-        pos = np.zeros((n, 2))
-        areas = np.zeros(n)
-        for q in netlist.qubits:
-            k = index_of[("q", q.index)]
-            pos[k] = (q.x, q.y)
-            areas[k] = q.rect.area
-        for b in netlist.wire_blocks:
-            k = index_of[("b", b.resonator_key, b.ordinal)]
-            pos[k] = (b.x, b.y)
-            areas[k] = b.rect.area
+        # One contiguous array per axis.  Node k is the k-th qubit by
+        # index, then the wire blocks in netlist order.
+        qubits, blocks = netlist.qubits, netlist.wire_blocks
+        components = [*qubits, *blocks]
+        num_qubits = len(qubits)
+        n = len(components)
+        x = np.array([c.x for c in components], dtype=np.float64)
+        y = np.array([c.y for c in components], dtype=np.float64)
+        areas = np.array(
+            [q.w * q.h for q in qubits] + [b.size * b.size for b in blocks],
+            dtype=np.float64,
+        )
+        anchor_x = x[:num_qubits].copy()
+        anchor_y = y[:num_qubits].copy()
 
         # Small symmetric noise so collinear seeds can spread sideways.
-        pos[num_qubits:] += rng.normal(0.0, cfg.gp_noise, (n - num_qubits, 2))
+        noise = rng.normal(0.0, cfg.gp_noise, (n - num_qubits, 2))
+        x[num_qubits:] += noise[:, 0]
+        y[num_qubits:] += noise[:, 1]
 
-        nets = netlist.nets(style)
-        src = np.array([index_of[u] for u, _ in nets], dtype=int)
-        dst = np.array([index_of[v] for _, v in nets], dtype=int)
+        src, dst = net_index_arrays(netlist, style)
         ends = np.concatenate((src, dst))
 
         density = DensityMap(grid, bin_size=2.0 * cfg.lb)
@@ -90,21 +85,14 @@ class GlobalPlacer:
         x_max = grid.width - half
         y_max = grid.height - half
         cap = 1.5 * cfg.lb
-        # One contiguous array per axis; the noise left the qubits alone,
-        # so their current positions are the anchors.
-        x = pos[:, 0].copy()
-        y = pos[:, 1].copy()
-        anchor_x = x[:num_qubits].copy()
-        anchor_y = y[:num_qubits].copy()
 
         step = cfg.gp_step
         for _ in range(cfg.gp_iterations):
             # Net attraction (linear springs on 2-pin nets).
             fx = _spring_force(x, src, dst, ends, cfg.gp_attraction)
             fy = _spring_force(y, src, dst, ends, cfg.gp_attraction)
-            # Density spreading.
-            density.deposit(x, y, areas)
-            gx, gy = density.gradient_at(x, y)
+            # Density spreading, gathered at the bins the deposit used.
+            gx, gy = density.gradient_at(*density.deposit(x, y, areas))
             fx -= cfg.gp_density * gx
             fy -= cfg.gp_density * gy
             # Qubit anchors.
@@ -123,28 +111,57 @@ class GlobalPlacer:
             np.clip(y, half, y_max, out=y)
             step *= 0.995
 
-        self._write_back(netlist, node_ids, x, y)
+        for component, cx, cy in zip(components, x.tolist(), y.tolist()):
+            component.move_to(cx, cy)
         density.deposit(x, y, areas)
         bin_cap = density.bin_size**2
         overflow = float(np.max(density.density) / bin_cap)
-        positions = {nid: (x[k], y[k]) for nid, k in index_of.items()}
+        # total_hpwl's per-net spans and its sequential (not pairwise) sum.
+        spans = np.abs(x[src] - x[dst]) + np.abs(y[src] - y[dst])
         return GlobalPlaceResult(
             iterations=cfg.gp_iterations,
-            hpwl=total_hpwl(nets, positions),
+            hpwl=float(sum(spans.tolist())),
             max_bin_overflow=overflow,
         )
 
-    @staticmethod
-    def _write_back(
-        netlist: QuantumNetlist, node_ids: list, x: np.ndarray, y: np.ndarray
-    ) -> None:
-        for k, nid in enumerate(node_ids):
-            if nid[0] == "q":
-                netlist.qubit(nid[1]).move_to(float(x[k]), float(y[k]))
-            else:
-                _, key, ordinal = nid
-                block = netlist.resonator(*key).blocks[ordinal]
-                block.move_to(float(x[k]), float(y[k]))
+
+def net_index_arrays(netlist: QuantumNetlist, style: ConnectionStyle) -> tuple:
+    """``(src, dst)`` node indices of ``netlist.nets(style)``, net for net.
+
+    Node ``k`` is the ``k``-th qubit by index, then the wire blocks in
+    netlist order.  Each resonator's local pairs come from one
+    :func:`~repro.netlist.pseudo.net_pattern` per block count and are
+    mapped to node indices with array lookups, so no node-id tuple is
+    built.
+    """
+    resonators = netlist.resonators
+    if not resonators:
+        empty = np.zeros(0, dtype=np.intp)
+        return (empty, empty)
+    position = {q.index: k for k, q in enumerate(netlist.qubits)}
+    counts = np.array([r.num_blocks for r in resonators], dtype=np.intp)
+    patterns = {
+        n: np.array(net_pattern(style, n), dtype=np.intp)
+        for n in set(counts.tolist())
+    }
+    per_resonator = [patterns[n] for n in counts.tolist()]
+    local = np.concatenate(per_resonator)
+    owner = np.repeat(
+        np.arange(len(resonators)), [len(pairs) for pairs in per_resonator]
+    )
+    first_block = netlist.num_qubits + np.cumsum(counts) - counts
+    qi = np.array([position[r.qi] for r in resonators], dtype=np.intp)
+    qj = np.array([position[r.qj] for r in resonators], dtype=np.intp)
+    node = np.where(
+        local == 0,
+        qi[owner, None],
+        np.where(
+            local > counts[owner, None],
+            qj[owner, None],
+            first_block[owner, None] + local - 1,
+        ),
+    )
+    return (node[:, 0], node[:, 1])
 
 
 def _spring_force(

@@ -69,20 +69,78 @@ def test_positions_snapshot_per_stage(flow_result):
 
 
 def test_stage_runtimes_exclude_layout_metrics(monkeypatch):
-    """``runtime_s`` of lg and dp times the stage, not its metrics report."""
+    """``runtime_s`` of lg and dp times the stage, not its metrics report
+    nor the flow's shared trace build."""
     import repro.core.pipeline
 
     delay_s = 1.0
     real = repro.core.pipeline.layout_metrics
+    real_build = repro.core.pipeline.build_traces
+    built = []
 
     def slow_layout_metrics(*args, **kwargs):
         time.sleep(delay_s)
         return real(*args, **kwargs)
 
+    def slow_build_traces(*args, **kwargs):
+        built.append(True)
+        time.sleep(delay_s)
+        return real_build(*args, **kwargs)
+
     monkeypatch.setattr(repro.core.pipeline, "layout_metrics", slow_layout_metrics)
+    monkeypatch.setattr(repro.core.pipeline, "build_traces", slow_build_traces)
     _flow, result = run_flow("grid", config=QGDPConfig(gp_iterations=10))
+    assert built == [True]
     assert result.stage("lg").runtime_s < delay_s
     assert result.stage("dp").runtime_s < delay_s
+
+
+def test_flow_builds_each_intermediate_once(monkeypatch):
+    """One trace build per flow and at most four whole-layout cluster
+    passes: the lg analysis, DP's cluster counts, the dp analysis and the
+    trace build.  Counts, not timings, so a rebuild cannot creep back."""
+    import repro.core.pipeline
+    import repro.detailed.placer
+    import repro.frequency.hotspots
+    import repro.metrics.report
+    import repro.netlist.clusters
+    import repro.netlist.traces
+    import repro.routing.crossings
+
+    builds = []
+    passes = []
+    real_build = repro.netlist.traces.build_traces
+    real_pass = repro.netlist.clusters.block_cluster_map
+
+    def counting_build(*args, **kwargs):
+        builds.append(True)
+        return real_build(*args, **kwargs)
+
+    def counting_pass(resonators, *args, **kwargs):
+        if len(resonators) > 1:
+            passes.append(len(resonators))
+        return real_pass(resonators, *args, **kwargs)
+
+    for module in (
+        repro.core.pipeline,
+        repro.detailed.placer,
+        repro.frequency.hotspots,
+        repro.metrics.report,
+        repro.netlist.traces,
+        repro.routing.crossings,
+    ):
+        monkeypatch.setattr(module, "build_traces", counting_build)
+    for module in (
+        repro.netlist.clusters,
+        repro.netlist.traces,
+        repro.metrics.report,
+    ):
+        monkeypatch.setattr(module, "block_cluster_map", counting_pass)
+    result = QGDPFlow("grid").run("qgdp", detailed=True)
+    dp = result.stage("dp").metrics
+    assert (dp["flagged"], dp["accepted"]) == (8, 0)
+    assert len(builds) == 1
+    assert len(passes) <= 4
 
 
 def test_run_flow_convenience():

@@ -8,7 +8,10 @@ from repro.detailed import DetailedPlacer
 from repro.evaluation.fingerprint import positions_digest
 from repro.frequency.hotspots import hotspot_proportion
 from repro.metrics import check_legality, total_clusters
+from repro.metrics.report import layout_metrics
+from repro.netlist.traces import build_traces
 from repro.routing import count_crossings
+from repro.topologies import PAPER_TOPOLOGIES
 
 
 @pytest.fixture()
@@ -107,3 +110,22 @@ def test_dp_outcomes_pinned(topology, engine, fast_config):
         positions_digest(dp.positions),
     )
     assert got == DP_OUTCOMES[(topology, engine)]
+
+
+@pytest.mark.parametrize("engine", ["tetris", "q-abacus"])
+@pytest.mark.parametrize("topology", PAPER_TOPOLOGIES)
+def test_dp_keeps_the_traces_it_is_handed_current(topology, engine, fast_config):
+    """The traces dict handed to DP describes the final layout afterwards:
+    accepted targets get their rebuilt trace, reverted ones their old one.
+    Ten of these twelve layouts have both accepted and reverted windows
+    (falcon/q-abacus only accepts, eagle/q-abacus flags none)."""
+    flow = QGDPFlow(topology, fast_config)
+    flow.place()
+    flow.legalize(engine)
+    netlist, bins = flow.netlist, flow.bins
+    traces = build_traces(netlist, fast_config.lb)
+    DetailedPlacer(fast_config).run(netlist, bins, traces)
+    assert traces == build_traces(netlist, fast_config.lb)
+    assert layout_metrics(
+        netlist, bins, fast_config, traces=traces
+    ) == layout_metrics(netlist, bins, fast_config)

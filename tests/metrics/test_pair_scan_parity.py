@@ -5,7 +5,8 @@
 :func:`~repro.geometry.near_pairs` and keep their scalar bodies.  The
 references below are those bodies over *every* pair in nested-loop
 order, so the scans must return the same lists, item for item —
-``check_legality`` in ``(i, j)`` order over its rects.  Lattice
+``check_legality`` in ``(i, j)`` order over its rects, which it now
+builds only for violators (its bounds come from position arrays).  Lattice
 positions make gaps of exactly ``min_spacing`` and exactly ``reach``
 (and touching, zero-depth overlaps) common.
 """
@@ -17,7 +18,7 @@ from repro.frequency.hotspots import HotspotPair, qubit_hotspot_pairs
 from repro.frequency.proximity import tau
 from repro.geometry import SiteGrid, adjacency_length, gap_between
 from repro.metrics import check_legality, qubit_spacing_violations
-from repro.metrics.legality import LegalityViolation, _all_rects
+from repro.metrics.legality import LegalityViolation
 from repro.netlist import QuantumNetlist, Qubit, Resonator, WireBlock
 
 
@@ -65,6 +66,14 @@ def reference_qubit_hotspots(netlist, reach, delta_c):
                     )
                 )
     return pairs
+
+
+def _all_rects(netlist: QuantumNetlist) -> list:
+    out = [(("q", q.index), q.rect) for q in netlist.qubits]
+    out.extend(
+        (("b", b.resonator_key, b.ordinal), b.rect) for b in netlist.wire_blocks
+    )
+    return out
 
 
 def reference_legality(netlist, grid, tol=1e-6):
@@ -181,3 +190,28 @@ def test_empty_netlist_is_legal():
     assert check_legality(QuantumNetlist(), grid) == []
     assert qubit_spacing_violations(QuantumNetlist(), 1.0) == []
     assert qubit_hotspot_pairs(QuantumNetlist(), 2.0, 0.04) == []
+
+
+def test_border_and_overlap_violations_pinned():
+    # One component past each border, then one overlapping pair: borders
+    # come first in component order (qubits, then blocks), then overlaps.
+    grid = SiteGrid(10, 8)
+    nl = QuantumNetlist()
+    nl.add_qubit(Qubit(index=0, w=3, h=3, x=1.0, y=4.0))  # left by 0.5
+    nl.add_qubit(Qubit(index=1, w=3, h=3, x=5.0, y=7.25))  # top by 0.75
+    nl.add_qubit(Qubit(index=2, w=3, h=3, x=5.0, y=3.0))
+    r = nl.add_resonator(Resonator(qi=0, qj=1, wirelength=3.0))
+    r.blocks = [
+        WireBlock(resonator_key=r.key, ordinal=0, x=9.75, y=2.5),  # right
+        WireBlock(resonator_key=r.key, ordinal=1, x=2.5, y=0.25),  # bottom
+        WireBlock(resonator_key=r.key, ordinal=2, x=6.5, y=3.5),  # into q2
+    ]
+    got = check_legality(nl, grid)
+    assert got == reference_legality(nl, grid)
+    assert [(v.kind, v.id_a, v.id_b, v.amount) for v in got] == [
+        ("border", ("q", 0), None, 0.5),
+        ("border", ("q", 1), None, 0.75),
+        ("border", ("b", (0, 1), 0), None, 0.25),
+        ("border", ("b", (0, 1), 1), None, 0.25),
+        ("overlap", ("q", 2), ("b", (0, 1), 2), 0.5),
+    ]

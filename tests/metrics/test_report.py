@@ -80,9 +80,9 @@ def test_analysis_builds_the_traces_once(lb2_flow, monkeypatch):
     # The hotspot walk and the crossing count share one trace build.
     built = []
 
-    def counting_build(netlist, lb):
+    def counting_build(netlist, lb, clusters=None):
         built.append(lb)
-        return traces_module.build_traces(netlist, lb)
+        return traces_module.build_traces(netlist, lb, clusters)
 
     for module in (report_module, hotspots_module, crossings_module):
         monkeypatch.setattr(module, "build_traces", counting_build, raising=False)

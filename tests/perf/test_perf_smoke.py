@@ -76,9 +76,11 @@ KERNEL_16_BUDGET_S = 10.0
 LEGALIZE_24_BUDGET_S = 20.0
 
 #: Budget for the full 24x24 flow (build, GP, legalize, DP and both
-#: layout-metric passes), seconds.  Typical: ~3.7 s on a 2-vCPU host
-#: with the sorted-sweep pair scans (~8 s when legality, spacing and
-#: qubit hotspots walked every pair or a 3x3 bucket hash).
+#: layout-metric passes), seconds.  Typical: ~1.1-1.5 s on a 2-vCPU host
+#: with one shared trace build and array-backed legality and GP
+#: bookkeeping (~1.7-1.9 s with a trace build per analysis and per DP
+#: run; ~8 s when legality, spacing and qubit hotspots walked every pair
+#: or a 3x3 bucket hash).
 FLOW_24_BUDGET_S = 40.0
 
 #: Budget for check_legality, qubit_spacing_violations and

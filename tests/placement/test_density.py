@@ -44,8 +44,12 @@ def test_gradient_points_away_from_peak(density):
     # (density increases to the right), so the spreading force -grad pushes
     # cells leftward.
     density.deposit(np.array([8.0]), np.array([8.0]), np.array([100.0]))
-    gx_left, _ = density.gradient_at(np.array([5.0]), np.array([8.0]))
-    gx_right, _ = density.gradient_at(np.array([11.0]), np.array([8.0]))
+    gx_left, _ = density.gradient_at(
+        *density.bin_of(np.array([5.0]), np.array([8.0]))
+    )
+    gx_right, _ = density.gradient_at(
+        *density.bin_of(np.array([11.0]), np.array([8.0]))
+    )
     assert gx_left[0] > 0
     assert gx_right[0] < 0
 

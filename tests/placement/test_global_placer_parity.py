@@ -2,9 +2,11 @@
 
 ``GlobalPlacer.run`` keeps x and y as separate arrays and scatters the
 spring forces with one ``np.bincount`` per axis; ``DensityMap.deposit``
-is one ``np.bincount`` over flat bin indices.  The references below are
-the two-column ``np.add.at`` loop and deposit they replaced, kept
-verbatim, and every output must match them bit for bit.
+is one ``np.bincount`` over flat bin indices, and its bins feed the
+gradient gather.  The references below are the two-column ``np.add.at``
+loop, its tuple nets, positions dict and ``total_hpwl``, and the deposit
+and gradient gather they replaced, kept verbatim, and every output must
+match them bit for bit.
 """
 
 import numpy as np
@@ -14,16 +16,28 @@ from repro.core.config import QGDPConfig
 from repro.geometry import SiteGrid
 from repro.netlist import ConnectionStyle
 from repro.placement import DensityMap, GlobalPlacer, build_layout, total_hpwl
+from repro.placement.global_placer import net_index_arrays
 from repro.topologies import PAPER_TOPOLOGIES, Topology, get_topology, grid_topology
 
 
 class ReferenceDensityMap(DensityMap):
-    """``DensityMap`` with the ``np.add.at`` deposit."""
+    """``DensityMap`` with the ``np.add.at`` deposit and the gradient
+    gather that re-bins the positions it is given."""
 
     def deposit(self, xs, ys, areas):
         self._density.fill(0.0)
         bx, by = self.bin_of(xs, ys)
         np.add.at(self._density, (by, bx), areas)
+
+    def gradient_at(self, xs: np.ndarray, ys: np.ndarray) -> tuple:
+        """Smoothed density gradient sampled at cell centres.
+
+        Returns ``(gx, gy)`` arrays; the spreading force is ``-grad``.
+        """
+        smooth = self.smoothed()
+        gy, gx = np.gradient(smooth)
+        bx, by = self.bin_of(xs, ys)
+        return (gx[by, bx], gy[by, bx])
 
 
 def reference_run(netlist, grid, cfg, style):
@@ -130,19 +144,41 @@ def test_gp_matches_add_at_loop(name, style, seed):
     assert_gp_parity(_topology(name), cfg, style)
 
 
-def test_gp_without_couplers_matches_add_at_loop():
-    """No couplers means no nets: ``np.bincount`` then returns int64 zeros,
-    which the force arrays must not inherit."""
-    topology = Topology(
+def _isolated_topology():
+    return Topology(
         name="isolated",
         display_name="Isolated",
         num_qubits=3,
         edges=[],
         ideal_positions={0: (0.0, 0.0), 1: (2.0, 0.0), 2: (1.0, 2.0)},
     )
+
+
+def test_gp_without_couplers_matches_add_at_loop():
+    """No couplers means no nets: ``np.bincount`` then returns int64 zeros,
+    which the force arrays must not inherit."""
     cfg = QGDPConfig(gp_iterations=40)
     for style in ConnectionStyle:
-        assert_gp_parity(topology, cfg, style)
+        assert_gp_parity(_isolated_topology(), cfg, style)
+
+
+@pytest.mark.parametrize("name", [*PAPER_TOPOLOGIES, "grid24", "isolated"])
+def test_net_index_arrays_are_the_tuple_nets(name):
+    """GP's index arrays are ``netlist.nets(style)`` through the node index,
+    net for net: the ``np.bincount`` force order depends on the net order."""
+    topology = {
+        "grid24": lambda: grid_topology(24),
+        "isolated": _isolated_topology,
+    }.get(name, lambda: get_topology(name))()
+    netlist, _grid = build_layout(topology, QGDPConfig())
+    node_ids = [q.node_id for q in netlist.qubits]
+    node_ids += [b.node_id for b in netlist.wire_blocks]
+    index_of = {nid: k for k, nid in enumerate(node_ids)}
+    for style in ConnectionStyle:
+        nets = netlist.nets(style)
+        src, dst = net_index_arrays(netlist, style)
+        assert src.tolist() == [index_of[u] for u, _ in nets]
+        assert dst.tolist() == [index_of[v] for _, v in nets]
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -157,12 +193,12 @@ def test_deposit_matches_add_at(seed):
     for bin_size in (1.0, 2.0, 3.7):
         got = DensityMap(grid, bin_size)
         want = ReferenceDensityMap(grid, bin_size)
-        got.deposit(xs, ys, areas)
+        bins = got.deposit(xs, ys, areas)
         want.deposit(xs, ys, areas)
         assert got.density.dtype == np.float64
         assert got.density.shape == want.density.shape
         assert np.array_equal(bits(got.density), bits(want.density))
-        gx, gy = got.gradient_at(xs, ys)
+        gx, gy = got.gradient_at(*bins)
         rx, ry = want.gradient_at(xs, ys)
         assert np.array_equal(bits(gx), bits(rx))
         assert np.array_equal(bits(gy), bits(ry))

@@ -18,6 +18,11 @@ components.  Two component classes are exposed:
 percentage (Fig. 9 / Table III).  ``He`` is a resonator's share; ``HQ``
 counts qubits in any qubit-qubit hotspot plus endpoints of resonators
 with ``He > 0``.
+
+Each evaluation works on arrays: the block raster the trace walk reads
+is filled in one array pass over the netlist's blocks, the walk itself
+is vectorized with an exactly-faithful scalar tail, and the total area
+is summed from the component sizes, with no ``Rect`` per component.
 """
 
 from __future__ import annotations
@@ -116,36 +121,49 @@ class _BlockRaster:
     arrays over the blocks' bounding box so a whole trace's neighborhood
     scan becomes one vectorized gather instead of ``samples × (2r+1)²``
     dict probes.
+
+    The arrays are filled in one pass: x, y and frequency are gathered
+    in netlist block order, each block's site is ``np.floor_divide`` of
+    its coordinates (the ``int(x // lb)`` of the dict), and a shared site
+    keeps the block written last.
     """
 
     def __init__(self, netlist: QuantumNetlist, lb: float) -> None:
-        self.keys = [r.key for r in netlist.resonators]
+        resonators = netlist.resonators
+        self.keys = [r.key for r in resonators]
         self.key_index = {key: i for i, key in enumerate(self.keys)}
-        sites = []  # (col, row, key_idx, x, y, freq) in dict-write order
-        for resonator in netlist.resonators:
-            idx = self.key_index[resonator.key]
-            for block in resonator.blocks:
-                col = int(block.x // lb)
-                row = int(block.y // lb)
-                sites.append((col, row, idx, block.x, block.y, block.frequency))
-        self.empty = not sites
+        blocks = [b for r in resonators for b in r.blocks]
+        self.empty = not blocks
         if self.empty:
             return
-        self.col_lo = min(s[0] for s in sites)
-        self.row_lo = min(s[1] for s in sites)
-        self.cols = max(s[0] for s in sites) - self.col_lo + 1
-        self.rows = max(s[1] for s in sites) - self.row_lo + 1
-        n = self.cols * self.rows
-        self.bkey = np.full(n, -1, dtype=np.int64)
-        self.bx = np.zeros(n, dtype=np.float64)
-        self.by = np.zeros(n, dtype=np.float64)
-        self.bfreq = np.zeros(n, dtype=np.float64)
-        for col, row, idx, x, y, freq in sites:
-            flat = (col - self.col_lo) * self.rows + (row - self.row_lo)
-            self.bkey[flat] = idx
-            self.bx[flat] = x
-            self.by[flat] = y
-            self.bfreq[flat] = freq
+        n = len(blocks)
+        x = np.fromiter((b.x for b in blocks), dtype=np.float64, count=n)
+        y = np.fromiter((b.y for b in blocks), dtype=np.float64, count=n)
+        freq = np.fromiter((b.frequency for b in blocks), dtype=np.float64, count=n)
+        owner = np.repeat(
+            np.arange(len(resonators)), [len(r.blocks) for r in resonators]
+        )
+        col = np.floor_divide(x, lb).astype(np.int64)
+        row = np.floor_divide(y, lb).astype(np.int64)
+        self.col_lo = int(col.min())
+        self.row_lo = int(row.min())
+        self.cols = int(col.max()) - self.col_lo + 1
+        self.rows = int(row.max()) - self.row_lo + 1
+        flat = (col - self.col_lo) * self.rows + (row - self.row_lo)
+        # Last write wins: of the blocks on one site, keep the last one.
+        # (A fancy-index assignment leaves duplicate writes unordered.)
+        by_site = np.argsort(flat, kind="stable")
+        sites = flat[by_site]
+        last = by_site[np.append(sites[1:] != sites[:-1], True)]
+        size = self.cols * self.rows
+        self.bkey = np.full(size, -1, dtype=np.int64)
+        self.bx = np.zeros(size, dtype=np.float64)
+        self.by = np.zeros(size, dtype=np.float64)
+        self.bfreq = np.zeros(size, dtype=np.float64)
+        self.bkey[flat[last]] = owner[last]
+        self.bx[flat[last]] = x[last]
+        self.by[flat[last]] = y[last]
+        self.bfreq[flat[last]] = freq[last]
 
 
 def _trace_pairs(
@@ -301,8 +319,9 @@ def hotspot_proportion(
     """``Ph`` as a percentage of total component area (Eq. 4)."""
     if pairs is None:
         pairs = hotspot_pairs(netlist, reach, delta_c, lb)
-    total_area = sum(q.rect.area for q in netlist.qubits) + sum(
-        b.rect.area for b in netlist.wire_blocks
+    # The operands and the order of Rect.area's sums, without a Rect each.
+    total_area = sum(q.w * q.h for q in netlist.qubits) + sum(
+        b.size * b.size for b in netlist.wire_blocks
     )
     if total_area <= 0:
         return 0.0

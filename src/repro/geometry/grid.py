@@ -86,17 +86,26 @@ class SiteGrid:
         cy = min(max(rect.cy, half_h), self.height - half_h)
         return rect.moved_to(cx, cy)
 
-    def sites_covered(self, rect: Rect) -> list:
-        """All ``(col, row)`` sites whose area intersects ``rect``.
+    def covered_span(self, rect: Rect) -> tuple:
+        """``(lo_col, hi_col, lo_row, hi_row)`` of the sites ``rect`` covers.
 
-        Sites that merely touch the rect boundary are excluded, so a macro
-        occupying an integer number of sites reports exactly those sites.
+        The span is clipped to the grid; it is empty (``lo > hi`` on an
+        axis) when ``rect`` covers no site.  Sites that merely touch the
+        rect boundary are excluded, so a macro occupying an integer number
+        of sites spans exactly those sites.
         """
         eps = 1e-9
-        lo_col = max(0, int((rect.xlo + eps) // self.lb))
-        hi_col = min(self.cols - 1, int((rect.xhi - eps) // self.lb))
-        lo_row = max(0, int((rect.ylo + eps) // self.lb))
-        hi_row = min(self.rows - 1, int((rect.yhi - eps) // self.lb))
+        return (
+            max(0, int((rect.xlo + eps) // self.lb)),
+            min(self.cols - 1, int((rect.xhi - eps) // self.lb)),
+            max(0, int((rect.ylo + eps) // self.lb)),
+            min(self.rows - 1, int((rect.yhi - eps) // self.lb)),
+        )
+
+    def sites_covered(self, rect: Rect) -> list:
+        """All ``(col, row)`` sites whose area intersects ``rect``, row by
+        row (see :meth:`covered_span`)."""
+        lo_col, hi_col, lo_row, hi_row = self.covered_span(rect)
         return [
             (c, r)
             for r in range(lo_row, hi_row + 1)

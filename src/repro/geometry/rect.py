@@ -13,7 +13,7 @@ import numpy as np
 
 from repro.geometry.point import Point
 
-#: x-candidate pairs :func:`near_pairs` expands and tests at a time.
+#: Queries and candidate pairs :func:`near_pairs` expands at a time.
 _PAIR_CHUNK = 1 << 14
 
 
@@ -131,41 +131,85 @@ def rect_bounds(rects: list) -> tuple:
     return boxes[:, :2] - boxes[:, 2:] / 2.0, boxes[:, :2] + boxes[:, 2:] / 2.0
 
 
+def _expand(counts: np.ndarray):
+    """Yield ``(owner, offset)`` index arrays enumerating every
+    ``offset in range(counts[owner])``, owner by owner, at most
+    :data:`_PAIR_CHUNK` at a time."""
+    stop = np.cumsum(counts)
+    total = int(stop[-1]) if len(stop) else 0
+    for first in range(0, total, _PAIR_CHUNK):
+        flat = np.arange(first, min(first + _PAIR_CHUNK, total))
+        owner = np.searchsorted(stop, flat, side="right")
+        yield owner, flat - (stop[owner] - counts[owner])
+
+
 def near_pairs(lo, hi, cutoff: float) -> np.ndarray:
     """``(m, 2)`` rows ``(i, j)``, ``i < j``, in lexicographic order, of
     the boxes whose per-axis gap ``max(lo) - min(hi)`` is at most
     ``cutoff`` on both axes (a negative gap is an overlap).
 
-    ``lo`` and ``hi`` are ``(n, 2)`` corner arrays.  One sweep over the
-    boxes sorted by ``xlo``: a later box is within ``cutoff`` in x only
-    if its ``xlo`` is at most this box's ``xhi + cutoff``, so
-    ``searchsorted`` (with a little slack against rounding) bounds each
-    box's x-candidates, and the exact two-axis test on them decides.
-    Candidates are expanded :data:`_PAIR_CHUNK` at a time, so memory
-    stays flat however many boxes share an x-range.
+    ``lo`` and ``hi`` are ``(n, 2)`` corner arrays.  The boxes are sorted
+    by ``(xlo, ylo)``, so boxes with equal ``xlo`` (one site column of a
+    legal layout) form contiguous *column groups*, each sorted by
+    ``ylo``.  In its own group a box scans on while ``ylo <= yhi +
+    cutoff``.  A later box is within ``cutoff`` in x only if its ``xlo``
+    is at most this box's ``xhi + cutoff``, which bounds the later groups
+    a box scans; in each of them it scans only the ``ylo`` window ``[ylo
+    - cutoff - max_h, yhi + cutoff]``, where ``max_h`` is the group's
+    tallest box.  Every bound has a little slack against rounding, the
+    windows come from ``searchsorted`` on exact integer keys (group index
+    × ``ylo`` rank), and the exact two-axis test on the candidates
+    decides.  Later-group windows and candidates are expanded
+    :data:`_PAIR_CHUNK` at a time, so memory stays flat however many
+    boxes share a window.
     """
     lo = np.asarray(lo, dtype=np.float64).reshape(-1, 2)
     hi = np.asarray(hi, dtype=np.float64).reshape(-1, 2)
     n = len(lo)
     if n < 2:
         return np.empty((0, 2), dtype=np.intp)
-    order = np.argsort(lo[:, 0], kind="stable")
+    order = np.lexsort((lo[:, 1], lo[:, 0]))
     xlo, ylo = lo[order].T.copy()
     xhi, yhi = hi[order].T.copy()
     scale = 1.0 + abs(cutoff) + max(np.abs(lo).max(), np.abs(hi).max())
-    end = np.searchsorted(xlo, xhi + (cutoff + 1e-9 * scale), side="right")
-    counts = np.maximum(end - np.arange(1, n + 1), 0)
-    stop = np.cumsum(counts)
+    reach = cutoff + 1e-9 * scale
+    # Column groups: runs of equal xlo, in ascending xlo.
+    first = np.flatnonzero(np.concatenate(([True], xlo[1:] != xlo[:-1])))
+    group = np.repeat(np.arange(len(first)), np.diff(np.append(first, n)))
+    group_xlo = xlo[first]
+    group_h = np.maximum.reduceat(yhi - ylo, first)
+    # key ascends along the sorted boxes: by group, then by ylo.
+    ylo_values, ylo_rank = np.unique(ylo, return_inverse=True)
+    stride = len(ylo_values)
+    key = group * stride + ylo_rank
+    # Ranks below top[a] are the ylo <= yhi[a] + reach.
+    top = np.searchsorted(ylo_values, yhi + reach, side="right")
     found = [np.empty((2, 0), dtype=np.intp)]
-    for first in range(0, int(stop[-1]), _PAIR_CHUNK):
-        flat = np.arange(first, min(first + _PAIR_CHUNK, int(stop[-1])))
-        a = np.searchsorted(stop, flat, side="right")
-        b = a + 1 + flat - (stop[a] - counts[a])
-        # b sorts after a, so xlo[b] is the pair's max(xlo).
-        gap_x = xlo[b] - np.minimum(xhi[a], xhi[b])
-        gap_y = np.maximum(ylo[a], ylo[b]) - np.minimum(yhi[a], yhi[b])
-        keep = (gap_x <= cutoff) & (gap_y <= cutoff)
-        found.append(np.sort(order[np.stack((a[keep], b[keep]))], axis=0))
+
+    def scan(a, start, stop):
+        """Test each box ``a`` against the sorted boxes ``start..stop-1``."""
+        for q, offset in _expand(np.maximum(stop - start, 0)):
+            i = a[q]
+            j = start[q] + offset
+            # j sorts after i, so xlo[j] is the pair's max(xlo).
+            gap_x = xlo[j] - np.minimum(xhi[i], xhi[j])
+            gap_y = np.maximum(ylo[i], ylo[j]) - np.minimum(yhi[i], yhi[j])
+            keep = (gap_x <= cutoff) & (gap_y <= cutoff)
+            found.append(np.sort(order[np.stack((i[keep], j[keep]))], axis=0))
+
+    own = np.arange(n)
+    scan(own, own + 1, np.searchsorted(key, group * stride + top, side="left"))
+    last_group = np.searchsorted(group_xlo, xhi + reach, side="right") - 1
+    for a, k in _expand(np.maximum(last_group - group, 0)):
+        g = group[a] + 1 + k
+        bottom = np.searchsorted(
+            ylo_values, ylo[a] - reach - group_h[g], side="left"
+        )
+        scan(
+            a,
+            np.searchsorted(key, g * stride + bottom, side="left"),
+            np.searchsorted(key, g * stride + top[a], side="left"),
+        )
     i, j = np.concatenate(found, axis=1)
     rank = np.lexsort((j, i))
     return np.stack((i[rank], j[rank]), axis=1)

@@ -17,7 +17,7 @@ as possible.  qGDP splits the job (paper Section III):
 strategies the paper compares: qGDP-LG, Q-Abacus, Q-Tetris, Abacus, Tetris.
 """
 
-from repro.legalization.bins import BinGrid
+from repro.legalization.bins import BinGrid, LegalizationInfeasible
 from repro.legalization.constraint_graph import (
     Arc,
     AxisArcs,
@@ -41,6 +41,7 @@ from repro.legalization.engines import (
 
 __all__ = [
     "BinGrid",
+    "LegalizationInfeasible",
     "build_constraint_graphs",
     "build_constraint_arrays",
     "transitive_reduction",

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.legalization.bins import BinGrid
+from repro.legalization.bins import BinGrid, LegalizationInfeasible
 
 
 @dataclass
@@ -133,8 +133,9 @@ def abacus_legalize(blocks: list, bins: BinGrid) -> dict:
 
     ``bins`` must already have fixed macros blocked out.  Final positions
     are written back to the blocks **and** committed to ``bins``; returns
-    block name → (col, row).  Raises ``RuntimeError`` when no segment can
-    host a cell.
+    block name → (col, row).  Raises
+    :class:`~repro.legalization.bins.LegalizationInfeasible` when no
+    segment can host a cell.
 
     Each cluster's start is rounded to a column and clamped to its
     segment, and a segment's clusters are committed left to right with
@@ -167,7 +168,7 @@ def abacus_legalize(blocks: list, bins: BinGrid) -> dict:
                     if best is None or delta < best[0]:
                         best = (delta, row, segment)
         if best is None:
-            raise RuntimeError("abacus legalization found no feasible row")
+            raise LegalizationInfeasible("abacus", "found no feasible row")
         _, _row, segment = best
         segment.insert(block, raw_target)
 

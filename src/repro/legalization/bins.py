@@ -36,6 +36,33 @@ KIND_BLOCK = 2
 KIND_OTHER = 3
 
 
+class LegalizationInfeasible(RuntimeError):
+    """A legalization stage found no legal place for a component.
+
+    ``stage`` names the legalizer that gave up (``"qubit"``, ``"tetris"``,
+    ``"abacus"`` or ``"integration"``) and ``detail`` what ran out.
+    ``engine`` and ``topology`` (the netlist name) are filled in by
+    :func:`~repro.legalization.engines.run_legalization`, which sees the
+    whole engine; a legalizer called directly leaves them ``None``.
+    """
+
+    def __init__(self, stage: str, detail: str, engine=None, topology=None):
+        super().__init__(stage, detail)
+        self.stage = stage
+        self.detail = detail
+        self.engine = engine
+        self.topology = topology
+
+    def __str__(self) -> str:
+        where = [
+            f"{name} {value!r}"
+            for name, value in (("engine", self.engine), ("topology", self.topology))
+            if value is not None
+        ]
+        suffix = f" ({', '.join(where)})" if where else ""
+        return f"{self.stage} legalization infeasible: {self.detail}{suffix}"
+
+
 def _classify(owner):
     """``(kind, resonator_key)`` for an owner, mirroring the router's
     ``owner[0] == "q"`` / ``owner[0] == "b"`` discrimination."""

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from repro.core.config import QGDPConfig
 from repro.geometry import SiteGrid
 from repro.legalization.abacus import abacus_legalize
-from repro.legalization.bins import BinGrid
+from repro.legalization.bins import BinGrid, LegalizationInfeasible
 from repro.legalization.integration_aware import integration_aware_legalize
 from repro.legalization.qubit_legalizer import legalize_qubits
 from repro.legalization.tetris import tetris_legalize
@@ -81,29 +81,38 @@ def run_legalization(
     engine: LegalizationEngine,
     config: QGDPConfig = None,
 ) -> LegalizationOutcome:
-    """Run one engine's qubit + resonator legalization in place."""
+    """Run one engine's qubit + resonator legalization in place.
+
+    A stage that finds no legal place raises
+    :class:`~repro.legalization.bins.LegalizationInfeasible` naming the
+    stage, this engine and ``netlist.name``.
+    """
     config = config or QGDPConfig()
 
-    t0 = time.perf_counter()
-    qubit_result = legalize_qubits(
-        netlist, grid, config, quantum=engine.quantum_qubits
-    )
-    tq = time.perf_counter() - t0
+    try:
+        t0 = time.perf_counter()
+        qubit_result = legalize_qubits(
+            netlist, grid, config, quantum=engine.quantum_qubits
+        )
+        tq = time.perf_counter() - t0
 
-    bins = BinGrid(grid)
-    for qubit in netlist.qubits:
-        bins.occupy_rect(qubit.rect, qubit.node_id)
+        bins = BinGrid(grid)
+        for qubit in netlist.qubits:
+            bins.occupy_rect(qubit.rect, qubit.node_id)
 
-    t0 = time.perf_counter()
-    if engine.resonator_method == "integration":
-        integration_aware_legalize(netlist.resonators, bins, netlist)
-    elif engine.resonator_method == "abacus":
-        abacus_legalize(netlist.wire_blocks, bins)
-    elif engine.resonator_method == "tetris":
-        tetris_legalize(netlist.wire_blocks, bins)
-    else:
-        raise ValueError(f"unknown resonator method {engine.resonator_method!r}")
-    te = time.perf_counter() - t0
+        t0 = time.perf_counter()
+        if engine.resonator_method == "integration":
+            integration_aware_legalize(netlist.resonators, bins, netlist)
+        elif engine.resonator_method == "abacus":
+            abacus_legalize(netlist.wire_blocks, bins)
+        elif engine.resonator_method == "tetris":
+            tetris_legalize(netlist.wire_blocks, bins)
+        else:
+            raise ValueError(f"unknown resonator method {engine.resonator_method!r}")
+        te = time.perf_counter() - t0
+    except LegalizationInfeasible as exc:
+        exc.engine, exc.topology = engine.name, netlist.name
+        raise
 
     return LegalizationOutcome(
         engine=engine.name,

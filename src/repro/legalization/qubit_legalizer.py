@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 from repro.core.config import QGDPConfig
 from repro.geometry import SiteGrid
+from repro.legalization.bins import LegalizationInfeasible
 from repro.legalization.macro_lp import MacroLegalizationResult, legalize_macros
 from repro.netlist.netlist import QuantumNetlist
 
@@ -59,8 +60,9 @@ def legalize_qubits(
     spacing, greedy relaxation); ``quantum=False`` runs the classical
     macro legalizer [26] used by the Tetris/Abacus baselines.
 
-    Raises ``RuntimeError`` when even the most relaxed schedule entry is
-    infeasible — the die is undersized, which the layout builder prevents.
+    Raises :class:`~repro.legalization.bins.LegalizationInfeasible` when
+    even the most relaxed schedule entry is infeasible — the die is
+    undersized, which the layout builder prevents.
     """
     config = config or QGDPConfig()
     qubits = netlist.qubits
@@ -76,9 +78,11 @@ def legalize_qubits(
         if last.feasible:
             break
     if last is None or not last.feasible:
-        raise RuntimeError(
-            f"qubit legalization infeasible on {netlist.name} even at spacing "
-            f"{config.min_qubit_spacing if quantum else 0.0}"
+        raise LegalizationInfeasible(
+            "qubit",
+            "no LP solution even at spacing "
+            f"{config.min_qubit_spacing if quantum else 0.0}",
+            topology=netlist.name,
         )
 
     for q in qubits:

@@ -11,7 +11,7 @@ scatter into many clusters wherever rows are contested.
 
 from __future__ import annotations
 
-from repro.legalization.bins import BinGrid
+from repro.legalization.bins import BinGrid, LegalizationInfeasible
 
 
 def _frontier_position(bins: BinGrid, row: int, frontier: int, target: int):
@@ -29,7 +29,8 @@ def tetris_legalize(blocks: list, bins: BinGrid) -> dict:
     frontier rule, and advances that row's frontier.  Positions are
     written back to the blocks; returns block name → (col, row).
 
-    Raises ``RuntimeError`` when no row can host a cell.
+    Raises :class:`~repro.legalization.bins.LegalizationInfeasible` when
+    no row can host a cell.
     """
     grid = bins.grid
     order = sorted(blocks, key=lambda b: (b.x, b.y, b.resonator_key, b.ordinal))
@@ -55,7 +56,7 @@ def tetris_legalize(blocks: list, bins: BinGrid) -> dict:
                 if best is None or cost < best[0]:
                     best = (cost, col, row)
         if best is None:
-            raise RuntimeError("tetris legalization ran out of free sites")
+            raise LegalizationInfeasible("tetris", "ran out of free sites")
         _, col, row = best
         bins.occupy(col, row, block.node_id)
         frontier[row] = col + 1

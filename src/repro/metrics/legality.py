@@ -1,10 +1,10 @@
 """Legality checking: Eq. 1 (non-overlap), Eq. 2 (borders), and the
 quantum minimum-spacing rule of Section III-C.
 
-Both pair checks take their candidates from one sort-by-x sweep,
+Both pair checks take their candidates from one column-group scan,
 :func:`~repro.geometry.near_pairs`, so full-layout validation touches
-only nearby pairs; the qGDP test-suite runs them after every
-legalization.
+only nearby pairs — blocks stacked in one site column included; the
+qGDP test-suite runs them after every legalization.
 """
 
 from __future__ import annotations

@@ -27,6 +27,29 @@ from repro.topologies.base import Topology
 _REFERENCE_FREQ = 7.0
 
 
+def closest_pair_distance(points) -> float:
+    """``math.hypot`` of the closest pair of ``(x, y)`` points, or
+    ``math.inf`` for fewer than two.
+
+    A sweep over the points sorted by x: once a later point is at least
+    the best distance away in x, so is every point after it, and
+    ``hypot`` is never below its x gap.  The winning pair's distance is
+    the same float whichever way round it is taken.
+    """
+    pts = sorted((x, y) for x, y in points)
+    best = math.inf
+    for i, (xa, ya) in enumerate(pts):
+        for j in range(i + 1, len(pts)):
+            xb, yb = pts[j]
+            dx = xb - xa
+            if dx >= best:
+                break
+            d = math.hypot(dx, yb - ya)
+            if d < best:
+                best = d
+    return best
+
+
 def size_grid(topology: Topology, config: QGDPConfig, total_area: float) -> tuple:
     """Choose the substrate grid and the ideal→layout scale.
 
@@ -47,15 +70,7 @@ def size_grid(topology: Topology, config: QGDPConfig, total_area: float) -> tupl
     scale_util = math.sqrt(total_area / (config.utilization * ex * ey))
     # The binding geometric constraint is the closest *pair* of qubits,
     # coupled or not (radial topologies place siblings closer than edges).
-    positions = list(topology.ideal_positions.values())
-    min_pair = min(
-        (
-            math.hypot(xa - xb, ya - yb)
-            for i, (xa, ya) in enumerate(positions)
-            for (xb, yb) in positions[i + 1 :]
-        ),
-        default=math.inf,
-    )
+    min_pair = closest_pair_distance(topology.ideal_positions.values())
     scale_spacing = (
         config.qubit_size + config.min_qubit_spacing + config.lb
     ) / min_pair

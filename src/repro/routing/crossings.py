@@ -26,7 +26,7 @@ precomputed ``traces`` so a caller that re-scores one layout many times
 intersection tests are pruned with bounding boxes — disjoint boxes cannot
 properly intersect, so pruning is exact — and the candidate pairs are the
 touching-or-overlapping bboxes that :func:`~repro.geometry.near_pairs`
-finds at cutoff 0 (:func:`_candidate_pairs`), the same sort-by-x sweep
+finds at cutoff 0 (:func:`_candidate_pairs`), the same column-group scan
 the legality, spacing and qubit-hotspot scans use.
 """
 

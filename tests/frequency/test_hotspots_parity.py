@@ -12,10 +12,16 @@ on randomized layouts.
 
 import math
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.frequency.hotspots import HotspotPair, _trace_pairs, hotspot_pairs
+from repro.frequency.hotspots import (
+    HotspotPair,
+    _BlockRaster,
+    _trace_pairs,
+    hotspot_pairs,
+)
 from repro.frequency.proximity import tau
 from repro.netlist import QuantumNetlist, Qubit, Resonator, WireBlock
 from repro.netlist.traces import resonator_trace
@@ -30,6 +36,51 @@ def _reference_block_index(netlist, lb):
             row = int(block.y // lb)
             index[(col, row)] = (resonator.key, block)
     return index
+
+
+class ReferenceBlockRaster:
+    """The per-block loop ``_BlockRaster`` filled its arrays with, verbatim."""
+
+    def __init__(self, netlist, lb):
+        self.keys = [r.key for r in netlist.resonators]
+        self.key_index = {key: i for i, key in enumerate(self.keys)}
+        sites = []  # (col, row, key_idx, x, y, freq) in dict-write order
+        for resonator in netlist.resonators:
+            idx = self.key_index[resonator.key]
+            for block in resonator.blocks:
+                col = int(block.x // lb)
+                row = int(block.y // lb)
+                sites.append((col, row, idx, block.x, block.y, block.frequency))
+        self.empty = not sites
+        if self.empty:
+            return
+        self.col_lo = min(s[0] for s in sites)
+        self.row_lo = min(s[1] for s in sites)
+        self.cols = max(s[0] for s in sites) - self.col_lo + 1
+        self.rows = max(s[1] for s in sites) - self.row_lo + 1
+        n = self.cols * self.rows
+        self.bkey = np.full(n, -1, dtype=np.int64)
+        self.bx = np.zeros(n, dtype=np.float64)
+        self.by = np.zeros(n, dtype=np.float64)
+        self.bfreq = np.zeros(n, dtype=np.float64)
+        for col, row, idx, x, y, freq in sites:
+            flat = (col - self.col_lo) * self.rows + (row - self.row_lo)
+            self.bkey[flat] = idx
+            self.bx[flat] = x
+            self.by[flat] = y
+            self.bfreq[flat] = freq
+
+
+def raster_state(raster) -> list:
+    """Everything the trace walk reads off a raster, arrays as raw bytes."""
+    state = [raster.keys, raster.key_index, raster.empty]
+    if not raster.empty:
+        state += [raster.col_lo, raster.row_lo, raster.cols, raster.rows]
+        state += [
+            (a.dtype.str, a.tobytes())
+            for a in (raster.bkey, raster.bx, raster.by, raster.bfreq)
+        ]
+    return state
 
 
 def reference_trace_pairs(netlist, reach, delta_c, lb=1.0, trace_step=0.5):
@@ -165,6 +216,48 @@ def test_hotspot_pairs_entry_point_matches_reference(nl):
     got = [p for p in hotspot_pairs(nl, 2.0, 0.04) if p.id_a[0] == "e"]
     want = reference_trace_pairs(nl, 2.0, 0.04)
     assert got == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(nl=netlists(), lb=st.sampled_from([1.0, 0.5, 0.3, 2.0]))
+def test_block_raster_matches_per_block_loop(nl, lb):
+    assert raster_state(_BlockRaster(nl, lb)) == raster_state(
+        ReferenceBlockRaster(nl, lb)
+    )
+
+
+def test_block_raster_shared_sites_keep_the_last_block():
+    """Two blocks on one site (within one resonator and across two), at
+    negative coordinates too: the block written last wins, as in the dict."""
+    nl = QuantumNetlist()
+    for index in range(3):
+        nl.add_qubit(Qubit(index=index, w=3, h=3, x=4.0 * index, y=0.0))
+    spots = {
+        (0, 1): [(2.5, 1.5, 7.0), (2.4, 1.6, 7.01), (-1.5, -0.5, 7.02)],
+        (1, 2): [(2.6, 1.4, 7.03), (-1.2, -0.8, 7.04), (5.5, 3.5, 7.05)],
+    }
+    for key, blocks in spots.items():
+        resonator = nl.add_resonator(Resonator(*key, wirelength=3.0, frequency=7.0))
+        resonator.blocks = [
+            WireBlock(resonator_key=key, ordinal=k, x=x, y=y, frequency=f)
+            for k, (x, y, f) in enumerate(blocks)
+        ]
+    raster = _BlockRaster(nl, 1.0)
+    assert raster_state(raster) == raster_state(ReferenceBlockRaster(nl, 1.0))
+    flat = (2 - raster.col_lo) * raster.rows + (1 - raster.row_lo)
+    assert (raster.bkey[flat], raster.bfreq[flat]) == (1, 7.03)
+    flat = (-2 - raster.col_lo) * raster.rows + (-1 - raster.row_lo)
+    assert (raster.bkey[flat], raster.bx[flat]) == (1, -1.2)
+
+
+def test_block_raster_of_a_netlist_without_blocks():
+    nl = QuantumNetlist()
+    nl.add_qubit(Qubit(index=0, w=3, h=3))
+    nl.add_qubit(Qubit(index=1, w=3, h=3, x=5.0))
+    nl.add_resonator(Resonator(qi=0, qj=1, wirelength=1.0))
+    assert raster_state(_BlockRaster(nl, 1.0)) == raster_state(
+        ReferenceBlockRaster(nl, 1.0)
+    )
 
 
 def test_precomputed_traces_are_honored():

@@ -1,9 +1,11 @@
 """Parity: ``near_pairs`` equals a brute-force filter over every box pair.
 
-The sweep must return *exactly* the ``i < j`` pairs whose per-axis gap
+The scan must return *exactly* the ``i < j`` pairs whose per-axis gap
 ``max(lo) - min(hi)`` is at most the cutoff on both axes, in nested-loop
 order — touching boxes, zero-size boxes, duplicates and negative cutoffs
-(overlap depth) included, and however many chunks the x-candidates span.
+(overlap depth) included, and however many chunks the queries and
+candidates span.  Column-packed lattices (many boxes sharing one ``xlo``,
+as the blocks of a legal layout do) exercise the column-group windows.
 """
 
 import numpy as np
@@ -101,3 +103,53 @@ def test_fewer_than_two_boxes():
         got = near_pairs(np.zeros((n, 2)), np.ones((n, 2)), 5.0)
         assert got.shape == (0, 2)
     assert near_pairs([], [], 0.0).shape == (0, 2)
+
+
+def unit_lattice(cols: int, rows: int) -> tuple:
+    """``cols`` × ``rows`` unit boxes packed edge to edge, column by column."""
+    col, row = np.meshgrid(np.arange(cols), np.arange(rows), indexing="ij")
+    lo = np.column_stack([col.ravel(), row.ravel()]).astype(np.float64)
+    return lo, lo + 1.0
+
+
+def packed_layouts(rng) -> list:
+    """Shuffled column-packed lattices: plain, with 3x3 "qubit" boxes
+    sharing the unit boxes' columns (taller groups), and with duplicates."""
+    layouts = [unit_lattice(9, 7)]
+    lo, hi = unit_lattice(12, 10)
+    keep = ~((lo[:, 0] % 6 < 3) & (lo[:, 1] % 5 < 3) & (lo[:, 1] < 8))
+    qubits = np.array([(c, r) for c in (0.0, 6.0) for r in (0.0, 5.0)])
+    layouts.append(
+        (np.vstack([lo[keep], qubits]), np.vstack([hi[keep], qubits + 3.0]))
+    )
+    lo, hi = unit_lattice(8, 8)
+    twins = rng.choice(len(lo), 12, replace=False)
+    layouts.append((np.vstack([lo, lo[twins]]), np.vstack([hi, hi[twins]])))
+    lo, hi = unit_lattice(6, 40)  # long columns: wide own-group windows
+    layouts.append((lo * [1.0, 0.5], lo * [1.0, 0.5] + [1.0, 0.5]))
+    shuffled = []
+    for lo, hi in layouts:
+        perm = rng.permutation(len(lo))
+        shuffled.append((lo[perm], hi[perm]))
+    return shuffled
+
+
+def test_column_packed_lattices():
+    rng = np.random.default_rng(5)
+    for lo, hi in packed_layouts(rng):
+        for cutoff in (-1e-6, -0.5, 0.0, 0.5, 1.0, 2.0):
+            want = brute_force(lo.tolist(), hi.tolist(), cutoff)
+            assert as_list(near_pairs(lo, hi, cutoff)) == want
+
+
+def test_column_packed_lattices_in_tiny_chunks(monkeypatch):
+    """Queries and candidates split three at a time; duplicates of one box
+    land on both sides of many chunk boundaries."""
+    monkeypatch.setattr(rect_module, "_PAIR_CHUNK", 3)
+    rng = np.random.default_rng(9)
+    for lo, hi in packed_layouts(rng)[:3]:
+        lo = np.vstack([lo, lo[:1], lo[:1], lo[7:8]])
+        hi = np.vstack([hi, hi[:1], hi[:1], hi[7:8]])
+        for cutoff in (-1e-6, 0.0, 1.0):
+            want = brute_force(lo.tolist(), hi.tolist(), cutoff)
+            assert as_list(near_pairs(lo, hi, cutoff)) == want

@@ -5,7 +5,10 @@ qubit grid), analysis-kernel guards (legalize + MST trace build +
 crossing count on 12×12 and 16×16 grids), a 24×24 legalize-only guard
 (576 qubits — the BENCH_scaling ceiling), the full 24×24 flow with both
 layout-metric passes, a nearby-pair scan guard (legality, spacing and
-qubit hotspots on a 2,304-qubit lattice), a cache-server round-trip
+qubit hotspots on a 2,304-qubit lattice), a column-packed pair-scan
+guard (``near_pairs`` on a 500×500 lattice of unit boxes), an
+integration-aware LG guard (Algorithm 1 alone at 32×32, from a GP
+snapshot), a cache-server round-trip
 guard (50 artifacts pushed and read back through a live
 ``serve-cache``), a coordinator-drain guard (the paper sweep's job
 DAG leased and completed in-process) and a paper-protocol kernels guard
@@ -22,6 +25,7 @@ from __future__ import annotations
 import json
 import time
 
+import numpy as np
 import pytest
 
 import repro.legalization.engines as engines
@@ -42,8 +46,15 @@ from repro.orchestration import (
 from repro.core.pipeline import QGDPFlow
 from repro.detailed import DetailedPlacer
 from repro.frequency.hotspots import qubit_hotspot_pairs
-from repro.geometry import SiteGrid
-from repro.legalization import PAPER_ENGINE_ORDER, get_engine, run_legalization
+from repro.geometry import SiteGrid, near_pairs
+from repro.legalization import (
+    PAPER_ENGINE_ORDER,
+    BinGrid,
+    get_engine,
+    integration_aware_legalize,
+    legalize_qubits,
+    run_legalization,
+)
 from repro.metrics import (
     check_legality,
     integration_ratio,
@@ -89,6 +100,19 @@ FLOW_24_BUDGET_S = 40.0
 #: qubit loops alone took ~23 s, so only a return to a quadratic scan
 #: trips it.
 PAIR_SCANS_BUDGET_S = 4.0
+
+#: Budget for ``near_pairs(lo, hi, -1e-6)`` on a packed 500x500 lattice
+#: of unit boxes (250,000 boxes; each site column is one ``xlo`` group),
+#: seconds.  Typical: ~0.1 s with column-group windows; the x-only sweep
+#: expanded every box's whole column (62 million candidates, ~3 s).
+NEAR_PAIRS_LATTICE_BUDGET_S = 1.0
+
+#: Budget for Algorithm 1 alone (integration-aware resonator LG) on a
+#: 32x32 grid from its GP snapshot, with the qubit LP outside the timer,
+#: seconds.  Typical: ~0.2 s on a 2-vCPU host on flat site arithmetic
+#: (~0.4-0.6 s probing bins one site at a time); trips only on a
+#: complexity-class regression, e.g. a whole-grid scan per block.
+INTEGRATION_32_BUDGET_S = 3.0
 
 #: Budget for 50 artifacts pushed and read back through a live cache
 #: server over loopback HTTP, seconds.  Typical: well under 0.5 s; the
@@ -261,6 +285,45 @@ def test_pair_scans_2304_qubits_within_budget():
         f"legality+spacing+hotspot scans took {elapsed:.2f}s on "
         f"{side * side} qubits (budget {PAIR_SCANS_BUDGET_S}s) — "
         "is a scan walking every pair again?"
+    )
+
+
+@pytest.mark.perf_smoke
+def test_near_pairs_packed_lattice_within_budget():
+    col, row = np.meshgrid(np.arange(500), np.arange(500), indexing="ij")
+    lo = np.column_stack([col.ravel(), row.ravel()]).astype(np.float64)
+
+    t0 = time.perf_counter()
+    pairs = near_pairs(lo, lo + 1.0, -1e-6)
+    elapsed = time.perf_counter() - t0
+
+    assert pairs.shape == (0, 2)  # edge-to-edge boxes never overlap
+    assert elapsed < NEAR_PAIRS_LATTICE_BUDGET_S, (
+        f"near_pairs took {elapsed:.2f}s on {len(lo)} column-packed boxes "
+        f"(budget {NEAR_PAIRS_LATTICE_BUDGET_S}s) — does a box scan its "
+        "whole column again?"
+    )
+
+
+@pytest.mark.perf_smoke
+def test_integration_legalize_32x32_within_budget():
+    cfg = QGDPConfig()
+    netlist, grid = build_layout(grid_topology(32), cfg)
+    GlobalPlacer(cfg).run(netlist, grid)
+    legalize_qubits(netlist, grid, cfg)
+    bins = BinGrid(grid)
+    for qubit in netlist.qubits:
+        bins.occupy_rect(qubit.rect, qubit.node_id)
+
+    t0 = time.perf_counter()
+    result = integration_aware_legalize(netlist.resonators, bins, netlist)
+    elapsed = time.perf_counter() - t0
+
+    assert len(result.placed) == len(netlist.wire_blocks)
+    assert check_legality(netlist, grid) == []
+    assert elapsed < INTEGRATION_32_BUDGET_S, (
+        f"Algorithm 1 took {elapsed:.2f}s on a 32x32 grid "
+        f"(budget {INTEGRATION_32_BUDGET_S}s) — per-block scan regression?"
     )
 
 

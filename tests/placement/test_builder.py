@@ -2,12 +2,14 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.core.config import QGDPConfig
 from repro.core.pipeline import QGDPFlow
 from repro.placement import build_layout, size_grid
-from repro.topologies import PAPER_TOPOLOGIES, Topology, get_topology
+from repro.placement.builder import closest_pair_distance
+from repro.topologies import PAPER_TOPOLOGIES, Topology, get_topology, grid_topology
 
 
 @pytest.mark.parametrize("name", PAPER_TOPOLOGIES)
@@ -103,3 +105,48 @@ def test_one_qubit_flow_is_legal(engine):
         assert stage.metrics["spacing_violations"] == 0
     (qubit,) = result.final.positions
     assert qubit == ("q", 0)
+
+
+def brute_force_closest_pair(positions: list) -> float:
+    """The all-pairs generator ``size_grid`` used before the sort sweep."""
+    return min(
+        (
+            math.hypot(xa - xb, ya - yb)
+            for i, (xa, ya) in enumerate(positions)
+            for (xb, yb) in positions[i + 1 :]
+        ),
+        default=math.inf,
+    )
+
+
+@pytest.mark.parametrize(
+    "topology",
+    [get_topology(name) for name in PAPER_TOPOLOGIES]
+    + [grid_topology(side) for side in range(2, 25) if side != 5]  # 5: "grid"
+    + [Topology("one", "One", 1, [], {0: (3.0, 4.0)})],
+    ids=lambda t: f"{t.name}-{t.num_qubits}q",
+)
+def test_closest_pair_sweep_matches_all_pairs(topology):
+    positions = list(topology.ideal_positions.values())
+    got = closest_pair_distance(positions)
+    assert got.hex() == brute_force_closest_pair(positions).hex()
+
+
+def test_closest_pair_sweep_with_exact_distance_ties():
+    """Lattice points (many pairs at exactly the minimum), duplicates,
+    mirrored pairs and free floats: the same float as the all-pairs min."""
+    rng = np.random.default_rng(3)
+    for trial in range(300):
+        n = int(rng.integers(0, 40))
+        if trial % 3 == 0:
+            points = rng.integers(-5, 6, (n, 2)) * 0.5
+        elif trial % 3 == 1:
+            points = rng.integers(0, 4, (n, 2)) * np.array([3.0, 4.0])
+        else:
+            points = rng.uniform(-10.0, 10.0, (n, 2))
+            points[1::4] = -points[::4][: len(points[1::4])]
+        positions = [tuple(p) for p in points.tolist()]
+        got = closest_pair_distance(positions)
+        assert got.hex() == brute_force_closest_pair(positions).hex()
+    assert closest_pair_distance([]) == math.inf
+    assert closest_pair_distance([(1.0, 2.0), (1.0, 2.0)]) == 0.0

@@ -13,7 +13,23 @@ into: PlaceRow's leftward merges are simulated on ``(n, adj_sum)``
 alone, and the cost is the stored prefix before the merge point plus
 the merged cluster's cells.  The prefix is accumulated cell by cell in
 left-to-right order, so every cost is the float a full left-to-right
-sum over the segment gives.
+sum over the segment gives.  A trial that merges nothing is the stored
+total plus the new cell's own cost, with no walk.
+
+Most segments are never priced.  A trial into segment ``[lo, hi]`` with
+raw target ``t`` raises the segment's cost by at least ``gap²``, where
+``gap = max(lo - t, t - hi, 0)``: the new cell lands on a column in
+``[lo, hi]``, and every old cluster it absorbs keeps its cells contiguous
+inside the segment, where its old start was already the clamped optimum
+of its own convex cost, so merging never lowers that cluster's cost.  A
+segment whose ``y_cost + gap²`` exceeds the best delta so far by more
+than 1.0 site² therefore cannot win, and is skipped; the best delta only
+falls, so once a segment right of ``t`` is skipped, every later segment
+of its row is too.  The margin is many orders of magnitude above the
+float error of the running sums (about ``n·ε·cost``) on any grid this
+code builds, so every skipped segment would have lost the strict ``<``
+comparison anyway: rows, segments and ties are visited and broken
+exactly as a full scan does.
 
 Like Tetris, Abacus is integration-blind: it optimizes displacement per
 cell and happily splits a resonator's blocks across rows and segments.
@@ -59,10 +75,6 @@ class _Segment:
     used: int = 0
 
     @property
-    def capacity(self) -> int:
-        return self.hi - self.lo + 1
-
-    @property
     def total_cost(self) -> float:
         """Quadratic x-displacement of every cell currently in the segment."""
         return self.costs[-1] if self.costs else 0.0
@@ -97,7 +109,16 @@ class _Segment:
         return (first, n, adj_sum, start, cost)
 
     def trial_cost(self, raw_target: float) -> float:
-        """Total cost the segment would have after inserting ``raw_target``."""
+        """Total cost the segment would have after inserting ``raw_target``.
+
+        When the new cell merges nothing, this is the stored total plus
+        the cell's own cost at its clamped target — the float ``_merge``
+        returns for that case — priced without the merge walk.
+        """
+        start = min(max(raw_target, float(self.lo)), float(self.hi))
+        clusters = self.clusters
+        if not clusters or clusters[-1].start + clusters[-1].n <= start + 1e-9:
+            return self.total_cost + (start - raw_target) ** 2
         return self._merge(raw_target)[4]
 
     def insert(self, block, raw_target: float) -> None:
@@ -150,17 +171,29 @@ def abacus_legalize(blocks: list, bins: BinGrid) -> dict:
     for block in order:
         # A unit cell at column c has centre (c + 0.5) * lb.
         raw_target = block.x / grid.lb - 0.5
-        target_row = grid.site_of(block.center)[1]
+        target_row = min(max(int(block.y // grid.lb), 0), grid.rows - 1)
         best = None  # (delta_cost, row, segment)
         for dist in range(grid.rows):
             if best is not None and float(dist * dist) > best[0]:
                 break
-            for row in sorted({target_row - dist, target_row + dist}):
+            pair = (target_row - dist, target_row + dist) if dist else (target_row,)
+            for row in pair:
                 if not (0 <= row < grid.rows):
                     continue
                 y_cost = float((row - target_row) ** 2)
                 for segment in row_segments[row]:
-                    if segment.used >= segment.capacity:
+                    lo, hi = segment.lo, segment.hi
+                    if segment.used > hi - lo:
+                        continue
+                    if raw_target < lo:
+                        gap = lo - raw_target
+                    elif raw_target > hi:
+                        gap = raw_target - hi
+                    else:
+                        gap = 0.0
+                    if best is not None and y_cost + gap * gap > best[0] + 1.0:
+                        if raw_target < lo:
+                            break  # every later segment lies farther right
                         continue
                     delta = (
                         y_cost + segment.trial_cost(raw_target) - segment.total_cost
@@ -186,8 +219,7 @@ def abacus_legalize(blocks: list, bins: BinGrid) -> dict:
                 for offset, (block, _t) in enumerate(cluster.cells):
                     col = start_col + offset
                     bins.occupy(col, row_idx, block.node_id)
-                    center = grid.site_center(col, row_idx)
-                    block.move_to(center.x, center.y)
+                    block.move_to((col + 0.5) * grid.lb, (row_idx + 0.5) * grid.lb)
                     placed[block.name] = (col, row_idx)
                 next_col = start_col + cluster.n
     return placed

@@ -100,15 +100,39 @@ class BinGrid:
 
         A legal layout determines its occupancy completely: qubit macros
         cover the sites under their rectangles and each wire block sits on
-        exactly one site.  ``occupy``/``occupy_rect`` raise on conflicts, so
-        a non-legal snapshot fails loudly instead of silently mis-counting
-        crossings.
+        exactly one site.  A non-legal snapshot fails loudly instead of
+        silently mis-counting crossings: ``occupy_rect`` raises on a qubit
+        conflict, and a wire block on a taken site or on an earlier
+        block's site raises the ``ValueError`` that ``occupy`` would,
+        for the first such block in netlist order.
+
+        The blocks are written in one array pass: sites from
+        ``np.floor_divide`` (the float of :meth:`SiteGrid.site_of`'s
+        ``x // lb``), clamped, with owners and resonator keys interned in
+        netlist order.
         """
         bins = cls(grid)
         for qubit in netlist.qubits:
             bins.occupy_rect(qubit.rect, qubit.node_id)
-        for block in netlist.wire_blocks:
-            bins.occupy(*grid.site_of(block.center), block.node_id)
+        blocks = netlist.wire_blocks
+        count = len(blocks)
+        xs = np.fromiter((block.x for block in blocks), np.float64, count)
+        ys = np.fromiter((block.y for block in blocks), np.float64, count)
+        cols = np.clip(np.floor_divide(xs, grid.lb), 0, grid.cols - 1).astype(np.intp)
+        rows = np.clip(np.floor_divide(ys, grid.lb), 0, grid.rows - 1).astype(np.intp)
+        flat = cols * grid.rows + rows
+        conflict = bins._kind[flat] != KIND_FREE
+        _, first = np.unique(flat, return_index=True)
+        repeated = np.ones(count, dtype=bool)
+        repeated[first] = False
+        conflict |= repeated
+        if conflict.any():
+            k = int(np.argmax(conflict))
+            raise ValueError(f"site ({cols[k]}, {rows[k]}) already occupied")
+        intern_owner, intern_key = bins._intern_owner, bins._intern_res_key
+        bins._kind[flat] = KIND_BLOCK
+        bins._owner_idx[flat] = [intern_owner(block.node_id) for block in blocks]
+        bins._res_idx[flat] = [intern_key(block.resonator_key) for block in blocks]
         return bins
 
     # -- flat-array views --------------------------------------------------
@@ -178,13 +202,25 @@ class BinGrid:
         return None if idx < 0 else self._owners[idx]
 
     def occupy(self, col: int, row: int, owner) -> None:
-        """Mark a free site as occupied by ``owner``."""
-        if not self.grid.in_grid(col, row):
+        """Mark a free site as occupied by ``owner``.
+
+        Tuple owners ``("q", i)`` and ``("b", key, ordinal)`` — every
+        legalizer's — are classified inline; any other owner goes through
+        :func:`_classify` to the same ``(kind, resonator_key)``.
+        """
+        rows = self.grid.rows
+        if not (0 <= col < self.grid.cols and 0 <= row < rows):
             raise IndexError(f"site ({col}, {row}) outside grid")
-        flat = self.grid.flat_index(col, row)
+        flat = col * rows + row
         if self._kind[flat] != KIND_FREE:
             raise ValueError(f"site ({col}, {row}) already occupied")
-        kind, res_key = _classify(owner)
+        tag = owner[0] if type(owner) is tuple and owner else None
+        if tag == "q":
+            kind = KIND_QUBIT
+        elif tag == "b" and len(owner) > 1:
+            kind, res_key = KIND_BLOCK, owner[1]
+        else:
+            kind, res_key = _classify(owner)
         self._kind[flat] = kind
         self._owner_idx[flat] = self._intern_owner(owner)
         if kind == KIND_BLOCK:
@@ -251,15 +287,6 @@ class BinGrid:
         the row.
         """
         return np.flatnonzero(self._kind[row :: self.grid.rows] == KIND_FREE)
-
-    def first_free_col_at_or_after(self, row: int, col: int):
-        """Smallest free column ``>= col`` in ``row``, or None."""
-        row_kinds = self._kind[row :: self.grid.rows]
-        start = max(col, 0)
-        offsets = np.flatnonzero(row_kinds[start:] == KIND_FREE)
-        if offsets.size == 0:
-            return None
-        return start + int(offsets[0])
 
     def nearest_free(self, col: int, row: int) -> tuple:
         """Free site minimizing Euclidean site distance to ``(col, row)``.

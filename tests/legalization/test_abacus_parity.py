@@ -9,6 +9,11 @@ must be equal, order included, wherever the reference does not raise.
 The reference raises ``ValueError`` when two touching clusters' starts
 round to one column (see ``test_cell_legalizers.py``); there the new
 commit must still give a legal layout.
+
+The legalizer also skips every segment whose displacement lower bound
+``gap²`` cannot beat the best delta so far, so the wide-row strategy
+below gives each row dozens of short segments and targets on their
+edges and on half-integers, and the bound itself is tested directly.
 """
 
 import copy
@@ -22,6 +27,7 @@ import repro.legalization.engines as engines
 from repro.core.pipeline import QGDPFlow
 from repro.geometry import SiteGrid
 from repro.legalization import BinGrid, abacus_legalize
+from repro.legalization.abacus import _Segment as LiveSegment
 from repro.netlist import WireBlock
 from repro.topologies import PAPER_TOPOLOGIES
 
@@ -209,6 +215,71 @@ def test_abacus_matches_reference_on_random_rows(obstacles, positions):
         for k, (x, y) in enumerate(positions)
     ]
     _compare(blocks, bins)
+
+
+WIDE_COLS, WIDE_ROWS = 200, 3
+
+
+@st.composite
+def wide_rows(draw):
+    """Rows of 200+ columns cut every few columns by obstacles; targets on
+    segment edges (site centres next to an obstacle), on half-integer raw
+    targets, and anywhere."""
+    cols = draw(st.integers(WIDE_COLS, WIDE_COLS + 40))
+    period = draw(st.integers(2, 7))
+    obstacles = {
+        (col, row)
+        for row in range(WIDE_ROWS)
+        for col in range(draw(st.integers(0, period - 1)), cols, period)
+    }
+    obstacles -= draw(st.sets(st.sampled_from(sorted(obstacles)), max_size=10))
+    edges = sorted(
+        {c + d for c, _ in obstacles for d in (-1, 1) if 0 <= c + d < cols}
+    )
+    x_st = st.one_of(
+        st.sampled_from(edges).map(lambda col: col + 0.5),
+        st.integers(0, 2 * cols).map(lambda h: h / 2.0),
+        st.floats(0.0, float(cols), allow_nan=False),
+    )
+    y_st = st.floats(0.0, float(WIDE_ROWS) - 1e-6)
+    positions = draw(st.lists(st.tuples(x_st, y_st), min_size=1, max_size=40))
+    return cols, obstacles, positions
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(spec=wide_rows())
+def test_abacus_matches_reference_on_wide_rows(spec):
+    cols, obstacles, positions = spec
+    bins = BinGrid(SiteGrid(cols, WIDE_ROWS))
+    for k, (col, row) in enumerate(sorted(obstacles)):
+        bins.occupy(col, row, ("q", k))
+    blocks = [
+        WireBlock(resonator_key=(k // 3, k // 3 + 1), ordinal=k % 3, x=x, y=y)
+        for k, (x, y) in enumerate(positions)
+    ]
+    _compare(blocks, bins)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    lo=st.integers(0, 40),
+    width=st.integers(1, 30),
+    targets=st.lists(st.floats(-20.0, 90.0, allow_nan=False), max_size=29),
+    t=st.one_of(
+        st.floats(-20.0, 90.0, allow_nan=False),
+        st.integers(-20, 180).map(lambda h: h / 2.0),
+    ),
+)
+def test_trial_cost_rises_by_at_least_the_gap_squared(lo, width, targets, t):
+    """The lower bound the segment skip relies on: inserting raw target
+    ``t`` into ``[lo, hi]`` raises the segment's cost by at least the
+    squared distance from ``t`` to the segment."""
+    hi = lo + width - 1
+    segment = LiveSegment(lo, hi)
+    for target in targets[: width - 1]:
+        segment.insert(None, target)
+    gap = max(lo - t, t - hi, 0.0)
+    assert segment.trial_cost(t) - segment.total_cost >= gap * gap - 1e-9
 
 
 def test_abacus_matches_reference_on_the_protocol_layouts(monkeypatch):

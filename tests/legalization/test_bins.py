@@ -116,37 +116,21 @@ def test_free_cols_in_row_tracks_occupancy(bins):
     assert list(bins.free_cols_in_row(3)) == [0, 1, 2, 3, 4, 5, 6, 8, 9]
 
 
-def test_first_free_col_at_or_after(bins):
-    bins.occupy(0, 2, "x")
-    bins.occupy(1, 2, "x")
-    assert bins.first_free_col_at_or_after(2, 0) == 2
-    assert bins.first_free_col_at_or_after(2, 2) == 2
-    assert bins.first_free_col_at_or_after(2, 3) == 3
-    assert bins.first_free_col_at_or_after(2, -5) == 2  # clamped left
-    assert bins.first_free_col_at_or_after(2, 10) is None  # past the row
-    for col in range(2, 10):
-        bins.occupy(col, 2, "x")
-    assert bins.first_free_col_at_or_after(2, 0) is None  # row full
-
-
 @settings(max_examples=40, deadline=None)
 @given(
     occupied=st.sets(
         st.tuples(st.integers(0, 9), st.integers(0, 7)), max_size=60
     ),
     row=st.integers(0, 7),
-    col=st.integers(-2, 11),
 )
-def test_flat_probes_match_legacy_free_lists(occupied, row, col):
-    """The flat-array probes agree with the sorted per-row free list that
+def test_flat_probes_match_legacy_free_lists(occupied, row):
+    """The flat-array probe agrees with the sorted per-row free list that
     the plain set of occupied sites implies."""
     bins = BinGrid(SiteGrid(cols=10, rows=8))
     for site in sorted(occupied):
         bins.occupy(*site, "x")
     reference = [c for c in range(10) if (c, row) not in occupied]
     assert list(bins.free_cols_in_row(row)) == reference
-    expected = next((c for c in reference if c >= col), None)
-    assert bins.first_free_col_at_or_after(row, col) == expected
 
 
 def test_of_layout_rejects_overlapping_qubits(falcon_legalized):

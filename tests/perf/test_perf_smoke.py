@@ -12,12 +12,13 @@ snapshot), a cache-server round-trip
 guard (50 artifacts pushed and read back through a live
 ``serve-cache``), a coordinator-drain guard (the paper sweep's job
 DAG leased and completed in-process) and a paper-protocol kernels guard
-(the cold sweep's 12 Abacus calls from GP snapshots, its 42 transpile
-batches and 72 layout builds), each with a *generous*
-wall-clock budget — an order of magnitude above the implementations'
-typical time, but far below a genuine regression, so only a real
-hot-path, protocol-overhead or scheduler regression trips them.  Part of the tier-1 run; select just these
-guards with ``pytest -m perf_smoke``.
+(the cold sweep's 12 Abacus and 12 Tetris calls from GP snapshots, its
+42 transpile batches, 72 layout builds and 36 occupancy rebuilds), each
+with a *generous* wall-clock budget — an order of magnitude above the
+implementations' typical time, but far below a genuine regression, so
+only a real hot-path, protocol-overhead or scheduler regression trips
+them.  Part of the tier-1 run; select just these guards with
+``pytest -m perf_smoke``.
 """
 
 from __future__ import annotations
@@ -128,13 +129,17 @@ CACHE_SERVER_BUDGET_S = 15.0
 #: sweep would pay on top of its compute.
 COORDINATOR_DRAIN_BUDGET_S = 0.25
 
-#: Budget for the three largest compute layers of a cold paper sweep —
-#: the 12 Abacus calls (six topologies x {abacus, q-abacus}, from GP
-#: snapshots), the 42 transpile batches (2,100 mapped, routed and
-#: scheduled programs) and 72 layout builds with their frequency plans —
-#: in seconds.  Typical: ~1.7 s on a 2-vCPU host with running segment
-#: costs, streamed routing and incidence-set neighbourhoods (~4 s with
-#: cloned trial segments, a routed-gate list and the squared line graph).
+#: Budget for the largest compute layers of a cold paper sweep — the 12
+#: Abacus and 12 Tetris calls (six topologies x {abacus, q-abacus} and
+#: {tetris, q-tetris}, from GP snapshots), the 42 transpile batches
+#: (2,100 mapped, routed and scheduled programs), 72 layout builds with
+#: their frequency plans and the 36 occupancy rebuilds of the analyze and
+#: dp jobs — in seconds.  Typical: ~1.1–1.5 s on a 2-vCPU host with the
+#: Abacus segment bound, the Tetris next-free index and the one-pass
+#: rebuild (~1.7–2.0 s with every segment priced, a NumPy probe per Tetris
+#: row and a per-block rebuild; the three older layers took ~4 s alone
+#: with cloned trial segments, a routed-gate list and the squared line
+#: graph).
 PAPER_KERNELS_BUDGET_S = 20.0
 
 
@@ -393,26 +398,43 @@ def test_coordinator_drain_within_budget():
 
 @pytest.mark.perf_smoke
 def test_paper_protocol_kernels_within_budget(monkeypatch):
-    """Abacus, transpilation and the layout build, as a cold paper sweep
-    runs them; GP and the qubit LP run outside the timer."""
-    abacus_s = []
-    abacus = engines.abacus_legalize
+    """Abacus, Tetris, transpilation, the layout build and the occupancy
+    rebuild, as a cold paper sweep runs them; GP, the qubit LP,
+    Algorithm 1 and DP run outside the timer."""
+    legalizer_s = {"abacus_legalize": [], "tetris_legalize": []}
 
-    def timed_abacus(blocks, bins):
-        t0 = time.perf_counter()
-        placed = abacus(blocks, bins)
-        abacus_s.append(time.perf_counter() - t0)
-        return placed
+    def timed(name):
+        legalize = getattr(engines, name)
 
-    monkeypatch.setattr(engines, "abacus_legalize", timed_abacus)
+        def run(blocks, bins):
+            t0 = time.perf_counter()
+            placed = legalize(blocks, bins)
+            legalizer_s[name].append(time.perf_counter() - t0)
+            return placed
+
+        return run
+
+    for name in legalizer_s:
+        monkeypatch.setattr(engines, name, timed(name))
+    layouts = []  # (flow, snapshot) of every layout an analyze or dp job rebuilds
     for name in PAPER_TOPOLOGIES:
         flow = QGDPFlow(name)
         flow.place()
         snapshot = flow.netlist.snapshot()
-        for engine in ("abacus", "q-abacus"):
+        for engine in PAPER_ENGINE_ORDER:
             flow.restore(snapshot)
             flow.legalize(engine)
             assert check_legality(flow.netlist, flow.grid) == []
+            layouts.append((flow, flow.netlist.snapshot()))
+            if engine == "qgdp":
+                flow.detail()
+                layouts.append((flow, flow.netlist.snapshot()))
+    rebuild_s = 0.0
+    for flow, positions in layouts:
+        flow.restore(positions)
+        t0 = time.perf_counter()
+        BinGrid.of_layout(flow.netlist, flow.grid)
+        rebuild_s += time.perf_counter() - t0
 
     spec = SweepSpec(
         PAPER_TOPOLOGIES, PAPER_BENCHMARKS, PAPER_ENGINE_ORDER,
@@ -433,12 +455,16 @@ def test_paper_protocol_kernels_within_budget(monkeypatch):
             build_layout(get_topology(name), cfg)
     build_s = time.perf_counter() - t0
 
-    assert len(abacus_s) == 12
+    abacus_s = sum(legalizer_s["abacus_legalize"])
+    tetris_s = sum(legalizer_s["tetris_legalize"])
+    assert [len(calls) for calls in legalizer_s.values()] == [12, 12]
+    assert len(layouts) == 36
     assert (len(batches), programs) == (42, 2100)
-    elapsed = sum(abacus_s) + transpile_s + build_s
+    elapsed = abacus_s + tetris_s + transpile_s + build_s + rebuild_s
     assert elapsed < PAPER_KERNELS_BUDGET_S, (
-        f"12 Abacus calls ({sum(abacus_s):.2f}s), 42 transpile batches "
-        f"({transpile_s:.2f}s) and 72 builds ({build_s:.2f}s) took "
-        f"{elapsed:.2f}s (budget {PAPER_KERNELS_BUDGET_S}s) — Abacus trial, "
-        "routing or frequency-plan regression?"
+        f"12 Abacus calls ({abacus_s:.2f}s), 12 Tetris calls ({tetris_s:.2f}s), "
+        f"42 transpile batches ({transpile_s:.2f}s), 72 builds ({build_s:.2f}s) "
+        f"and 36 occupancy rebuilds ({rebuild_s:.2f}s) took {elapsed:.2f}s "
+        f"(budget {PAPER_KERNELS_BUDGET_S}s) — Abacus trial, Tetris probe, "
+        "routing, frequency-plan or rebuild regression?"
     )

@@ -206,6 +206,8 @@ def run_engine_evaluations(
     graph, keys = plan_engine_evaluations(
         topology_names, engine_names, eval_config
     )
+    # The rows read the lg / dp and analyze payloads, never the gp ones.
+    read = [key for chain in keys.values() for pair in chain for key in pair]
     owns_store = store is None
     if owns_store:
         store = resolve_store(cache_url=cache_url, cache_dir=cache_dir)
@@ -218,6 +220,7 @@ def run_engine_evaluations(
             progress=progress,
             retries=retries,
             timeout_s=timeout_s,
+            outputs=read,
         )
     finally:
         # Close self-opened stores (sqlite handles); leave caller-owned

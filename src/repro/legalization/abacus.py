@@ -14,7 +14,8 @@ alone, and the cost is the stored prefix before the merge point plus
 the merged cluster's cells.  The prefix is accumulated cell by cell in
 left-to-right order, so every cost is the float a full left-to-right
 sum over the segment gives.  A trial that merges nothing is the stored
-total plus the new cell's own cost, with no walk.
+total plus the new cell's own cost, with no walk, and the winning
+trial's merge is what the insertion applies, so no walk runs twice.
 
 Most segments are never priced.  A trial into segment ``[lo, hi]`` with
 raw target ``t`` raises the segment's cost by at least ``gap²``, where
@@ -108,22 +109,23 @@ class _Segment:
         cost += (start + k - raw_target) ** 2
         return (first, n, adj_sum, start, cost)
 
-    def trial_cost(self, raw_target: float) -> float:
-        """Total cost the segment would have after inserting ``raw_target``.
+    def trial(self, raw_target: float) -> tuple:
+        """``_merge``'s ``(first, n, adj_sum, start, cost)`` for ``raw_target``.
 
-        When the new cell merges nothing, this is the stored total plus
-        the cell's own cost at its clamped target — the float ``_merge``
-        returns for that case — priced without the merge walk.
+        When the new cell merges nothing, the cost is the stored total
+        plus the cell's own cost at its clamped target — the floats
+        ``_merge`` returns for that case — priced without the merge walk.
         """
         start = min(max(raw_target, float(self.lo)), float(self.hi))
         clusters = self.clusters
         if not clusters or clusters[-1].start + clusters[-1].n <= start + 1e-9:
-            return self.total_cost + (start - raw_target) ** 2
-        return self._merge(raw_target)[4]
+            cost = self.total_cost + (start - raw_target) ** 2
+            return (len(clusters), 1, raw_target, start, cost)
+        return self._merge(raw_target)
 
-    def insert(self, block, raw_target: float) -> None:
-        """PlaceRow append: new singleton cluster, merge leftward while overlapping."""
-        first, n, adj_sum, start, cost = self._merge(raw_target)
+    def insert(self, block, raw_target: float, merged: tuple) -> None:
+        """PlaceRow append of the cell :meth:`trial` priced as ``merged``."""
+        first, n, adj_sum, start, cost = merged
         cells = [cell for cluster in self.clusters[first:] for cell in cluster.cells]
         cells.append((block, raw_target))
         self.clusters[first:] = [_Cluster(cells, n, adj_sum, start)]
@@ -172,7 +174,7 @@ def abacus_legalize(blocks: list, bins: BinGrid) -> dict:
         # A unit cell at column c has centre (c + 0.5) * lb.
         raw_target = block.x / grid.lb - 0.5
         target_row = min(max(int(block.y // grid.lb), 0), grid.rows - 1)
-        best = None  # (delta_cost, row, segment)
+        best = None  # (delta_cost, row, segment, trial)
         for dist in range(grid.rows):
             if best is not None and float(dist * dist) > best[0]:
                 break
@@ -195,15 +197,14 @@ def abacus_legalize(blocks: list, bins: BinGrid) -> dict:
                         if raw_target < lo:
                             break  # every later segment lies farther right
                         continue
-                    delta = (
-                        y_cost + segment.trial_cost(raw_target) - segment.total_cost
-                    )
+                    merged = segment.trial(raw_target)
+                    delta = y_cost + merged[4] - segment.total_cost
                     if best is None or delta < best[0]:
-                        best = (delta, row, segment)
+                        best = (delta, row, segment, merged)
         if best is None:
             raise LegalizationInfeasible("abacus", "found no feasible row")
-        _, _row, segment = best
-        segment.insert(block, raw_target)
+        _, _row, segment, merged = best
+        segment.insert(block, raw_target, merged)
 
     # Commit cluster positions to sites and write back block coordinates.
     placed = {}

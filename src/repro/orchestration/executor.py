@@ -13,8 +13,9 @@ payload sets — scheduling only changes wall-clock, never results.
 Cache interaction: with ``resume=True``, jobs whose payload already
 exists in the artifact store are not executed at all; they are counted
 as *cached* in the returned :class:`RunStats` (the run-manifest counters
-the resume acceptance test checks).  The executor only ever speaks the
-store's get/put/has API — which persistence backend sits underneath
+the resume acceptance test checks), and only the payloads the run reads
+are decoded.  The executor only ever speaks the store's fetch/get/put
+API — which persistence backend sits underneath
 (directory, SQLite, a remote cache server, a tiered stack; see
 :mod:`repro.orchestration.backends`) is invisible here, and the
 backend-parity suite holds every backend to byte-identical results.
@@ -42,7 +43,7 @@ from concurrent.futures import (
     wait,
 )
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.orchestration.coordinator import FleetCoordinator, ledger_row
 from repro.orchestration.jobs import Job, JobGraph
@@ -274,46 +275,72 @@ def run_jobs(
     progress: Optional[Callable] = None,
     retries: int = 0,
     timeout_s: Optional[float] = None,
+    outputs: Optional[Iterable[str]] = None,
 ) -> tuple:
     """Execute a job graph; returns ``(results, stats)``.
 
-    ``results`` maps job key → payload for every job in the graph, in
-    graph order.  ``workers <= 1`` runs serially in-process; otherwise a
-    process pool of that size is used.  ``progress`` is an optional
-    callable ``(job, status)`` with status in ``{"cached", "start",
-    "done"}``.  ``retries`` re-runs a failing job up to that many extra
-    times before raising :class:`JobFailure`; every failed attempt is
-    logged in ``stats.failures`` (and on the raised exception), so one
-    flaky worker no longer kills a sweep silently.  ``timeout_s`` bounds
-    each job *attempt*'s wall clock (``None`` = unbounded): the job runs
-    in a terminatable child process and an expired attempt raises
-    :class:`JobTimeout`, which counts as a failed attempt for ``retries``.
-    Each attempt reports its own ``"start"``.
+    ``results`` maps job key → payload for every key in ``outputs``
+    (default: every job in the graph), in graph order; an unknown key
+    raises :class:`ValueError`.  ``workers <= 1`` runs serially
+    in-process; otherwise a process pool of that size is used.
+    ``progress`` is an optional callable ``(job, status)`` with status
+    in ``{"cached", "start", "done"}``.  ``retries`` re-runs a failing
+    job up to that many extra times before raising :class:`JobFailure`;
+    every failed attempt is logged in ``stats.failures`` (and on the
+    raised exception), so one flaky worker no longer kills a sweep
+    silently.  ``timeout_s`` bounds each job *attempt*'s wall clock
+    (``None`` = unbounded): the job runs in a terminatable child process
+    and an expired attempt raises :class:`JobTimeout`, which counts as a
+    failed attempt for ``retries``.  Each attempt reports its own
+    ``"start"``.
+
+    With ``resume=True`` the run decodes only the payloads it reads:
+    one batched :meth:`~repro.orchestration.store.ArtifactStore.fetch`
+    finds which artifacts exist, then one pass in reverse graph order
+    starts from the read set ``outputs``.  A job in the read set is
+    cached when its payload decodes and pending otherwise; a job outside
+    it is cached when it was fetched.  Every pending job adds its deps to
+    the read set, so a missing or corrupt artifact is recomputed from
+    decoded inputs, and a corrupt artifact nothing reads stays cached.
     """
     if retries < 0:
         raise ValueError(f"retries must be >= 0, got {retries}")
     if timeout_s is not None and timeout_s <= 0:
         raise ValueError(f"timeout_s must be positive, got {timeout_s}")
     t0 = time.perf_counter()
-    stats = RunStats(total=len(graph))
-    results = {}
-    pending = []
-
     ordered = graph.ordered()
-    if resume:
-        # One batched pass warms the store's memory layer, so the
-        # per-job gets below are memory reads — against a remote
-        # backend the resume check costs ceil(N / batch_size) round
-        # trips instead of one per job.
-        store.prefetch([(job.kind, job.key) for job in ordered])
+    wanted = set(graph.jobs if outputs is None else outputs)
+    unknown = wanted - graph.jobs.keys()
+    if unknown:
+        raise ValueError(f"outputs name unknown job {min(unknown)[:12]}")
+    stats = RunStats(total=len(graph))
+    results: Dict[str, dict] = {}
+
+    found: Set[str] = (
+        store.fetch([(job.kind, job.key) for job in ordered])
+        if resume
+        else set()
+    )
+    read = set(wanted)
+    pending_keys: Set[str] = set()
+    for job in reversed(ordered):
+        if job.key not in found:
+            pending_keys.add(job.key)
+        elif job.key in read:
+            payload = store.get(job.kind, job.key)
+            if payload is None:
+                pending_keys.add(job.key)  # corrupt: recompute
+            else:
+                results[job.key] = payload
+        if job.key in pending_keys:
+            read.update(job.deps)
+    pending: List[Job] = []
     for job in ordered:
-        payload = store.get(job.kind, job.key) if resume else None
-        if payload is not None:
-            results[job.key] = payload
+        if job.key in pending_keys:
+            pending.append(job)
+        else:
             stats.record(job, cached=True)
             _notify(progress, job, "cached")
-        else:
-            pending.append(job)
 
     if pending:
         _run_uncached(
@@ -326,7 +353,8 @@ def run_jobs(
     # must not be, so entries are normalized to graph order.
     order = {job.key: index for index, job in enumerate(ordered)}
     stats.entries.sort(key=lambda entry: order[entry["key"]])
-    return {job.key: results[job.key] for job in ordered}, stats
+    outputs_in_order = [job.key for job in ordered if job.key in wanted]
+    return {key: results[key] for key in outputs_in_order}, stats
 
 
 def _run_uncached(

@@ -25,7 +25,7 @@ insertion order is preserved).
 from __future__ import annotations
 
 import json
-from typing import Dict, Iterable, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
 
 from repro.orchestration.backends import (
     DirBackend,
@@ -71,7 +71,8 @@ class ArtifactStore:
             backend = DirBackend(root)
         self.root = root
         self.backend = backend
-        self._memory = {}
+        self._memory: Dict[str, dict] = {}
+        self._texts: Dict[str, str] = {}  # fetched, not yet decoded
 
     @classmethod
     def from_url(cls, url: Union[str, StoreBackend]) -> "ArtifactStore":
@@ -85,19 +86,25 @@ class ArtifactStore:
 
     def has(self, kind: str, key: str) -> bool:
         """True when an artifact exists in memory or in the backend."""
-        if key in self._memory:
+        if key in self._memory or key in self._texts:
             return True
         return self.backend is not None and self.backend.has(kind, key)
 
     def get(self, kind: str, key: str) -> Optional[dict]:
-        """Load an artifact payload, or None when absent."""
+        """Load an artifact payload, or None when absent or corrupt.
+
+        A text :meth:`fetch` pulled is decoded here, on first read, and
+        never re-read from the backend.
+        """
         if key in self._memory:
             return self._memory[key]
-        if self.backend is None:
-            return None
-        text = self.backend.get_text(kind, key)
+        text = self._texts.pop(key, None)
         if text is None:
-            return None
+            if self.backend is None:
+                return None
+            text = self.backend.get_text(kind, key)
+            if text is None:
+                return None
         try:
             payload = json.loads(text)
         except ValueError:
@@ -105,42 +112,47 @@ class ArtifactStore:
         self._memory[key] = payload
         return payload
 
-    def prefetch(
-        self, pairs: Iterable[Tuple[str, str]]
-    ) -> Dict[Tuple[str, str], Optional[dict]]:
-        """Warm the in-memory layer for several artifacts in one pass.
+    def fetch(self, pairs: Iterable[Tuple[str, str]]) -> Set[str]:
+        """Pull several artifacts' texts in one pass, decoding none.
 
-        Pairs already in memory are served from it; the rest go through
+        Keys already in memory count as present; the rest go through
         the backend's :meth:`~repro.orchestration.backends.StoreBackend
         .get_many`, which remote backends batch — a resume check over N
         artifacts costs ``ceil(N / batch_size)`` round trips instead of
-        N.  Returns ``(kind, key) -> payload`` (None = absent), and a
-        subsequent :meth:`get` for any returned hit is a pure memory
-        read.
+        N.  Returns the keys present.  A later :meth:`get` for one of
+        them decodes the fetched text without touching the backend, so
+        a corrupt artifact counts as present here and reads as None
+        there.
         """
-        wanted = list(pairs)
-        out: Dict[Tuple[str, str], Optional[dict]] = {}
-        misses = []
-        for kind, key in wanted:
-            if key in self._memory:
-                out[(kind, key)] = self._memory[key]
+        found: Set[str] = set()
+        misses: List[Tuple[str, str]] = []
+        for kind, key in pairs:
+            if key in self._memory or key in self._texts:
+                found.add(key)
             else:
                 misses.append((kind, key))
-        if self.backend is None:
-            out.update({pair: None for pair in misses})
-            return out
-        for (kind, key), text in self.backend.get_many(misses).items():
-            if text is None:
-                out[(kind, key)] = None
-                continue
-            try:
-                payload = json.loads(text)
-            except ValueError:
-                out[(kind, key)] = None  # corrupt: miss, recompute
-                continue
-            self._memory[key] = payload
-            out[(kind, key)] = payload
-        return out
+        if self.backend is not None and misses:
+            for (_kind, key), text in self.backend.get_many(misses).items():
+                if text is not None:
+                    self._texts[key] = text
+                    found.add(key)
+        return found
+
+    def prefetch(
+        self, pairs: Iterable[Tuple[str, str]]
+    ) -> Dict[Tuple[str, str], Optional[dict]]:
+        """:meth:`fetch` several artifacts, then decode each one.
+
+        Returns ``(kind, key) -> payload`` (None = absent or corrupt),
+        and a subsequent :meth:`get` for any returned hit is a pure
+        memory read.
+        """
+        wanted = list(pairs)
+        found = self.fetch(wanted)
+        return {
+            (kind, key): self.get(kind, key) if key in found else None
+            for kind, key in wanted
+        }
 
     def put(self, kind: str, key: str, payload: dict) -> dict:
         """Store a payload; returns the canonicalized (JSON round-trip) form."""

@@ -201,6 +201,7 @@ def plan_sweep(spec: SweepSpec) -> SweepPlan:
     graph = JobGraph()
     cells = {}
     seeds = [spec.mapping_seed(k) for k in range(spec.num_seeds)]
+    widths = {name: get_benchmark(name).num_qubits for name in spec.benchmarks}
     for topo_name in spec.topologies:
         topology = get_topology(topo_name)
         chains = add_layout_jobs(
@@ -212,7 +213,7 @@ def plan_sweep(spec: SweepSpec) -> SweepPlan:
         # every engine's cell.
         transpile_keys = {}
         for bench_name in spec.benchmarks:
-            if get_benchmark(bench_name).num_qubits > topology.num_qubits:
+            if widths[bench_name] > topology.num_qubits:
                 continue
             transpile_keys[bench_name] = graph.add(
                 Job.create(
@@ -319,6 +320,7 @@ def run_sweep(
             progress=progress,
             retries=retries,
             timeout_s=timeout_s,
+            outputs=cell_keys.values(),
         )
     finally:
         # A store we opened is ours to close (sqlite connections, etc.);

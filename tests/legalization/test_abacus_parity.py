@@ -277,9 +277,26 @@ def test_trial_cost_rises_by_at_least_the_gap_squared(lo, width, targets, t):
     hi = lo + width - 1
     segment = LiveSegment(lo, hi)
     for target in targets[: width - 1]:
-        segment.insert(None, target)
+        segment.insert(None, target, segment.trial(target))
     gap = max(lo - t, t - hi, 0.0)
-    assert segment.trial_cost(t) - segment.total_cost >= gap * gap - 1e-9
+    assert segment.trial(t)[4] - segment.total_cost >= gap * gap - 1e-9
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    lo=st.integers(0, 40),
+    width=st.integers(1, 30),
+    targets=st.lists(st.floats(-20.0, 90.0, allow_nan=False), max_size=29),
+    t=st.floats(-20.0, 90.0, allow_nan=False),
+)
+def test_trial_is_the_merge_walk(lo, width, targets, t):
+    """The no-merge shortcut returns the very tuple the walk gives, so
+    inserting from a trial is inserting from a fresh walk."""
+    segment = LiveSegment(lo, lo + width - 1)
+    for target in targets[: width - 1]:
+        assert segment.trial(target) == segment._merge(target)
+        segment.insert(None, target, segment.trial(target))
+    assert segment.trial(t) == segment._merge(t)
 
 
 def test_abacus_matches_reference_on_the_protocol_layouts(monkeypatch):

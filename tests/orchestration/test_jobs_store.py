@@ -89,3 +89,35 @@ def test_store_canonicalizes_payloads(tmp_path):
     assert returned == {"samples": [0.25, 0.5]}  # tuple -> list, like disk
     on_disk = json.load(open(os.path.join(str(tmp_path / "cache"), "fidelity", "k.json")))
     assert on_disk == returned
+
+
+def test_fetch_reports_keys_in_memory_or_backend(tmp_path):
+    root = str(tmp_path / "cache")
+    ArtifactStore(root).put("gp", "on_disk", {"x": 1})
+    store = ArtifactStore(root)
+    store.put("lg", "in_memory", {"y": 2})
+    found = store.fetch(
+        [("gp", "on_disk"), ("lg", "in_memory"), ("gp", "absent")]
+    )
+    assert found == {"on_disk", "in_memory"}
+    assert ArtifactStore().fetch([("gp", "on_disk")]) == set()
+
+
+def test_fetched_corrupt_text_is_present_but_reads_as_none(tmp_path):
+    root = str(tmp_path / "cache")
+    os.makedirs(os.path.join(root, "gp"))
+    with open(os.path.join(root, "gp", "bad.json"), "w") as fh:
+        fh.write("{not json")
+    store = ArtifactStore(root)
+    assert store.fetch([("gp", "bad")]) == {"bad"}
+    assert store.get("gp", "bad") is None
+    assert store.has("gp", "bad")
+
+
+def test_fetched_text_is_served_after_its_file_is_deleted(tmp_path):
+    root = str(tmp_path / "cache")
+    ArtifactStore(root).put("fidelity", "k", {"samples": [0.5]})
+    store = ArtifactStore(root)
+    assert store.fetch([("fidelity", "k")]) == {"k"}
+    os.remove(os.path.join(root, "fidelity", "k.json"))
+    assert store.get("fidelity", "k") == {"samples": [0.5]}

@@ -11,10 +11,12 @@ integration-aware LG guard (Algorithm 1 alone at 32×32, from a GP
 snapshot), a cache-server round-trip
 guard (50 artifacts pushed and read back through a live
 ``serve-cache``), a coordinator-drain guard (the paper sweep's job
-DAG leased and completed in-process) and a paper-protocol kernels guard
+DAG leased and completed in-process), a paper-protocol kernels guard
 (the cold sweep's 12 Abacus and 12 Tetris calls from GP snapshots, its
-42 transpile batches, 72 layout builds and 36 occupancy rebuilds), each
-with a *generous* wall-clock budget — an order of magnitude above the
+42 transpile batches, 72 layout builds and 36 occupancy rebuilds) and a
+warm-resume guard (the paper protocol resumed from a filled cache,
+decoding only the payloads its rows read), each with a *generous*
+wall-clock budget — an order of magnitude above the
 implementations' typical time, but far below a genuine regression, so
 only a real hot-path, protocol-overhead or scheduler regression trips
 them.  Part of the tier-1 run; select just these guards with
@@ -34,6 +36,7 @@ from repro.circuits import PAPER_BENCHMARKS
 from repro.core.config import QGDPConfig
 from repro.orchestration.stages import run_transpile_job
 from repro.orchestration import (
+    ArtifactStore,
     CacheServer,
     DirBackend,
     FleetCoordinator,
@@ -42,6 +45,7 @@ from repro.orchestration import (
     SweepSpec,
     TieredStore,
     plan_sweep,
+    run_sweep,
     serialize_graph,
 )
 from repro.core.pipeline import QGDPFlow
@@ -141,6 +145,12 @@ COORDINATOR_DRAIN_BUDGET_S = 0.25
 #: with cloned trial segments, a routed-gate list and the squared line
 #: graph).
 PAPER_KERNELS_BUDGET_S = 20.0
+
+#: Budget for resuming the full paper protocol (324 jobs) from a filled
+#: directory cache, planning included, in seconds.  Typical: ~0.04 s on
+#: a 2-vCPU host decoding only the 210 fidelity payloads the rows read
+#: (0.08–0.18 s when every one of the 324 payloads, 2.4 MB, was decoded).
+WARM_RESUME_BUDGET_S = 1.0
 
 
 @pytest.mark.perf_smoke
@@ -467,4 +477,42 @@ def test_paper_protocol_kernels_within_budget(monkeypatch):
         f"and 36 occupancy rebuilds ({rebuild_s:.2f}s) took {elapsed:.2f}s "
         f"(budget {PAPER_KERNELS_BUDGET_S}s) — Abacus trial, Tetris probe, "
         "routing, frequency-plan or rebuild regression?"
+    )
+
+
+class _CountingStore(ArtifactStore):
+    """A directory store that counts the payloads a run reads."""
+
+    def __init__(self, root: str) -> None:
+        super().__init__(root)
+        self.gets = 0
+
+    def get(self, kind: str, key: str):
+        self.gets += 1
+        return super().get(kind, key)
+
+
+@pytest.mark.perf_smoke
+def test_paper_protocol_warm_resume_within_budget(tmp_path):
+    """A resumed paper sweep decodes only its 210 fidelity payloads."""
+    spec = SweepSpec(
+        PAPER_TOPOLOGIES, PAPER_BENCHMARKS, PAPER_ENGINE_ORDER,
+        num_seeds=50, detailed=True,
+    )
+    root = str(tmp_path / "cache")
+    cold = run_sweep(spec, store=ArtifactStore(root))
+    store = _CountingStore(root)
+
+    t0 = time.perf_counter()
+    warm = run_sweep(spec, store=store, resume=True)
+    elapsed = time.perf_counter() - t0
+
+    assert (warm.stats.total, warm.stats.computed) == (324, 0)
+    assert warm.stats.by_kind["fidelity"]["cached"] == 210
+    assert store.gets == 210
+    assert warm.rows == cold.rows
+    assert elapsed < WARM_RESUME_BUDGET_S, (
+        f"resuming the paper protocol took {elapsed:.2f}s "
+        f"(budget {WARM_RESUME_BUDGET_S}s) — does the resume decode "
+        "payloads the rows never read?"
     )

@@ -12,7 +12,7 @@ from repro.detailed.placer import DetailedPlacer
 from repro.geometry import SiteGrid
 from repro.legalization.bins import BinGrid
 from repro.legalization.engines import get_engine, run_legalization
-from repro.metrics.report import layout_metrics
+from repro.metrics.report import LayoutMetrics, layout_metrics
 from repro.netlist.netlist import QuantumNetlist
 from repro.netlist.traces import build_traces
 from repro.placement.builder import build_layout
@@ -116,13 +116,20 @@ class QGDPFlow:
         """Run GP → legalization → (optional) detailed placement.
 
         The lg and dp reports also carry the layout metrics after the
-        stage, computed outside its ``runtime_s``.
+        stage, computed outside its ``runtime_s``.  DP that flags no
+        window moves no block, no occupancy and no trace, so its report
+        reuses the lg analysis instead of analysing the layout again.
         """
         result = FlowResult(topology_name=self.topology.name, engine=engine)
         result.stages.append(self.place())
-        result.stages.append(self._with_metrics(self.legalize(engine)))
+        lg = self.legalize(engine)
+        metrics = self._layout_metrics()
+        result.stages.append(_with_metrics(lg, metrics))
         if detailed:
-            result.stages.append(self._with_metrics(self.detail()))
+            dp = self.detail()
+            if dp.metrics["flagged"]:
+                metrics = self._layout_metrics()
+            result.stages.append(_with_metrics(dp, metrics))
         return result
 
     def _report(self, stage: str, t0: float, **fields) -> StageReport:
@@ -139,16 +146,16 @@ class QGDPFlow:
             self.traces = build_traces(self.netlist, self.config.lb)
         return self.traces
 
-    def _with_metrics(self, report: StageReport) -> StageReport:
-        metrics = layout_metrics(
+    def _layout_metrics(self) -> LayoutMetrics:
+        return layout_metrics(
             self.netlist, self._occupancy(), self.config, traces=self._traces()
         )
-        report.metrics = {
-            **asdict(metrics),
-            "iedge": metrics.iedge,
-            **report.metrics,
-        }
-        return report
+
+
+def _with_metrics(report: StageReport, metrics: LayoutMetrics) -> StageReport:
+    """``report`` with the layout metrics ahead of its stage fields."""
+    report.metrics = {**asdict(metrics), "iedge": metrics.iedge, **report.metrics}
+    return report
 
 
 def run_flow(

@@ -105,14 +105,13 @@ def resonator_trace(
     resonator's clusters instead of recomputing them (the cluster pass is
     about half of a cold trace build).
     """
-    qa = netlist.qubit(resonator.qi)
-    qb = netlist.qubit(resonator.qj)
-    terminal_sets = [qubit_boundary(qa), qubit_boundary(qb)]
     if clusters is None:
         clusters = block_clusters(resonator, lb)
-    for cluster in clusters:
-        terminal_sets.append([(b.x, b.y) for b in cluster])
-    return mst_segments(terminal_sets)
+    return _trace(
+        qubit_boundary(netlist.qubit(resonator.qi)),
+        qubit_boundary(netlist.qubit(resonator.qj)),
+        clusters,
+    )
 
 
 def build_traces(netlist: QuantumNetlist, lb: float, clusters: dict = None) -> dict:
@@ -121,11 +120,23 @@ def build_traces(netlist: QuantumNetlist, lb: float, clusters: dict = None) -> d
     Clusters for all resonators come from one batched
     :func:`~repro.netlist.clusters.block_cluster_map` pass (the cluster
     extraction is about half of a cold trace build); ``clusters`` lets a
-    caller that already ran that pass at ``lb`` hand its map in.
+    caller that already ran that pass at ``lb`` hand its map in.  Each
+    qubit's boundary points are computed once, not once per resonator
+    end.
     """
     if clusters is None:
         clusters = block_cluster_map(netlist.resonators, lb)
+    boundary = {q.index: qubit_boundary(q) for q in netlist.qubits}
     return {
-        r.key: resonator_trace(netlist, r, lb, clusters=clusters[r.key])
+        r.key: _trace(boundary[r.qi], boundary[r.qj], clusters[r.key])
         for r in netlist.resonators
     }
+
+
+def _trace(boundary_i: list, boundary_j: list, clusters: list) -> list:
+    """The MST over a resonator's two qubit boundaries and its clusters'
+    block centres, in that set order."""
+    terminal_sets = [boundary_i, boundary_j]
+    for cluster in clusters:
+        terminal_sets.append([(b.x, b.y) for b in cluster])
+    return mst_segments(terminal_sets)

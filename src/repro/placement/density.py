@@ -23,6 +23,10 @@ class DensityMap:
         self.nx = max(2, int(np.ceil(grid.width / bin_size)))
         self.ny = max(2, int(np.ceil(grid.height / bin_size)))
         self._density = np.zeros((self.ny, self.nx))
+        # Buffers reused by every smoothing and gradient pass.
+        self._padded = np.empty((self.ny + 2, self.nx + 2))
+        self._gx = np.empty((self.ny, self.nx))
+        self._gy = np.empty((self.ny, self.nx))
 
     @property
     def density(self) -> np.ndarray:
@@ -51,21 +55,45 @@ class DensityMap:
         return (bx, by)
 
     def smoothed(self) -> np.ndarray:
-        """Density after one 3x3 box blur (keeps the gradient stable)."""
+        """Density after one 3x3 box blur (keeps the gradient stable).
+
+        The edge padding of ``np.pad(mode="edge")`` is written into a
+        buffer kept across calls; the nine shifted adds run in the same
+        ``(dy, dx)`` order from 0.0, so the sums are the same floats.
+        """
         d = self._density
-        padded = np.pad(d, 1, mode="edge")
+        ny, nx = d.shape
+        padded = self._padded
+        padded[1:-1, 1:-1] = d
+        padded[0, 1:-1] = d[0]
+        padded[-1, 1:-1] = d[-1]
+        padded[:, 0] = padded[:, 1]
+        padded[:, -1] = padded[:, -2]
         out = np.zeros_like(d)
         for dy in range(3):
             for dx in range(3):
-                out += padded[dy : dy + d.shape[0], dx : dx + d.shape[1]]
-        return out / 9.0
+                out += padded[dy : dy + ny, dx : dx + nx]
+        out /= 9.0
+        return out
 
     def gradient_at(self, bx: np.ndarray, by: np.ndarray) -> tuple:
         """Smoothed density gradient sampled at bins ``(bx, by)``, as
         :meth:`bin_of` and :meth:`deposit` return them.
 
         Returns ``(gx, gy)`` arrays; the spreading force is ``-grad``.
+        The maps are what ``np.gradient`` computes at unit spacing:
+        central differences ``(s[2:] − s[:-2]) / 2.0`` inside, one-sided
+        differences at the edges (the map is at least 2x2).
         """
         smooth = self.smoothed()
-        gy, gx = np.gradient(smooth)
-        return (gx[by, bx], gy[by, bx])
+        gx, gy = self._gx, self._gy
+        np.subtract(smooth[:, 2:], smooth[:, :-2], out=gx[:, 1:-1])
+        gx[:, 1:-1] /= 2.0
+        np.subtract(smooth[:, 1], smooth[:, 0], out=gx[:, 0])
+        np.subtract(smooth[:, -1], smooth[:, -2], out=gx[:, -1])
+        np.subtract(smooth[2:], smooth[:-2], out=gy[1:-1])
+        gy[1:-1] /= 2.0
+        np.subtract(smooth[1], smooth[0], out=gy[0])
+        np.subtract(smooth[-1], smooth[-2], out=gy[-1])
+        flat = by * self.nx + bx
+        return (gx.take(flat), gy.take(flat))

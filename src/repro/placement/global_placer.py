@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
 from repro.core.config import QGDPConfig
 from repro.geometry import SiteGrid
@@ -76,7 +77,7 @@ class GlobalPlacer:
         y[num_qubits:] += noise[:, 1]
 
         src, dst = net_index_arrays(netlist, style)
-        ends = np.concatenate((src, dst))
+        springs = spring_matrix(src, dst, n)
 
         density = DensityMap(grid, bin_size=2.0 * cfg.lb)
         half = np.where(
@@ -89,8 +90,8 @@ class GlobalPlacer:
         step = cfg.gp_step
         for _ in range(cfg.gp_iterations):
             # Net attraction (linear springs on 2-pin nets).
-            fx = _spring_force(x, src, dst, ends, cfg.gp_attraction)
-            fy = _spring_force(y, src, dst, ends, cfg.gp_attraction)
+            fx = springs @ (cfg.gp_attraction * (x[dst] - x[src]))
+            fy = springs @ (cfg.gp_attraction * (y[dst] - y[src]))
             # Density spreading, gathered at the bins the deposit used.
             gx, gy = density.gradient_at(*density.deposit(x, y, areas))
             fx -= cfg.gp_density * gx
@@ -106,9 +107,9 @@ class GlobalPlacer:
             x += step * (fx * scale)
             y += step * (fy * scale)
 
-            # Border clamp (Eq. 2).
-            np.clip(x, half, x_max, out=x)
-            np.clip(y, half, y_max, out=y)
+            # Border clamp (Eq. 2): np.clip's values without its wrapper.
+            np.minimum(np.maximum(x, half, out=x), x_max, out=x)
+            np.minimum(np.maximum(y, half, out=y), y_max, out=y)
             step *= 0.995
 
         for component, cx, cy in zip(components, x.tolist(), y.tolist()):
@@ -164,26 +165,29 @@ def net_index_arrays(netlist: QuantumNetlist, style: ConnectionStyle) -> tuple:
     return (node[:, 0], node[:, 1])
 
 
-def _spring_force(
-    coord: np.ndarray,
-    src: np.ndarray,
-    dst: np.ndarray,
-    ends: np.ndarray,
-    attraction: float,
-) -> np.ndarray:
-    """One axis of the net attraction: ``+a·d`` on each net's source and
-    ``−a·d`` on its sink, ``d = coord[dst] − coord[src]``.
+def spring_matrix(src: np.ndarray, dst: np.ndarray, n: int) -> csr_matrix:
+    """The ``n × m`` matrix that scatters ``m`` net pulls onto their nodes.
 
-    ``np.bincount`` over ``ends = concat(src, dst)`` adds every node's
-    terms one by one from 0.0: its source terms in net order, then its
-    sink terms.  That is the order of ``np.add.at`` over ``src`` then
-    ``dst``, and ``−(a·d)`` is ``(−a)·d`` exactly, so the forces are
-    bit-identical to that reference
-    (``tests/placement/test_global_placer_parity.py``).
+    ``springs @ (a·d)``, ``d = coord[dst] − coord[src]``, adds ``+a·d`` to
+    each net's source and ``−a·d`` to its sink.  Row ``k`` holds ``+1``
+    for each net whose source is ``k``, in net order, then ``−1`` for
+    each net whose sink is ``k``, in net order: the stable argsort of
+    ``concat(src, dst)``.  scipy's CSR product sums each row from 0.0 in
+    stored entry order and ``±1·p`` is exact, so every node adds the
+    terms ``np.add.at`` over ``src`` then ``dst`` added, in its order,
+    and the forces are bit-identical to that reference
+    (``tests/placement/test_global_placer_parity.py``).  The matrix is
+    never canonicalized: sorting its indices or summing duplicates would
+    reorder the sums.  With no nets it has no columns, and the product
+    is float zeros.
     """
-    pull = attraction * (coord[dst] - coord[src])
-    force = np.bincount(
-        ends, np.concatenate((pull, -pull)), minlength=len(coord)
+    m = len(src)
+    ends = np.concatenate((src, dst))
+    order = np.argsort(ends, kind="stable")
+    source = order < m
+    indptr = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(np.bincount(ends, minlength=n), out=indptr[1:])
+    return csr_matrix(
+        (np.where(source, 1.0, -1.0), np.where(source, order, order - m), indptr),
+        shape=(n, m),
     )
-    # An empty ``ends`` (no nets) gives int64 zeros; the force stays float.
-    return force.astype(np.float64, copy=False)

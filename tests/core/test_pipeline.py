@@ -1,6 +1,7 @@
 """End-to-end flow."""
 
 import time
+from dataclasses import asdict
 
 import pytest
 
@@ -141,6 +142,55 @@ def test_flow_builds_each_intermediate_once(monkeypatch):
     assert (dp["flagged"], dp["accepted"]) == (8, 0)
     assert len(builds) == 1
     assert len(passes) <= 4
+
+
+def _count_layout_metrics(monkeypatch) -> list:
+    """Record each ``layout_metrics`` call the flow makes."""
+    import repro.core.pipeline
+
+    calls = []
+    real = repro.core.pipeline.layout_metrics
+
+    def counting(*args, **kwargs):
+        calls.append(True)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(repro.core.pipeline, "layout_metrics", counting)
+    return calls
+
+
+def test_unflagged_dp_reuses_the_lg_analysis(monkeypatch):
+    """DP that flags no window leaves the layout as LG left it, so the
+    flow analyses it once; the dp report still carries the full metrics
+    of the final layout, in the usual key order."""
+    from repro.metrics.report import layout_metrics
+
+    calls = _count_layout_metrics(monkeypatch)
+    flow = QGDPFlow("falcon")
+    result = flow.run("qgdp", detailed=True)
+    dp = result.stage("dp").metrics
+    assert (dp["flagged"], dp["accepted"]) == (0, 0)
+    assert len(calls) == 1
+    metrics = layout_metrics(flow.netlist, flow.bins, flow.config)
+    expected = {
+        **asdict(metrics),
+        "iedge": metrics.iedge,
+        "flagged": 0,
+        "accepted": 0,
+        "reverted": 0,
+    }
+    assert list(dp.items()) == list(expected.items())
+    assert result.stage("dp").positions == result.stage("lg").positions
+
+
+def test_flagged_dp_is_analysed_again(monkeypatch):
+    """DP that flags windows re-analyses the layout, even when it
+    accepts none of them."""
+    calls = _count_layout_metrics(monkeypatch)
+    result = QGDPFlow("grid").run("qgdp", detailed=True)
+    dp = result.stage("dp").metrics
+    assert (dp["flagged"], dp["accepted"]) == (8, 0)
+    assert len(calls) == 2
 
 
 def test_run_flow_convenience():

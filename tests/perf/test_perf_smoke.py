@@ -3,8 +3,10 @@
 One small end-to-end flow (place → legalize → detailed-place on a 5×5
 qubit grid), analysis-kernel guards (legalize + MST trace build +
 crossing count on 12×12 and 16×16 grids), a 24×24 legalize-only guard
-(576 qubits — the BENCH_scaling ceiling), the full 24×24 flow with both
-layout-metric passes, a nearby-pair scan guard (legality, spacing and
+(576 qubits — the BENCH_scaling ceiling), the full 24×24 flow with its
+one layout-metric pass, a global-placement guard (``GlobalPlacer.run``
+alone on the built 32×32 layout, in ``test_gp_32x32_within_budget``), a
+nearby-pair scan guard (legality, spacing and
 qubit hotspots on a 2,304-qubit lattice), a column-packed pair-scan
 guard (``near_pairs`` on a 500×500 lattice of unit boxes), an
 integration-aware LG guard (Algorithm 1 alone at 32×32, from a GP
@@ -31,6 +33,7 @@ import time
 import numpy as np
 import pytest
 
+import repro.core.pipeline as pipeline
 import repro.legalization.engines as engines
 from repro.circuits import PAPER_BENCHMARKS
 from repro.core.config import QGDPConfig
@@ -91,13 +94,22 @@ KERNEL_16_BUDGET_S = 10.0
 #: in the LP assembly, presolve or resonator pass.
 LEGALIZE_24_BUDGET_S = 20.0
 
-#: Budget for the full 24x24 flow (build, GP, legalize, DP and both
-#: layout-metric passes), seconds.  Typical: ~1.1-1.5 s on a 2-vCPU host
-#: with one shared trace build and array-backed legality and GP
-#: bookkeeping (~1.7-1.9 s with a trace build per analysis and per DP
-#: run; ~8 s when legality, spacing and qubit hotspots walked every pair
-#: or a 3x3 bucket hash).
+#: Budget for the full 24x24 flow (build, GP, legalize, DP and the one
+#: layout-metric pass: DP flags no window, so the dp report reuses the lg
+#: analysis), seconds.  Typical: ~0.7-0.9 s on a 2-vCPU host with one
+#: shared trace build, array-backed legality and the spring-matrix GP
+#: (~1.7-1.9 s with a trace build per analysis and per DP run; ~8 s when
+#: legality, spacing and qubit hotspots walked every pair or a 3x3
+#: bucket hash).
 FLOW_24_BUDGET_S = 40.0
+
+#: Budget for ``GlobalPlacer.run`` alone on the built 32x32 layout
+#: (1,024 qubits, 250 iterations), seconds.  Typical: ~0.3-0.4 s on a
+#: 2-vCPU host with the CSR spring matrix and reused density buffers
+#: (~0.6 s with ``np.bincount`` spring scatters, ``np.pad`` and
+#: ``np.gradient``; ~2.9 s with ``np.add.at``); trips only on a
+#: complexity-class regression in the force loop.
+GP_32_BUDGET_S = 4.0
 
 #: Budget for check_legality, qubit_spacing_violations and
 #: qubit_hotspot_pairs on a 2,304-qubit lattice with planted
@@ -231,7 +243,15 @@ def test_legalize_24x24_within_budget():
 
 
 @pytest.mark.perf_smoke
-def test_flow_24x24_within_budget():
+def test_flow_24x24_within_budget(monkeypatch):
+    analyses = []
+    layout_metrics = pipeline.layout_metrics
+
+    def counting(*args, **kwargs):
+        analyses.append(True)
+        return layout_metrics(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "layout_metrics", counting)
     t0 = time.perf_counter()
     result = QGDPFlow(grid_topology(24)).run("qgdp", detailed=True)
     elapsed = time.perf_counter() - t0
@@ -239,9 +259,28 @@ def test_flow_24x24_within_budget():
     metrics = result.final.metrics
     assert metrics["legality_violations"] == 0
     assert metrics["spacing_violations"] == 0
+    assert metrics["flagged"] == 0
+    assert len(analyses) == 1, "the unchanged dp layout was analysed again"
     assert elapsed < FLOW_24_BUDGET_S, (
         f"the 24x24 flow took {elapsed:.2f}s "
         f"(budget {FLOW_24_BUDGET_S}s) — flow or layout-metrics regression?"
+    )
+
+
+@pytest.mark.perf_smoke
+def test_gp_32x32_within_budget():
+    cfg = QGDPConfig()
+    netlist, grid = build_layout(grid_topology(32), cfg)
+
+    t0 = time.perf_counter()
+    result = GlobalPlacer(cfg).run(netlist, grid)
+    elapsed = time.perf_counter() - t0
+
+    assert result.iterations == cfg.gp_iterations
+    assert np.isfinite(result.hpwl) and result.max_bin_overflow > 0
+    assert elapsed < GP_32_BUDGET_S, (
+        f"global placement took {elapsed:.2f}s on a 32x32 grid "
+        f"(budget {GP_32_BUDGET_S}s) — force-loop regression?"
     )
 
 

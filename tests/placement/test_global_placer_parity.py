@@ -1,22 +1,27 @@
-"""The GP force loop and ``DensityMap.deposit`` against ``np.add.at`` references.
+"""The GP force loop and ``DensityMap`` against ``np.add.at`` references.
 
 ``GlobalPlacer.run`` keeps x and y as separate arrays and scatters the
-spring forces with one ``np.bincount`` per axis; ``DensityMap.deposit``
-is one ``np.bincount`` over flat bin indices, and its bins feed the
-gradient gather.  The references below are the two-column ``np.add.at``
+spring forces with one product per axis by a CSR spring matrix;
+``DensityMap.deposit`` is one ``np.bincount`` over flat bin indices, and
+its bins feed the gradient gather, which slices the smoothed map into
+reused buffers.  The references below are the two-column ``np.add.at``
 loop, its tuple nets, positions dict and ``total_hpwl``, and the deposit
 and gradient gather they replaced, kept verbatim, and every output must
-match them bit for bit.
+match them bit for bit.  The spring product is also checked against the
+``np.bincount`` scatter it replaced, and the smoothing and gradient
+against the ``np.pad`` blur and ``np.gradient``.
 """
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core.config import QGDPConfig
 from repro.geometry import SiteGrid
 from repro.netlist import ConnectionStyle
 from repro.placement import DensityMap, GlobalPlacer, build_layout, total_hpwl
-from repro.placement.global_placer import net_index_arrays
+from repro.placement.global_placer import net_index_arrays, spring_matrix
 from repro.topologies import PAPER_TOPOLOGIES, Topology, get_topology, grid_topology
 
 
@@ -129,11 +134,13 @@ def assert_gp_parity(topology, cfg, style):
     assert result.max_bin_overflow.hex() == ref_overflow.hex()
 
 
-TOPOLOGIES = [*PAPER_TOPOLOGIES, "grid8"]
+TOPOLOGIES = [*PAPER_TOPOLOGIES, "grid8", "grid12"]
 
 
 def _topology(name):
-    return grid_topology(8) if name == "grid8" else get_topology(name)
+    if name.startswith("grid") and name[4:].isdigit():
+        return grid_topology(int(name[4:]))
+    return get_topology(name)
 
 
 @pytest.mark.parametrize("seed", [2025, 7])
@@ -155,8 +162,8 @@ def _isolated_topology():
 
 
 def test_gp_without_couplers_matches_add_at_loop():
-    """No couplers means no nets: ``np.bincount`` then returns int64 zeros,
-    which the force arrays must not inherit."""
+    """No couplers means no nets: the spring matrix has no columns, and
+    its product must still be float zeros."""
     cfg = QGDPConfig(gp_iterations=40)
     for style in ConnectionStyle:
         assert_gp_parity(_isolated_topology(), cfg, style)
@@ -211,3 +218,111 @@ def test_empty_deposit_is_float_zeros():
     assert density.density.dtype == np.float64
     assert density.density.shape == (density.ny, density.nx)
     assert not density.density.any()
+
+
+def bincount_springs(coord, src, dst, attraction):
+    """The ``np.bincount`` spring scatter the spring matrix replaced."""
+    pull = attraction * (coord[dst] - coord[src])
+    force = np.bincount(
+        np.concatenate((src, dst)),
+        np.concatenate((pull, -pull)),
+        minlength=len(coord),
+    )
+    return force.astype(np.float64, copy=False)
+
+
+@st.composite
+def spring_cases(draw):
+    """Nodes, nets and coordinates: repeated pairs, hub nodes that are the
+    source and sink of many nets, isolated nodes and zero nets."""
+    n = draw(st.integers(1, 12))
+    node = st.integers(0, n - 1)
+    nets = draw(st.lists(st.tuples(node, node), max_size=40))
+    if nets and draw(st.booleans()):
+        nets += draw(st.lists(st.sampled_from(nets), max_size=10))
+    hub = draw(node)
+    nets += [(hub, draw(node)) for _ in range(draw(st.integers(0, 6)))]
+    nets += [(draw(node), hub) for _ in range(draw(st.integers(0, 6)))]
+    nets = draw(st.permutations(nets))
+    coord = st.floats(-1e3, 1e3, allow_nan=False, allow_subnormal=False)
+    coords = draw(st.lists(coord, min_size=n, max_size=n))
+    src = np.array([u for u, _ in nets], dtype=np.intp)
+    dst = np.array([v for _, v in nets], dtype=np.intp)
+    return (np.array(coords), src, dst)
+
+
+NO_NETS = (np.arange(5.0), np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=spring_cases(), attraction=st.sampled_from([0.0, 0.05, 1.0, 0.37]))
+@example(case=NO_NETS, attraction=0.05)  # no columns: still float zeros
+def test_spring_matrix_is_the_bincount_scatter(case, attraction):
+    coord, src, dst = case
+    springs = spring_matrix(src, dst, len(coord))
+    got = springs @ (attraction * (coord[dst] - coord[src]))
+    want = bincount_springs(coord, src, dst, attraction)
+    assert springs.shape == (len(coord), len(src))
+    assert got.dtype == np.float64
+    assert np.array_equal(bits(got), bits(want))
+
+
+def reference_smoothed(density):
+    """The ``np.pad`` box blur ``DensityMap.smoothed`` replaced."""
+    d = density.density
+    padded = np.pad(d, 1, mode="edge")
+    out = np.zeros_like(d)
+    for dy in range(3):
+        for dx in range(3):
+            out += padded[dy : dy + d.shape[0], dx : dx + d.shape[1]]
+    return out / 9.0
+
+
+def reference_gradient_at(density, bx, by):
+    """``np.gradient`` of the ``np.pad`` blur and the 2-D gather."""
+    gy, gx = np.gradient(reference_smoothed(density))
+    return (gx[by, bx], gy[by, bx])
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    cols=st.integers(1, 30),
+    rows=st.integers(1, 30),
+    bin_size=st.sampled_from([1.0, 2.0, 3.7, 50.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(cols=3, rows=2, bin_size=2.0, seed=0)  # the minimum 2x2 map
+def test_gradient_at_is_np_gradient(cols, rows, bin_size, seed):
+    """Random maps, down to the minimum 2x2, with signed and zero bins."""
+    density = DensityMap(SiteGrid(cols=cols, rows=rows), bin_size)
+    rng = np.random.default_rng(seed)
+    count = int(rng.integers(0, 60))
+    xs = rng.uniform(-2.0, cols + 2.0, count)
+    ys = rng.uniform(-2.0, rows + 2.0, count)
+    areas = rng.uniform(-5.0, 9.0, count)
+    bins = density.deposit(xs, ys, areas)
+    assert np.array_equal(bits(density.smoothed()), bits(reference_smoothed(density)))
+    got = density.gradient_at(*bins)
+    want = reference_gradient_at(density, *bins)
+    for g, w in zip(got, want):
+        assert np.array_equal(bits(g), bits(w))
+
+
+def test_reused_density_map_carries_no_state():
+    """One map through deposits of different sizes gives, at every step,
+    what a fresh map gives for that deposit alone."""
+    grid = SiteGrid(cols=17, rows=11)
+    reused = DensityMap(grid, bin_size=2.0)
+    rng = np.random.default_rng(3)
+    for count in (300, 1, 0, 40, 300):
+        xs = rng.uniform(-1.0, 18.0, count)
+        ys = rng.uniform(-1.0, 12.0, count)
+        areas = rng.uniform(0.1, 9.0, count)
+        fresh = DensityMap(grid, bin_size=2.0)
+        bins = reused.deposit(xs, ys, areas)
+        fresh.deposit(xs, ys, areas)
+        assert np.array_equal(bits(reused.smoothed()), bits(fresh.smoothed()))
+        got = reused.gradient_at(*bins)
+        want = fresh.gradient_at(*bins)
+        for g, w in zip(got, want):
+            assert np.array_equal(bits(g), bits(w))

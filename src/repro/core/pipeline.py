@@ -13,6 +13,7 @@ from repro.geometry import SiteGrid
 from repro.legalization.bins import BinGrid
 from repro.legalization.engines import get_engine, run_legalization
 from repro.metrics.report import LayoutMetrics, layout_metrics
+from repro.netlist.clusters import block_cluster_map
 from repro.netlist.netlist import QuantumNetlist
 from repro.netlist.traces import build_traces
 from repro.placement.builder import build_layout
@@ -37,11 +38,14 @@ class QGDPFlow:
     :meth:`run`, ``flow.netlist`` and ``flow.bins`` hold the final layout
     for further analysis (fidelity evaluation, visualization...).
 
-    The occupancy (``flow.bins``) and the MST traces (``flow.traces``) of
-    the live layout are built once, outside every stage timer, and handed
-    on: one trace build serves the lg metrics, DP (which keeps the dict
-    current) and the dp metrics.  Every stage that moves the layout
-    replaces or resets them.
+    The occupancy (``flow.bins``), the cluster map (``flow.clusters``)
+    and the MST traces (``flow.traces``) of the live layout are built
+    once, outside every stage timer, and handed on: one cluster pass and
+    one trace build serve the lg metrics, DP (which keeps both dicts
+    current) and the dp metrics.  The lg analysis also fills
+    ``flow.scores``, the per-resonator hotspot and crossing maps DP
+    starts from, so DP does not score the layout it was handed again.
+    Every stage that moves the layout replaces or resets them.
     """
 
     #: The live layout, set by :meth:`place` or :meth:`restore`.
@@ -55,27 +59,30 @@ class QGDPFlow:
         self.config = config or QGDPConfig()
         #: The live occupancy; None until a stage builds it.
         self.bins: Optional[BinGrid] = None
+        #: Clusters of the live layout at ``config.lb``; None until built.
+        self.clusters: Optional[dict] = None
         #: MST traces of the live layout at ``config.lb``; None until built.
         self.traces: Optional[dict] = None
+        #: Per-resonator ``"hotspots"`` and ``"crossings"`` maps of the
+        #: live layout; None until an analysis fills them.
+        self.scores: Optional[dict] = None
 
     def place(self) -> StageReport:
         """Build the layout and run global placement: the ``gp`` report."""
         t0 = time.perf_counter()
         self.netlist, self.grid = build_layout(self.topology, self.config)
-        self.bins = None
-        self.traces = None
+        self._reset(bins=None)
         gp = GlobalPlacer(self.config).run(self.netlist, self.grid)
         return self._report(
             "gp", t0, hpwl=gp.hpwl, max_bin_overflow=gp.max_bin_overflow
         )
 
     def restore(self, positions: dict) -> None:
-        """Rebuild the layout at a stage snapshot; the occupancy and the
-        traces stay unset."""
+        """Rebuild the layout at a stage snapshot; the occupancy, the
+        clusters, the traces and the scores stay unset."""
         self.netlist, self.grid = build_layout(self.topology, self.config)
         self.netlist.restore(positions)
-        self.bins = None
-        self.traces = None
+        self._reset(bins=None)
 
     def legalize(self, engine: str = "qgdp") -> StageReport:
         """Legalize the live layout with one engine (see
@@ -84,8 +91,7 @@ class QGDPFlow:
         lg = run_legalization(
             self.netlist, self.grid, get_engine(engine), self.config
         )
-        self.bins = lg.bins
-        self.traces = None
+        self._reset(bins=lg.bins)
         return self._report(
             "lg",
             t0,
@@ -100,14 +106,20 @@ class QGDPFlow:
         """Detailed placement of the live legal layout: the ``dp`` report.
 
         Only meaningful on top of qGDP-LG, but applies after any engine.
-        An unset occupancy or unset traces (after :meth:`restore`) are
-        built from the layout first, outside the timed stage, so
-        ``runtime_s`` times the same work on every path.
+        An unset occupancy, cluster map or trace dict (after
+        :meth:`restore`) is built from the layout first, outside the
+        timed stage.  DP starts from ``flow.scores`` when an analysis of
+        this layout filled them and scores the layout itself otherwise
+        (the dp job, which runs no analysis first); it keeps the
+        clusters, the traces and the scores current.
         """
         bins = self._occupancy()
+        clusters = self._clusters()
         traces = self._traces()
         t0 = time.perf_counter()
-        dp = DetailedPlacer(self.config).run(self.netlist, bins, traces)
+        dp = DetailedPlacer(self.config).run(
+            self.netlist, bins, traces, clusters, self.scores
+        )
         return self._report(
             "dp", t0, flagged=dp.flagged, accepted=dp.accepted, reverted=dp.reverted
         )
@@ -136,20 +148,40 @@ class QGDPFlow:
         runtime_s = time.perf_counter() - t0
         return StageReport(stage, runtime_s, self.netlist.snapshot(), fields)
 
+    def _reset(self, bins: Optional[BinGrid]) -> None:
+        """The layout moved: take its occupancy, unset the rest."""
+        self.bins = bins
+        self.clusters = None
+        self.traces = None
+        self.scores = None
+
     def _occupancy(self) -> BinGrid:
         if self.bins is None:
             self.bins = BinGrid.of_layout(self.netlist, self.grid)
         return self.bins
 
+    def _clusters(self) -> dict:
+        if self.clusters is None:
+            self.clusters = block_cluster_map(self.netlist.resonators, self.config.lb)
+        return self.clusters
+
     def _traces(self) -> dict:
         if self.traces is None:
-            self.traces = build_traces(self.netlist, self.config.lb)
+            self.traces = build_traces(self.netlist, self.config.lb, self._clusters())
         return self.traces
 
     def _layout_metrics(self) -> LayoutMetrics:
-        return layout_metrics(
-            self.netlist, self._occupancy(), self.config, traces=self._traces()
+        scores = {}
+        metrics = layout_metrics(
+            self.netlist,
+            self._occupancy(),
+            self.config,
+            traces=self._traces(),
+            clusters=self._clusters(),
+            scores=scores,
         )
+        self.scores = scores
+        return metrics
 
 
 def _with_metrics(report: StageReport, metrics: LayoutMetrics) -> StageReport:

@@ -14,14 +14,16 @@ layout-wide analyses the final report uses — cluster counts,
 :func:`~repro.frequency.hotspots.resonator_hotspots` and
 :func:`~repro.routing.crossings.count_crossings` — so a window decision
 and Table III's ``X`` never disagree.  Across attempts the placer keeps
-the MST traces, the qubit-pair hotspot terms (qubits never move in DP)
-and the current score maps: a rip-up changes only its target's trace, an
-accept makes the attempt's scores current, and a revert restores the
-target's blocks and trace while the pre-attempt scores still hold.  The
-traces dict may be the caller's (:class:`~repro.core.pipeline.QGDPFlow`
-hands in the one it built for the layout metrics); it is kept current in
-place, so after :meth:`DetailedPlacer.run` it describes the final layout
-and the caller's next analysis needs no rebuild.  One
+the cluster map, the MST traces, the qubit-pair hotspot terms (qubits
+never move in DP) and the current score maps: a rip-up changes only its
+target's clusters and trace, an accept makes the attempt's clusters and
+scores current, and a revert restores the target's blocks and trace
+while the pre-attempt clusters and scores still hold.  The cluster map,
+the traces and the starting scores may be the caller's
+(:class:`~repro.core.pipeline.QGDPFlow` hands in the ones its lg
+analysis built and filled); they are kept current in place, so after
+:meth:`DetailedPlacer.run` they describe the final layout and the
+caller's next analysis needs no rebuild.  One
 :class:`~repro.routing.maze.MazeRouter` (and its Dijkstra scratch arrays)
 is shared across all flagged resonators, and the frequency steering cost
 is precomputed as a vectorized overlay instead of a per-site callback.
@@ -38,7 +40,7 @@ from repro.core.config import QGDPConfig
 from repro.detailed.windows import build_window, find_violations
 from repro.frequency.hotspots import qubit_hotspot_pairs, resonator_hotspots
 from repro.legalization.bins import KIND_BLOCK, KIND_QUBIT, BinGrid
-from repro.netlist.clusters import block_clusters, cluster_count_map
+from repro.netlist.clusters import block_cluster_map, block_clusters
 from repro.netlist.netlist import QuantumNetlist
 from repro.netlist.traces import build_traces, resonator_trace
 from repro.routing.crossings import count_crossings
@@ -192,21 +194,33 @@ class DetailedPlacer:
 
     # -- main entry ----------------------------------------------------------
     def run(
-        self, netlist: QuantumNetlist, bins: BinGrid, traces: dict = None
+        self,
+        netlist: QuantumNetlist,
+        bins: BinGrid,
+        traces: dict = None,
+        clusters: dict = None,
+        scores: dict = None,
     ) -> DetailedPlacementResult:
         """Run Algorithm 2 over the whole layout in place.
 
-        ``traces`` optionally supplies the layout's MST traces at
-        ``config.lb`` (as :func:`~repro.netlist.traces.build_traces`
-        returns); the dict is updated in place to the final layout.
+        ``clusters`` and ``traces`` optionally supply the layout's cluster
+        map and MST traces at ``config.lb`` (as
+        :func:`~repro.netlist.clusters.block_cluster_map` and
+        :func:`~repro.netlist.traces.build_traces` return); ``scores``
+        optionally supplies its per-resonator ``"hotspots"`` and
+        ``"crossings"`` maps (as :func:`~repro.metrics.report.analyze_layout`
+        fills them), so the run starts without scoring the layout.  Each
+        one handed in is updated in place to the final layout.
         """
         cfg = self.config
         lb = cfg.lb
 
-        # MST traces of the current block positions; an attempt changes
-        # only its target's trace.
+        # Clusters and MST traces of the current block positions; an
+        # attempt changes only its target's.
+        if clusters is None:
+            clusters = block_cluster_map(netlist.resonators, lb)
         if traces is None:
-            traces = build_traces(netlist, lb)
+            traces = build_traces(netlist, lb, clusters)
         # Qubit macros never move during detailed placement, so their
         # pairwise hotspot terms are computed once for the whole run.
         qubit_pairs = qubit_hotspot_pairs(netlist, cfg.reach, cfg.delta_c)
@@ -224,8 +238,11 @@ class DetailedPlacer:
             crossings = count_crossings(netlist, bins, traces=traces)
             return hotspots, crossings.per_resonator
 
-        hotspot_scores, crossing_counts = score()
-        cluster_counts = cluster_count_map(netlist.resonators, lb)
+        if scores is None:
+            hotspot_scores, crossing_counts = score()
+        else:
+            hotspot_scores, crossing_counts = scores["hotspots"], scores["crossings"]
+        cluster_counts = {key: len(found) for key, found in clusters.items()}
 
         flagged = find_violations(
             netlist,
@@ -291,6 +308,7 @@ class DetailedPlacer:
             )
             if improved:
                 accepted += 1
+                clusters[key] = target_cluster_blocks
                 cluster_counts[key] = target_clusters
                 hotspot_scores = after_hotspots
                 crossing_counts = after_crossings
@@ -306,6 +324,9 @@ class DetailedPlacer:
         clusters_after_total = sum(
             cluster_counts[r.key] for r in netlist.resonators
         )
+        if scores is not None:
+            scores["hotspots"] = hotspot_scores
+            scores["crossings"] = crossing_counts
         return DetailedPlacementResult(
             flagged=len(flagged),
             attempted=attempted,

@@ -85,17 +85,24 @@ def analyze_layout(
     bins: BinGrid,
     config: QGDPConfig = None,
     traces: dict = None,
+    clusters: dict = None,
+    scores: dict = None,
 ) -> tuple:
     """Analyse the layout once: ``(LayoutMetrics, fidelity_inputs)``.
 
-    One batched cluster pass at ``config.lb`` (the grid's pitch) feeds
-    Iedge, the cluster total and, unless ``traces`` supplies the layout's
-    MST traces (as :func:`~repro.netlist.traces.build_traces` returns),
-    the one trace build that both the hotspot and the crossing analysis
-    read.
+    One cluster map at ``config.lb`` (the grid's pitch) feeds Iedge, the
+    cluster total and the one trace build that both the hotspot and the
+    crossing analysis read.  ``clusters`` and ``traces`` supply the
+    layout's map (as :func:`~repro.netlist.clusters.block_cluster_map`
+    returns) and traces (as :func:`~repro.netlist.traces.build_traces`
+    returns); each one left out is built here.  A ``scores`` dict is
+    filled with the per-resonator ``"hotspots"`` (``He``) and
+    ``"crossings"`` maps, the start state
+    :meth:`~repro.detailed.placer.DetailedPlacer.run` accepts.
     """
     config = config or QGDPConfig()
-    clusters = block_cluster_map(netlist.resonators, config.lb)
+    if clusters is None:
+        clusters = block_cluster_map(netlist.resonators, config.lb)
     counts = {key: len(found) for key, found in clusters.items()}
     unified, total = integration_ratio(netlist, config.lb, counts)
     if traces is None:
@@ -104,6 +111,9 @@ def analyze_layout(
         netlist, config.reach, config.delta_c, config.lb, traces
     )
     crossings = count_crossings(netlist, bins, traces)
+    if scores is not None:
+        scores["hotspots"] = hotspots.per_resonator
+        scores["crossings"] = crossings.per_resonator
     violations = qubit_spacing_violations(netlist, config.min_qubit_spacing)
     metrics = LayoutMetrics(
         num_cells=netlist.num_cells,
@@ -125,9 +135,12 @@ def layout_metrics(
     bins: BinGrid,
     config: QGDPConfig = None,
     traces: dict = None,
+    clusters: dict = None,
+    scores: dict = None,
 ) -> LayoutMetrics:
     """Compute the full metric set on the current (legalized) layout.
 
-    ``traces`` is passed on to :func:`analyze_layout`.
+    ``traces``, ``clusters`` and ``scores`` are passed on to
+    :func:`analyze_layout`.
     """
-    return analyze_layout(netlist, bins, config, traces)[0]
+    return analyze_layout(netlist, bins, config, traces, clusters, scores)[0]

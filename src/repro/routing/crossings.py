@@ -2,9 +2,11 @@
 
 Each resonator must electrically connect qubit_i → its reserved wire
 area → qubit_j, with all of its block clusters joined up.  We model the
-connection as the minimum spanning tree over {qubit_i centre, qubit_j
-centre, cluster centroids} with straight segments — the shortest trace a
-router would lay.  A crossing (airbridge) is charged whenever
+connection as its trace (:mod:`repro.netlist.traces`): the minimum
+spanning tree over terminal sets — each qubit pad's 12 boundary points
+and each cluster's block centres — whose straight segments join two
+sets at their closest cross pair, the shortest trace a router would
+lay.  A crossing (airbridge) is charged whenever
 
 * a trace segment passes **over another resonator's reserved block**
   (each distinct foreign block bridged counts once per resonator), or

@@ -7,6 +7,8 @@ snapshot/restore or build their own copies.
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 
 from repro.core.config import QGDPConfig
@@ -53,3 +55,29 @@ def falcon_legalized(fast_config, falcon_gp):
     netlist.restore(gp_positions)
     outcome = run_legalization(netlist, grid, get_engine("qgdp"), fast_config)
     return (netlist, grid, outcome)
+
+
+@pytest.fixture()
+def count_calls(monkeypatch):
+    """``count_calls(function)`` wraps ``function`` in every loaded
+    ``repro`` module that holds it under its name, and returns the list
+    each call appends its positional arguments to.  Finding the holders
+    by identity counts every import site, so no caller goes uncounted.
+    """
+
+    def install(function) -> list:
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return function(*args, **kwargs)
+
+        name = function.__name__
+        for module_name, module in list(sys.modules.items()):
+            if module_name.split(".")[0] != "repro":
+                continue
+            if getattr(module, name, None) is function:
+                monkeypatch.setattr(module, name, counting)
+        return calls
+
+    return install

@@ -96,67 +96,46 @@ def test_stage_runtimes_exclude_layout_metrics(monkeypatch):
     assert result.stage("dp").runtime_s < delay_s
 
 
-def test_flow_builds_each_intermediate_once(monkeypatch):
-    """One trace build per flow and at most four whole-layout cluster
-    passes: the lg analysis, DP's cluster counts, the dp analysis and the
-    trace build.  Counts, not timings, so a rebuild cannot creep back."""
-    import repro.core.pipeline
+def test_flow_builds_each_intermediate_once(monkeypatch, count_calls):
+    """One whole-layout cluster pass and one trace build per flow, shared
+    by the lg analysis, DP and the dp analysis, and DP starts from the lg
+    analysis's scores: on grid it scores only its 6 re-placed windows
+    (8 flagged, 2 with no feasible re-placement).  Counts, not timings,
+    so a rebuild cannot creep back."""
     import repro.detailed.placer
-    import repro.frequency.hotspots
-    import repro.metrics.report
-    import repro.netlist.clusters
-    import repro.netlist.traces
-    import repro.routing.crossings
+    from repro.netlist.clusters import block_cluster_map
+    from repro.netlist.traces import build_traces
 
-    builds = []
-    passes = []
-    real_build = repro.netlist.traces.build_traces
-    real_pass = repro.netlist.clusters.block_cluster_map
-
-    def counting_build(*args, **kwargs):
-        builds.append(True)
-        return real_build(*args, **kwargs)
-
-    def counting_pass(resonators, *args, **kwargs):
-        if len(resonators) > 1:
-            passes.append(len(resonators))
-        return real_pass(resonators, *args, **kwargs)
-
-    for module in (
-        repro.core.pipeline,
-        repro.detailed.placer,
-        repro.frequency.hotspots,
-        repro.metrics.report,
-        repro.netlist.traces,
-        repro.routing.crossings,
-    ):
-        monkeypatch.setattr(module, "build_traces", counting_build)
-    for module in (
-        repro.netlist.clusters,
-        repro.netlist.traces,
-        repro.metrics.report,
-    ):
-        monkeypatch.setattr(module, "block_cluster_map", counting_pass)
+    builds = count_calls(build_traces)
+    passes = count_calls(block_cluster_map)
+    hotspots = _record_calls(monkeypatch, repro.detailed.placer, "resonator_hotspots")
+    crossings = _record_calls(monkeypatch, repro.detailed.placer, "count_crossings")
     result = QGDPFlow("grid").run("qgdp", detailed=True)
     dp = result.stage("dp").metrics
     assert (dp["flagged"], dp["accepted"]) == (8, 0)
     assert len(builds) == 1
-    assert len(passes) <= 4
+    assert len([args for args in passes if len(args[0]) > 1]) == 1
+    assert (len(hotspots), len(crossings)) == (6, 6)
+
+
+def _record_calls(monkeypatch, module, name: str) -> list:
+    """Record the positional arguments of each call of ``module.name``."""
+    calls = []
+    real = getattr(module, name)
+
+    def recording(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, recording)
+    return calls
 
 
 def _count_layout_metrics(monkeypatch) -> list:
     """Record each ``layout_metrics`` call the flow makes."""
     import repro.core.pipeline
 
-    calls = []
-    real = repro.core.pipeline.layout_metrics
-
-    def counting(*args, **kwargs):
-        calls.append(True)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(repro.core.pipeline, "layout_metrics", counting)
-    return calls
+    return _record_calls(monkeypatch, repro.core.pipeline, "layout_metrics")
 
 
 def test_unflagged_dp_reuses_the_lg_analysis(monkeypatch):

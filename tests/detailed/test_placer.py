@@ -7,8 +7,10 @@ from repro.core.pipeline import QGDPFlow
 from repro.detailed import DetailedPlacer
 from repro.evaluation.fingerprint import positions_digest
 from repro.frequency.hotspots import hotspot_proportion
+from repro.legalization import BinGrid
 from repro.metrics import check_legality, total_clusters
 from repro.metrics.report import layout_metrics
+from repro.netlist.clusters import block_cluster_map
 from repro.netlist.traces import build_traces
 from repro.routing import count_crossings
 from repro.topologies import PAPER_TOPOLOGIES
@@ -129,3 +131,40 @@ def test_dp_keeps_the_traces_it_is_handed_current(topology, engine, fast_config)
     assert layout_metrics(
         netlist, bins, fast_config, traces=traces
     ) == layout_metrics(netlist, bins, fast_config)
+
+
+@pytest.mark.parametrize("engine", ["tetris", "q-abacus"])
+@pytest.mark.parametrize("topology", PAPER_TOPOLOGIES)
+def test_dp_from_the_flows_start_state_matches_a_cold_start(
+    topology, engine, fast_config
+):
+    """DP handed the flow's clusters and traces and the lg analysis's
+    score maps decides exactly as DP that builds and scores its own, and
+    leaves the handed clusters, traces and scores describing the final
+    layout, after accepts and reverts alike."""
+    lb = fast_config.lb
+    flow = QGDPFlow(topology, fast_config)
+    flow.place()
+    flow.legalize(engine)
+    lg_positions = flow.netlist.snapshot()
+    netlist, bins = flow.netlist, flow.bins
+    clusters = block_cluster_map(netlist.resonators, lb)
+    traces = build_traces(netlist, lb, clusters)
+    scores = {}
+    layout_metrics(netlist, bins, fast_config, traces, clusters, scores)
+    handed = DetailedPlacer(fast_config).run(
+        netlist, bins, traces, clusters, scores
+    )
+
+    cold = QGDPFlow(topology, fast_config)
+    cold.restore(lg_positions)
+    own = DetailedPlacer(fast_config).run(
+        cold.netlist, BinGrid.of_layout(cold.netlist, cold.grid)
+    )
+    assert handed == own
+    assert netlist.snapshot() == cold.netlist.snapshot()
+    assert clusters == block_cluster_map(cold.netlist.resonators, lb)
+    assert traces == build_traces(cold.netlist, lb)
+    fresh = {}
+    layout_metrics(netlist, bins, fast_config, scores=fresh)
+    assert scores == fresh

@@ -1,19 +1,35 @@
-"""Parity: the array Prim in ``mst_segments`` equals the scalar reference.
+"""Parity: the batched array Prim equals the scalar reference.
 
 The reference below is a faithful transcription of the original
-``_closest_pair`` / ``mst_segments`` double loops.  The vectorized Prim
-must return the *same segment list* — same tree growth order, same
-tie-breaks (first minimum in tree-insertion × candidate order, first
-minimal point pair in row-major order), same endpoint tuples — because
-both the crossing counter and the Eq. 4 hotspot walk consume these
-segments directly and the flow output is held bit-identical.
+``_closest_pair`` / ``mst_segments`` double loops.  The batched Prim —
+one tree in ``mst_segments``, every resonator of a layout in
+``build_traces`` — must return the *same segment lists*: same tree
+growth order, same tie-breaks (first minimum in tree-insertion ×
+candidate order, first minimal point pair in row-major order), same
+endpoints, because both the crossing counter and the Eq. 4 hotspot walk
+consume these segments directly and the flow output is held
+bit-identical.
 """
 
+from unittest import mock
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.netlist.traces as traces_module
+from repro.core.config import QGDPConfig
+from repro.core.pipeline import QGDPFlow
+from repro.legalization import PAPER_ENGINE_ORDER
 from repro.netlist import QuantumNetlist, Qubit, Resonator, WireBlock
-from repro.netlist.traces import mst_segments, resonator_trace
+from repro.netlist.clusters import block_clusters
+from repro.netlist.traces import (
+    build_traces,
+    mst_segments,
+    qubit_boundary,
+    resonator_trace,
+)
+from repro.topologies import PAPER_TOPOLOGIES, grid_topology
 
 
 def reference_closest_pair(points_a, points_b):
@@ -114,3 +130,96 @@ def test_resonator_trace_matches_reference_pipeline(sites):
     assert resonator_trace(nl, r, 1.0) == reference_mst_segments(
         terminal_sets
     )
+
+
+def reference_traces(netlist: QuantumNetlist, lb: float) -> dict:
+    """The scalar Prim over each resonator's terminal sets: its qubits'
+    boundary points and its clusters' block centres."""
+    traces = {}
+    for resonator in netlist.resonators:
+        terminal_sets = [
+            qubit_boundary(netlist.qubit(resonator.qi)),
+            qubit_boundary(netlist.qubit(resonator.qj)),
+        ]
+        for cluster in block_clusters(resonator, lb):
+            terminal_sets.append([(b.x, b.y) for b in cluster])
+        traces[resonator.key] = reference_mst_segments(terminal_sets)
+    return traces
+
+
+def assert_traces_match_reference(netlist: QuantumNetlist, lb: float) -> None:
+    got = build_traces(netlist, lb)
+    assert list(got) == [r.key for r in netlist.resonators]
+    assert got == reference_traces(netlist, lb)
+    for resonator in netlist.resonators:
+        assert resonator_trace(netlist, resonator, lb) == got[resonator.key]
+
+
+# Pad sizes differ per qubit, pad centres and block sites share a small
+# alphabet (exact distance ties everywhere), blocks of two resonators may
+# sit on one site, and a resonator may have no block or several clusters.
+pad = st.tuples(
+    st.sampled_from([1, 2, 3]),
+    st.sampled_from([1, 2, 3]),
+    st.sampled_from([0.5, 1.5, 2.0, 3.5, 6.0]),
+    st.sampled_from([0.5, 1.5, 2.0, 3.5, 6.0]),
+)
+block_sites = st.lists(
+    st.tuples(st.integers(0, 7), st.integers(0, 5)), max_size=9
+)
+
+
+@st.composite
+def netlists(draw):
+    pads = draw(st.lists(pad, min_size=2, max_size=7))
+    nl = QuantumNetlist()
+    for index, (w, h, x, y) in enumerate(pads):
+        nl.add_qubit(Qubit(index=index, w=w, h=h, x=x, y=y))
+    pairs = [(i, j) for i in range(len(pads)) for j in range(i + 1, len(pads))]
+    chosen = draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True))
+    for qi, qj in chosen:
+        resonator = nl.add_resonator(Resonator(qi=qi, qj=qj, wirelength=1.0))
+        resonator.blocks = [
+            WireBlock(
+                resonator_key=resonator.key,
+                ordinal=k,
+                x=col + 0.5,
+                y=row + 0.5,
+            )
+            for k, (col, row) in enumerate(draw(block_sites))
+        ]
+    return nl
+
+
+@settings(max_examples=150, deadline=None)
+@given(nl=netlists(), chunk=st.sampled_from([1, 150, 300, 1000, 1 << 15]))
+def test_build_traces_match_reference_on_generated_netlists(nl, chunk):
+    """Chunks from one pair up to the default: a chunk of ``chunk``
+    squared distances holds ``chunk // (|A||B|)`` pairs of a shape (at
+    least one), so small chunks split every shape group several ways."""
+    with mock.patch.object(traces_module, "_CHUNK_ENTRIES", chunk):
+        assert_traces_match_reference(nl, 1.0)
+
+
+@pytest.mark.parametrize("topology", PAPER_TOPOLOGIES)
+def test_build_traces_match_reference_on_protocol_layouts(topology):
+    """The GP layout and the five engines' LG layouts of the paper
+    protocol: 36 layouts over the six topologies."""
+    flow = QGDPFlow(topology, QGDPConfig())
+    flow.place()
+    gp = flow.netlist.snapshot()
+    assert_traces_match_reference(flow.netlist, flow.config.lb)
+    for engine in PAPER_ENGINE_ORDER:
+        flow.restore(gp)
+        flow.legalize(engine)
+        assert_traces_match_reference(flow.netlist, flow.config.lb)
+
+
+def test_build_traces_match_reference_at_side_24():
+    """576 qubits and 1,104 resonators: the (12, 12) shape group (every
+    resonator's qubit pair, at least) spans several default-size chunks
+    of 227 pairs."""
+    flow = QGDPFlow(grid_topology(24))
+    flow.place()
+    flow.legalize("qgdp")
+    assert_traces_match_reference(flow.netlist, flow.config.lb)

@@ -4,11 +4,13 @@ One small end-to-end flow (place → legalize → detailed-place on a 5×5
 qubit grid), analysis-kernel guards (legalize + MST trace build +
 crossing count on 12×12 and 16×16 grids), a 24×24 legalize-only guard
 (576 qubits — the BENCH_scaling ceiling), the full 24×24 flow with its
-one layout-metric pass, a global-placement guard (``GlobalPlacer.run``
-alone on the built 32×32 layout, in ``test_gp_32x32_within_budget``), a
-nearby-pair scan guard (legality, spacing and
-qubit hotspots on a 2,304-qubit lattice), a column-packed pair-scan
-guard (``near_pairs`` on a 500×500 lattice of unit boxes), an
+one layout-metric pass, one cluster pass and one trace build, a
+batched trace-build guard (``build_traces`` alone on the finished 24×24
+layout, its clusters handed in), a global-placement guard
+(``GlobalPlacer.run`` alone on the built 32×32 layout, in
+``test_gp_32x32_within_budget``), a nearby-pair scan guard (legality,
+spacing and qubit hotspots on a 2,304-qubit lattice), a column-packed
+pair-scan guard (``near_pairs`` on a 500×500 lattice of unit boxes), an
 integration-aware LG guard (Algorithm 1 alone at 32×32, from a GP
 snapshot), a cache-server round-trip
 guard (50 artifacts pushed and read back through a live
@@ -69,6 +71,7 @@ from repro.metrics import (
     qubit_spacing_violations,
 )
 from repro.netlist import QuantumNetlist, Qubit, Resonator, WireBlock
+from repro.netlist.clusters import block_cluster_map
 from repro.placement import GlobalPlacer, build_layout
 from repro.routing.crossings import build_traces, count_crossings
 from repro.topologies import PAPER_TOPOLOGIES, get_topology, grid_topology
@@ -96,12 +99,19 @@ LEGALIZE_24_BUDGET_S = 20.0
 
 #: Budget for the full 24x24 flow (build, GP, legalize, DP and the one
 #: layout-metric pass: DP flags no window, so the dp report reuses the lg
-#: analysis), seconds.  Typical: ~0.7-0.9 s on a 2-vCPU host with one
-#: shared trace build, array-backed legality and the spring-matrix GP
-#: (~1.7-1.9 s with a trace build per analysis and per DP run; ~8 s when
-#: legality, spacing and qubit hotspots walked every pair or a 3x3
-#: bucket hash).
+#: analysis), seconds.  Typical: ~0.5-0.7 s on a 2-vCPU host with one
+#: cluster pass and one batched trace build shared by the analysis and
+#: DP, array-backed legality and the spring-matrix GP (~1.7-1.9 s with a
+#: trace build per analysis and per DP run; ~8 s when legality, spacing
+#: and qubit hotspots walked every pair or a 3x3 bucket hash).
 FLOW_24_BUDGET_S = 40.0
+
+#: Budget for ``build_traces`` alone on the finished 24x24 layout (1,104
+#: resonators) with its clusters handed in, seconds.  Typical: ~20 ms on
+#: a 2-vCPU host with one batched Prim (~55 ms with a NumPy Prim per
+#: resonator); trips only on a complexity-class regression, e.g. a
+#: scalar closest-pair scan per set pair.
+TRACES_24_BUDGET_S = 0.25
 
 #: Budget for ``GlobalPlacer.run`` alone on the built 32x32 layout
 #: (1,024 qubits, 250 iterations), seconds.  Typical: ~0.3-0.4 s on a
@@ -243,7 +253,7 @@ def test_legalize_24x24_within_budget():
 
 
 @pytest.mark.perf_smoke
-def test_flow_24x24_within_budget(monkeypatch):
+def test_flow_24x24_within_budget(monkeypatch, count_calls):
     analyses = []
     layout_metrics = pipeline.layout_metrics
 
@@ -252,6 +262,8 @@ def test_flow_24x24_within_budget(monkeypatch):
         return layout_metrics(*args, **kwargs)
 
     monkeypatch.setattr(pipeline, "layout_metrics", counting)
+    builds = count_calls(build_traces)
+    passes = count_calls(block_cluster_map)
     t0 = time.perf_counter()
     result = QGDPFlow(grid_topology(24)).run("qgdp", detailed=True)
     elapsed = time.perf_counter() - t0
@@ -261,9 +273,32 @@ def test_flow_24x24_within_budget(monkeypatch):
     assert metrics["spacing_violations"] == 0
     assert metrics["flagged"] == 0
     assert len(analyses) == 1, "the unchanged dp layout was analysed again"
+    assert len(builds) == 1, "the traces were built more than once"
+    assert len([args for args in passes if len(args[0]) > 1]) == 1, (
+        "the layout's clusters were extracted more than once"
+    )
     assert elapsed < FLOW_24_BUDGET_S, (
         f"the 24x24 flow took {elapsed:.2f}s "
         f"(budget {FLOW_24_BUDGET_S}s) — flow or layout-metrics regression?"
+    )
+
+
+@pytest.mark.perf_smoke
+def test_trace_build_24x24_within_budget():
+    flow = QGDPFlow(grid_topology(24))
+    flow.run("qgdp", detailed=True)
+    clusters = block_cluster_map(flow.netlist.resonators, flow.config.lb)
+
+    elapsed = float("inf")
+    for _ in range(3):
+        t0 = time.perf_counter()
+        traces = build_traces(flow.netlist, flow.config.lb, clusters)
+        elapsed = min(elapsed, time.perf_counter() - t0)
+
+    assert traces == flow.traces
+    assert elapsed < TRACES_24_BUDGET_S, (
+        f"build_traces took {elapsed:.3f}s on the 24x24 layout "
+        f"(budget {TRACES_24_BUDGET_S}s) — trace-kernel regression?"
     )
 
 

@@ -336,18 +336,20 @@ class SqliteBackend(StoreBackend):
     instance thread-safe for the HTTP server).
     """
 
+    #: How long a connection waits for another connection's lock.
+    BUSY_TIMEOUT_S = 30.0
+
     def __init__(self, path: str) -> None:
         self.path = path
         parent = os.path.dirname(os.path.abspath(path))
         os.makedirs(parent, exist_ok=True)
         self._lock = threading.RLock()
         self._conn = sqlite3.connect(  # guarded-by: _lock
-            path, check_same_thread=False
+            path, timeout=self.BUSY_TIMEOUT_S, check_same_thread=False
         )
         with self._lock:
-            self._conn.execute("PRAGMA journal_mode=WAL")
+            self._enable_wal()
             self._conn.execute("PRAGMA synchronous=NORMAL")
-            self._conn.execute("PRAGMA busy_timeout=30000")
             self._conn.execute(
                 "CREATE TABLE IF NOT EXISTS artifacts ("
                 " kind TEXT NOT NULL,"
@@ -357,6 +359,25 @@ class SqliteBackend(StoreBackend):
                 " PRIMARY KEY (kind, key))"
             )
             self._conn.commit()
+
+    def _enable_wal(self) -> None:  # holds: _lock
+        """Switch the database file to WAL journaling.
+
+        Connections switching a fresh file at the same time can deadlock
+        on its locks, and SQLite then answers one of them "database is
+        locked" at once instead of waiting out the busy timeout.  That
+        connection retries until the switch lands or the busy timeout
+        has passed.
+        """
+        deadline = time.monotonic() + self.BUSY_TIMEOUT_S
+        while True:
+            try:
+                self._conn.execute("PRAGMA journal_mode=WAL")
+                return
+            except sqlite3.OperationalError as exc:
+                if "locked" not in str(exc) or time.monotonic() > deadline:
+                    raise
+                time.sleep(0.005)
 
     def get_text(self, kind: str, key: str) -> Optional[str]:
         with self._lock:

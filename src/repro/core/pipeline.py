@@ -111,7 +111,8 @@ class QGDPFlow:
         timed stage.  DP starts from ``flow.scores`` when an analysis of
         this layout filled them and scores the layout itself otherwise
         (the dp job, which runs no analysis first); it keeps the
-        clusters, the traces and the scores current.
+        clusters and the traces current, and the scores are unset
+        afterwards because DP may have moved the layout they describe.
         """
         bins = self._occupancy()
         clusters = self._clusters()
@@ -120,6 +121,7 @@ class QGDPFlow:
         dp = DetailedPlacer(self.config).run(
             self.netlist, bins, traces, clusters, self.scores
         )
+        self.scores = None
         return self._report(
             "dp", t0, flagged=dp.flagged, accepted=dp.accepted, reverted=dp.reverted
         )

@@ -21,9 +21,10 @@ scores current, and a revert restores the target's blocks and trace
 while the pre-attempt clusters and scores still hold.  The cluster map,
 the traces and the starting scores may be the caller's
 (:class:`~repro.core.pipeline.QGDPFlow` hands in the ones its lg
-analysis built and filled); they are kept current in place, so after
-:meth:`DetailedPlacer.run` they describe the final layout and the
-caller's next analysis needs no rebuild.  One
+analysis built and filled).  The cluster map and the traces are kept
+current in place, so after :meth:`DetailedPlacer.run` they describe the
+final layout and the caller's next analysis needs no rebuild; the
+starting scores are only read.  One
 :class:`~repro.routing.maze.MazeRouter` (and its Dijkstra scratch arrays)
 is shared across all flagged resonators, and the frequency steering cost
 is precomputed as a vectorized overlay instead of a per-site callback.
@@ -209,8 +210,9 @@ class DetailedPlacer:
         :func:`~repro.netlist.traces.build_traces` return); ``scores``
         optionally supplies its per-resonator ``"hotspots"`` and
         ``"crossings"`` maps (as :func:`~repro.metrics.report.analyze_layout`
-        fills them), so the run starts without scoring the layout.  Each
-        one handed in is updated in place to the final layout.
+        fills them), so the run starts without scoring the layout.  Handed
+        ``clusters`` and ``traces`` are updated in place to the final
+        layout; ``scores`` is only read.
         """
         cfg = self.config
         lb = cfg.lb
@@ -324,9 +326,6 @@ class DetailedPlacer:
         clusters_after_total = sum(
             cluster_counts[r.key] for r in netlist.resonators
         )
-        if scores is not None:
-            scores["hotspots"] = hotspot_scores
-            scores["crossings"] = crossing_counts
         return DetailedPlacementResult(
             flagged=len(flagged),
             attempted=attempted,

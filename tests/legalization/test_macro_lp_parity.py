@@ -9,9 +9,9 @@ dict-based transcription of the *repaired* algorithm (backward limit
 propagation + one clamped forward sweep) — the historical
 forward/backward pair is intentionally not the oracle because it is the
 bug the repair fixes (see ``test_macro_lp.py``'s tight-border
-regression).  Where the historical forward push alone was sound the
-repaired sweep is shown to agree with it, and wherever the historical
-answer was sound the repaired one is too.
+regression); where the historical pass was sound the repaired sweep is
+shown to be sound too, never farther from the snapped sites, and equal
+to it wherever its backward pass moved nothing.
 """
 
 import math
@@ -291,6 +291,19 @@ def test_snap_and_repair_matches_scalar_reference(inst, extent):
     )
     assert {i: float(got[k]) for k, i in enumerate(indices)} == want
 
+    # Where the historical pass produced a sound answer, the repaired
+    # sweep's answer is sound too, nowhere to the right of it and no
+    # farther from any qubit's snapped site, and the two agree exactly
+    # where the historical backward pass moved nothing.  They can
+    # differ: in the pinned example the historical backward pass pulls
+    # qubits 1 and 5 back from the border but leaves qubit 6 at 29.5,
+    # where qubit 1's over-push sent it, while the repaired sweep,
+    # which clamps qubit 1 first, places qubit 6 at 28.5, nearer its
+    # snapped 26.5.
+    historical = reference_historical_snap_and_repair(
+        indices, solution, halves, h_ref, extent, 1.0
+    )
+
     def sound(placed):
         return all(
             placed[a.hi] - placed[a.lo] >= a.separation - 1e-9
@@ -300,73 +313,19 @@ def test_snap_and_repair_matches_scalar_reference(inst, extent):
             for i in indices
         )
 
-    # Wherever the historical pass produced a sound answer, the repaired
-    # sweep's answer is sound as well.
-    historical = reference_historical_snap_and_repair(
-        indices, solution, halves, h_ref, extent, 1.0
-    )
     if sound(historical):
         assert sound(want)
-
-    # Where the historical forward push alone was sound, its backward
-    # pass moves nothing, and the repaired sweep agrees with it exactly.
-    # (With no right border the backward pass is the identity, so an
-    # infinite extent yields the forward push alone.)  Where the
-    # backward pass does pull nodes back, the historical answer keeps
-    # their successors where the forward push left them; the repaired
-    # sweep may then land closer to the snapped targets, see
-    # test_repaired_sweep_can_beat_a_sound_historical_pass.
-    forward = reference_historical_snap_and_repair(
-        indices, solution, halves, h_ref, math.inf, 1.0
-    )
-    if sound(forward):
-        assert historical == forward
-        assert want == historical
-
-
-def test_repaired_sweep_can_beat_a_sound_historical_pass():
-    """The historical forward push moves qubit 5 to x = 30 (past the
-    border) because of qubit 1; its backward pass pulls both back, but
-    leaves qubit 6 at 29.5, where qubit 1's pushed position had sent it.
-    That answer is sound, yet the repaired sweep, which clamps qubit 1
-    before placing its successors, puts qubit 6 at 28.5, a site closer
-    to its snapped target of 26.5."""
-    positions = {
-        0: (1.0, 2.0),
-        1: (25.75, 2.0),
-        2: (1.0, 1.0),
-        3: (1.0, 3.0),
-        4: (2.0, 1.0),
-        5: (26.0, 2.0),
-        6: (27.0, 1.0),
-    }
-    sizes = {i: (1.0, 1.0) for i in positions}
-    sizes[1] = sizes[5] = (2.0, 1.0)
-    indices = sorted(positions)
-    extent = 30.0
-    h_ref, _ = reference_build_constraint_graphs(
-        indices, positions, sizes, 2.0
-    )
-    solution = {i: positions[i][0] for i in indices}
-    halves = {i: sizes[i][0] / 2.0 for i in indices}
-    repaired = reference_snap_and_repair(
-        indices, solution, halves, h_ref, extent, 1.0
-    )
-    historical = reference_historical_snap_and_repair(
-        indices, solution, halves, h_ref, extent, 1.0
-    )
-    for placed in (repaired, historical):
-        assert all(
-            placed[a.hi] - placed[a.lo] >= a.separation for a in h_ref
+        for i in indices:
+            snapped = round(solution[i] - halves[i]) + halves[i]
+            assert want[i] <= historical[i] + 1e-9
+            assert abs(want[i] - snapped) <= abs(historical[i] - snapped) + 1e-9
+        # With no right border the backward pass is the identity, so an
+        # infinite extent yields the forward push alone.
+        forward = reference_historical_snap_and_repair(
+            indices, solution, halves, h_ref, math.inf, 1.0
         )
-        assert all(
-            halves[i] <= placed[i] <= extent - halves[i] for i in indices
-        )
-    assert historical[6] == 29.5
-    assert repaired[6] == 28.5
-    assert {i: v for i, v in repaired.items() if i != 6} == {
-        i: v for i, v in historical.items() if i != 6
-    }
+        if historical == forward:
+            assert want == historical
 
 
 @settings(max_examples=25, deadline=None)

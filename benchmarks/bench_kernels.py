@@ -3,14 +3,13 @@
 These are the three kernels PERFORMANCE.md tracks individually — the LP
 macro legalization (dominant ``tq`` term at ≥100 qubits), the MST trace
 build (dominant cold-evaluation cost) and the sweep-line crossing count
-(every Fig. 9 / Table III ``X`` entry).  The LP is timed both with its
-default levers (transitive arc reduction + solution-level warm start)
-and in the historical cold full-graph mode, and the trace-pair
-intersection scan both batched (one vectorized orientation pass over
-all candidate pairs) and with the scalar per-pair kernel, so the perf
-trajectory records what each lever buys.  Each run dumps best-of-N
-wall-clock numbers to ``BENCH_kernels.json`` at the repo root so
-successive PRs extend the per-kernel perf trajectory alongside
+(every Fig. 9 / Table III ``X`` entry).  The LP is timed both inside
+the qubit stage and as one bare ``legalize_macros`` call, and the
+trace-pair intersection scan both batched (one vectorized orientation
+pass over all candidate pairs) and with the scalar per-pair kernel, so
+the perf trajectory records what each lever buys.  Each run dumps
+best-of-N wall-clock numbers to ``BENCH_kernels.json`` at the repo root
+so successive PRs extend the per-kernel perf trajectory alongside
 ``BENCH_scaling.json``.
 """
 
@@ -65,9 +64,8 @@ def run_kernels(sides=SIDES) -> dict:
 
         lp_ms = _best_ms(lp)
 
-        # Warm vs cold on the same macro LP instance: default levers
-        # (arc reduction + warm presolve) against the historical cold
-        # full-graph solve.
+        # One bare macro LP call on the same instance, at the minimum
+        # spacing the qubit stage settles on.
         indices = [q.index for q in netlist.qubits]
         q_positions = {q.index: (q.x, q.y) for q in netlist.qubits}
         q_sizes = {q.index: (q.w, q.h) for q in netlist.qubits}
@@ -75,12 +73,6 @@ def run_kernels(sides=SIDES) -> dict:
         lp_warm_ms = _best_ms(
             lambda: legalize_macros(
                 indices, q_positions, q_sizes, grid, spacing
-            )
-        )
-        lp_cold_ms = _best_ms(
-            lambda: legalize_macros(
-                indices, q_positions, q_sizes, grid, spacing,
-                reduce_arcs=False, warm_start=False,
             )
         )
 
@@ -113,7 +105,6 @@ def run_kernels(sides=SIDES) -> dict:
         rows[side * side] = {
             "lp_ms": lp_ms,
             "lp_warm_ms": lp_warm_ms,
-            "lp_cold_ms": lp_cold_ms,
             "traces_ms": traces_ms,
             "crossings_cached_ms": crossings_cached_ms,
             "crossings_cold_ms": crossings_cold_ms,
@@ -132,7 +123,7 @@ def test_kernel_timings(benchmark):
     for qubits, row in rows.items():
         print(
             f"  {qubits:3d} qubits  lp {row['lp_ms']:7.1f}  "
-            f"(warm {row['lp_warm_ms']:5.1f} / cold {row['lp_cold_ms']:5.1f})  "
+            f"(one call {row['lp_warm_ms']:5.1f})  "
             f"traces {row['traces_ms']:6.1f}  "
             f"crossings {row['crossings_cached_ms']:5.1f} cached / "
             f"{row['crossings_cold_ms']:5.1f} cold  "

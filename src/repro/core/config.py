@@ -21,13 +21,14 @@ class QGDPConfig:
     lb:
         Standard-cell (wire block) pitch; the site grid unit.
     qubit_size:
-        Qubit macro side length in multiples of ``lb`` (macros ≫ cells).
+        Qubit macro side length, a whole number of ``lb`` (macros ≫ cells).
     min_qubit_spacing:
-        Quantum minimum edge-to-edge spacing between qubit macros, in
-        ``lb`` (Section III-C: at least one standard cell).
+        Quantum minimum edge-to-edge spacing between qubit macros, a whole
+        number of ``lb`` (Section III-C: at least one standard cell).
     initial_qubit_spacing:
-        Where the greedy relaxation starts; relaxed one ``lb`` at a time
-        down to ``min_qubit_spacing`` when the LP is infeasible.
+        Where the greedy relaxation starts, a whole number of ``lb``;
+        relaxed one ``lb`` at a time down to ``min_qubit_spacing`` when the
+        LP is infeasible.
     resonator_length:
         Reference resonator wirelength ``L`` at the centre band frequency,
         in ``lb``; actual length scales as ``f_ref / f`` (a λ/4 resonator
@@ -85,6 +86,16 @@ class QGDPConfig:
                 "initial_qubit_spacing must be >= min_qubit_spacing "
                 f"({self.initial_qubit_spacing} < {self.min_qubit_spacing})"
             )
+        # The qubit LP's snap repair keeps macros on the site grid only
+        # when every separation and border is a whole number of sites.
+        for name in ("qubit_size", "min_qubit_spacing", "initial_qubit_spacing"):
+            value = getattr(self, name)
+            fraction = (value / self.lb) % 1.0
+            if not min(fraction, 1.0 - fraction) <= 1e-9:
+                raise ValueError(
+                    f"{name} must be a whole number of sites "
+                    f"(lb={self.lb}), got {value}"
+                )
         if not (0.05 <= self.utilization <= 0.95):
             raise ValueError(f"utilization out of range: {self.utilization}")
         if self.margin <= 0:  # a collinear device would get a zero-area die

@@ -14,16 +14,15 @@ layout-wide analyses the final report uses — cluster counts,
 :func:`~repro.frequency.hotspots.resonator_hotspots` and
 :func:`~repro.routing.crossings.count_crossings` — so a window decision
 and Table III's ``X`` never disagree.  Across attempts the placer keeps
-the cluster map, the MST traces, the qubit-pair hotspot terms (qubits
-never move in DP) and the current score maps: a rip-up changes only its
-target's clusters and trace, an accept makes the attempt's clusters and
-scores current, and a revert restores the target's blocks and trace
-while the pre-attempt clusters and scores still hold.  The cluster map,
-the traces and the starting scores may be the caller's
-(:class:`~repro.core.pipeline.QGDPFlow` hands in the ones its lg
-analysis built and filled).  The cluster map and the traces are kept
-current in place, so after :meth:`DetailedPlacer.run` they describe the
-final layout and the caller's next analysis needs no rebuild; the
+the cluster map, the MST traces and the current score maps: a rip-up
+changes only its target's clusters and trace, an accept makes the
+attempt's clusters and scores current, and a revert restores the
+target's blocks and trace while the pre-attempt clusters and scores
+still hold.  The cluster map, the traces and the starting scores may be
+the caller's (:class:`~repro.core.pipeline.QGDPFlow` hands in the ones
+its lg analysis built and filled).  The cluster map and the traces are
+kept current in place, so after :meth:`DetailedPlacer.run` they describe
+the final layout and the caller's next analysis needs no rebuild; the
 starting scores are only read.  One
 :class:`~repro.routing.maze.MazeRouter` (and its Dijkstra scratch arrays)
 is shared across all flagged resonators, and the frequency steering cost
@@ -39,13 +38,17 @@ import numpy as np
 
 from repro.core.config import QGDPConfig
 from repro.detailed.windows import build_window, find_violations
-from repro.frequency.hotspots import qubit_hotspot_pairs, resonator_hotspots
+from repro.frequency.hotspots import resonator_hotspots
 from repro.legalization.bins import KIND_BLOCK, KIND_QUBIT, BinGrid
 from repro.netlist.clusters import block_cluster_map, block_clusters
 from repro.netlist.netlist import QuantumNetlist
 from repro.netlist.traces import build_traces, resonator_trace
 from repro.routing.crossings import count_crossings
 from repro.routing.maze import MazeRouter
+
+# perfbench/tracing.py's SITES patch this name here and its install()
+# fails on a missing one, so it stays importable from this module.
+from repro.frequency.hotspots import qubit_hotspot_pairs  # noqa: F401
 
 
 @dataclass
@@ -223,19 +226,11 @@ class DetailedPlacer:
             clusters = block_cluster_map(netlist.resonators, lb)
         if traces is None:
             traces = build_traces(netlist, lb, clusters)
-        # Qubit macros never move during detailed placement, so their
-        # pairwise hotspot terms are computed once for the whole run.
-        qubit_pairs = qubit_hotspot_pairs(netlist, cfg.reach, cfg.delta_c)
 
         def score() -> tuple:
             """Per-resonator ``(hotspot, crossing)`` maps of the layout."""
             hotspots = resonator_hotspots(
-                netlist,
-                cfg.reach,
-                cfg.delta_c,
-                lb=lb,
-                traces=traces,
-                qubit_pairs=qubit_pairs,
+                netlist, cfg.reach, cfg.delta_c, lb=lb, traces=traces
             )
             crossings = count_crossings(netlist, bins, traces=traces)
             return hotspots, crossings.per_resonator

@@ -79,12 +79,7 @@ class HotspotReport:
 def qubit_hotspot_pairs(
     netlist: QuantumNetlist, reach: float, delta_c: float
 ) -> list:
-    """Qubit-qubit hotspot pairs (rect adjacency within reach).
-
-    Depends only on qubit rectangles and frequencies, so callers whose
-    qubits are frozen (the detailed placer) may compute this once and
-    pass it back through ``hotspot_pairs(..., qubit_pairs=...)``.
-    """
+    """Qubit-qubit hotspot pairs (rect adjacency within reach)."""
     pairs = []
     qubits = netlist.qubits
     # gap_between is never below either axis gap, so every pair kept
@@ -299,12 +294,9 @@ def hotspot_pairs(
     delta_c: float = DEFAULT_DELTA_C,
     lb: float = 1.0,
     traces: dict = None,
-    qubit_pairs: list = None,
 ) -> list:
     """All hotspot pairs: qubit-qubit plus trace-exposure resonator pairs."""
-    if qubit_pairs is None:
-        qubit_pairs = qubit_hotspot_pairs(netlist, reach, delta_c)
-    pairs = list(qubit_pairs)
+    pairs = qubit_hotspot_pairs(netlist, reach, delta_c)
     pairs.extend(_trace_pairs(netlist, reach, delta_c, lb, traces))
     return pairs
 
@@ -335,11 +327,15 @@ def resonator_hotspots(
     pairs: list = None,
     lb: float = 1.0,
     traces: dict = None,
-    qubit_pairs: list = None,
 ) -> dict:
-    """Per-resonator hotspot score ``He``."""
+    """Per-resonator hotspot score ``He``.
+
+    Only resonator (``("e", key)``) ids score, so when no ``pairs`` are
+    handed in only the trace-exposure pairs are built: qubit-qubit pairs
+    add nothing to any ``He``.
+    """
     if pairs is None:
-        pairs = hotspot_pairs(netlist, reach, delta_c, lb, traces, qubit_pairs)
+        pairs = _trace_pairs(netlist, reach, delta_c, lb, traces)
     scores = {r.key: 0.0 for r in netlist.resonators}
     for pair in pairs:
         for cid in (pair.id_a, pair.id_b):

@@ -8,7 +8,11 @@ as possible.  qGDP splits the job (paper Section III):
   quantum minimum-spacing constraint and a greedy relaxation schedule
   (:mod:`repro.legalization.qubit_legalizer`); the classical variant with
   zero spacing is the macro legalizer of [26]
-  (:mod:`repro.legalization.macro_lp`);
+  (:mod:`repro.legalization.macro_lp`: one path per axis — arc
+  reduction, implied-bounds presolve, HiGHS when the presolve cannot
+  settle it, and a snap repair over the same topological order), built
+  on the array-form constraint graphs of
+  :mod:`repro.legalization.constraint_graph`;
 * **resonator legalization** — the integration-aware Tetris-like scan of
   Algorithm 1 (:mod:`repro.legalization.integration_aware`), against the
   classical Tetris [27] and Abacus [29] cell legalizers.
@@ -19,10 +23,8 @@ strategies the paper compares: qGDP-LG, Q-Abacus, Q-Tetris, Abacus, Tetris.
 
 from repro.legalization.bins import BinGrid, LegalizationInfeasible
 from repro.legalization.constraint_graph import (
-    Arc,
     AxisArcs,
     build_constraint_arrays,
-    build_constraint_graphs,
     transitive_reduction,
 )
 from repro.legalization.macro_lp import legalize_macros, MacroLegalizationResult
@@ -42,10 +44,8 @@ from repro.legalization.engines import (
 __all__ = [
     "BinGrid",
     "LegalizationInfeasible",
-    "build_constraint_graphs",
     "build_constraint_arrays",
     "transitive_reduction",
-    "Arc",
     "AxisArcs",
     "legalize_macros",
     "MacroLegalizationResult",

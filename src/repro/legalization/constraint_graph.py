@@ -6,15 +6,13 @@ axis in which the global placement already separates them best — with the
 arc oriented from the lower-coordinate macro to the higher one.  Solving
 each axis then becomes a 1-D problem over its graph.
 
-The construction is array-backed: :func:`build_constraint_arrays` builds
-both axes from broadcast separation-ratio comparisons over the sorted
-coordinate arrays (one O(n²) NumPy pass instead of a Python double loop)
-and :func:`build_constraint_graphs` is a thin :class:`Arc`-list view of
-it.  An optional transitive-reduction pass (:func:`transitive_reduction`)
-drops arcs already implied by chains of other arcs — a reachability test,
-since separations add up along a chain — keeping the LP row count
-near-linear on well-spread placements without changing the feasible
-region.
+:func:`build_constraint_arrays` builds both axes as parallel arrays
+(:class:`AxisArcs`) from broadcast separation-ratio comparisons over the
+sorted coordinate arrays, one O(n²) NumPy pass.
+:func:`transitive_reduction` drops arcs already implied by chains of
+other arcs — a reachability test, since separations add up along a
+chain — keeping the LP row count near-linear on well-spread placements
+without changing the feasible region.
 """
 
 from __future__ import annotations
@@ -22,15 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-
-@dataclass(frozen=True)
-class Arc:
-    """``hi`` must sit at least ``separation`` after ``lo`` on this axis."""
-
-    lo: int
-    hi: int
-    separation: float
 
 
 @dataclass(frozen=True)
@@ -57,13 +46,30 @@ def build_constraint_arrays(
     sizes: dict,
     spacing: float,
 ) -> tuple:
-    """Array form of :func:`build_constraint_graphs`.
+    """Build the H and V constraint graphs for the given macros.
+
+    Parameters
+    ----------
+    indices:
+        Macro ids (qubit indices).
+    positions:
+        id → (x, y) global-placement centres.
+    sizes:
+        id → (w, h).
+    spacing:
+        Extra edge-to-edge spacing added to every separation (the quantum
+        minimum spacing; 0 for the classical legalizer).
 
     Returns ``(ordered, h_axis, v_axis)`` where ``ordered`` is the sorted
     id list and each axis is an :class:`AxisArcs` whose ``lo``/``hi``
-    index into ``ordered``.  Elementwise arithmetic and comparisons are
-    the same IEEE operations as the scalar pair loop, so the arc sets,
-    orientations and separations are bit-identical.
+    index into ``ordered``; every unordered pair appears on exactly one
+    axis.  The axis is chosen by the *separation ratio*: the pair goes
+    horizontal when the GP x-gap covers more of its required x-separation
+    than the y-gap does of its y-separation.  Each arc points from the
+    lower ``(coordinate, id)`` to the higher, so sorting the nodes by
+    that key orders every arc forward.  Elementwise arithmetic and
+    comparisons are the same IEEE operations as the scalar pair loop, so
+    the arc sets, orientations and separations are bit-identical to it.
     """
     ordered = sorted(indices)
     n = len(ordered)
@@ -102,46 +108,6 @@ def build_constraint_arrays(
         axis(horizontal, x, sep_x),
         axis(~horizontal, y, sep_y),
     )
-
-
-def build_constraint_graphs(
-    indices: list,
-    positions: dict,
-    sizes: dict,
-    spacing: float,
-) -> tuple:
-    """Build the H and V constraint graphs for the given macros.
-
-    Parameters
-    ----------
-    indices:
-        Macro ids (qubit indices).
-    positions:
-        id → (x, y) global-placement centres.
-    sizes:
-        id → (w, h).
-    spacing:
-        Extra edge-to-edge spacing added to every separation (the quantum
-        minimum spacing; 0 for the classical legalizer).
-
-    Returns ``(h_arcs, v_arcs)``; every unordered pair appears in exactly
-    one list.  The axis is chosen by the *separation ratio*: the pair goes
-    horizontal when the GP x-gap covers more of its required x-separation
-    than the y-gap does of its y-separation.
-    """
-    ordered, h_axis, v_axis = build_constraint_arrays(
-        indices, positions, sizes, spacing
-    )
-
-    def arcs(axis: AxisArcs) -> list:
-        return [
-            Arc(ordered[lo], ordered[hi], float(sep))
-            for lo, hi, sep in zip(
-                axis.lo.tolist(), axis.hi.tolist(), axis.sep.tolist()
-            )
-        ]
-
-    return (arcs(h_axis), arcs(v_axis))
 
 
 def _reduction_by_reachability(axis: AxisArcs, num_nodes: int) -> AxisArcs:

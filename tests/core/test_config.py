@@ -32,6 +32,38 @@ def test_rejects_inverted_spacing_schedule():
         QGDPConfig(initial_qubit_spacing=0.5, min_qubit_spacing=1.0)
 
 
+@pytest.mark.parametrize(
+    ("fields", "name"),
+    [
+        (
+            {"min_qubit_spacing": 1.5, "initial_qubit_spacing": 1.5},
+            "min_qubit_spacing",
+        ),
+        ({"initial_qubit_spacing": 2.5}, "initial_qubit_spacing"),
+        ({"qubit_size": 3.5}, "qubit_size"),
+        (
+            {"lb": 2.0, "qubit_size": 6.0, "min_qubit_spacing": 3.0,
+             "initial_qubit_spacing": 4.0},
+            "min_qubit_spacing",
+        ),
+    ],
+)
+def test_rejects_sizes_and_spacings_off_the_site_grid(fields, name):
+    # Half-site spacings used to pass here and leave 8 of falcon's 27
+    # qubits off the site grid, with no legality or spacing violation
+    # reported: the LP's snap repair needs whole-site separations.
+    with pytest.raises(ValueError, match=name):
+        QGDPConfig(**fields)
+
+
+def test_accepts_whole_site_sizes_and_spacings():
+    cfg = QGDPConfig(
+        lb=2.0, qubit_size=6.0, min_qubit_spacing=2.0, initial_qubit_spacing=6.0
+    )
+    assert cfg.qubit_size == 6.0
+    assert QGDPConfig(lb=0.1, qubit_size=0.3, min_qubit_spacing=0.1).lb == 0.1
+
+
 def test_rejects_extreme_utilization():
     with pytest.raises(ValueError):
         QGDPConfig(utilization=0.99)

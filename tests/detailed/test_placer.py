@@ -6,7 +6,7 @@ from repro.core.config import QGDPConfig
 from repro.core.pipeline import QGDPFlow
 from repro.detailed import DetailedPlacer
 from repro.evaluation.fingerprint import positions_digest
-from repro.frequency.hotspots import hotspot_proportion
+from repro.frequency.hotspots import hotspot_proportion, qubit_hotspot_pairs
 from repro.legalization import BinGrid
 from repro.metrics import check_legality, total_clusters
 from repro.metrics.report import layout_metrics
@@ -165,3 +165,15 @@ def test_dp_from_the_flows_start_state_matches_a_cold_start(
     assert netlist.snapshot() == cold.netlist.snapshot()
     assert clusters == block_cluster_map(cold.netlist.resonators, lb)
     assert traces == build_traces(cold.netlist, lb)
+
+
+def test_dp_scores_build_no_qubit_hotspot_pairs(count_calls, fast_config):
+    """A resonator's ``He`` sums only ``("e", key)`` ids, so no DP score,
+    the start score or a window's re-score, builds qubit-qubit pairs."""
+    flow = QGDPFlow("aspen11", fast_config)
+    flow.place()
+    flow.legalize("tetris")
+    calls = count_calls(qubit_hotspot_pairs)
+    result = DetailedPlacer(fast_config).run(flow.netlist, flow.bins)
+    assert result.accepted > 0  # each accepted window was re-scored
+    assert calls == []

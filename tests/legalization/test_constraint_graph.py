@@ -3,13 +3,13 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.legalization import build_constraint_graphs
+from test_macro_lp_parity import arc_lists
 
 
 def _graphs(positions, sizes=None, spacing=0.0):
     indices = sorted(positions)
     sizes = sizes or {i: (3.0, 3.0) for i in indices}
-    return build_constraint_graphs(indices, positions, sizes, spacing)
+    return arc_lists(indices, positions, sizes, spacing)
 
 
 def test_horizontal_pair_gets_h_arc():

@@ -1,11 +1,15 @@
 """LP macro legalization: legality, minimal movement, snapping."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.geometry import Rect, SiteGrid
-from repro.legalization import legalize_macros
+from repro.legalization import MacroLegalizationResult, legalize_macros
+from repro.legalization import macro_lp
+from repro.legalization.constraint_graph import build_constraint_arrays
+from repro.legalization.macro_lp import _Axis, _solve_axis
 
 
 def _check_legal(result, indices, sizes, grid, spacing):
@@ -122,18 +126,68 @@ def test_random_instances_legalize_legally(centers):
     _check_legal(result, indices, sizes, grid, 1.0)
 
 
+def test_pinned_where_the_snapped_order_reverses_an_arc():
+    """On x, macros 18 and 9 (arc 18 -> 9, one site apart) both snap to
+    6.5, so the ``(snapped, id)`` order puts 9 first, against the arc.
+    The historical repair walked that axis by Kahn; the sweep in target
+    order must give the same output, pinned here."""
+    indices = [14, 18, 5, 15, 16, 9]
+    positions = {
+        14: (13.500001, 23.5),
+        18: (6.500001, 25.0),
+        5: (23.25, 23.5),
+        15: (14.500001, 7.0),
+        16: (20.499999, 21.5),
+        9: (7.0, 24.5),
+    }
+    sizes = {
+        14: (1, 1), 18: (1, 2), 5: (3, 2), 15: (3, 3), 16: (2, 1), 9: (1, 1)
+    }
+    result = legalize_macros(indices, positions, sizes, SiteGrid(30, 30))
+    assert result == MacroLegalizationResult(
+        feasible=True,
+        positions={
+            14: (13.5, 23.5),
+            18: (6.5, 25.0),
+            5: (23.5, 23.0),
+            15: (14.5, 7.5),
+            16: (20.0, 21.5),
+            9: (7.5, 24.5),
+        },
+        total_displacement=2.2500019999999976,
+        max_displacement=0.75,
+        spacing=0.0,
+    )
+
+
+def test_each_axis_orders_groups_and_pulls_back_once(monkeypatch, count_calls):
+    """One feasible call: per axis, one grouping of the in-arcs and one
+    of the out-arcs, and one backward limit pass shared by the presolve
+    and the snap repair."""
+    groupings = count_calls(macro_lp._grouped_arcs)
+    pull_back = macro_lp._Axis._pull_back
+    pulls = []
+
+    def counting(self, x):
+        pulls.append(True)
+        return pull_back(self, x)
+
+    monkeypatch.setattr(macro_lp._Axis, "_pull_back", counting)
+    positions = {0: (8.0, 8.0), 1: (9.0, 8.2), 2: (8.5, 12.0)}
+    sizes = {i: (3.0, 3.0) for i in positions}
+    result = legalize_macros([0, 1, 2], positions, sizes, SiteGrid(20, 20))
+    assert result.feasible
+    assert len(groupings) == 4
+    assert len(pulls) == 2
+
+
 # ---------------------------------------------------------------------------
-# Warm-start presolve: certificate soundness and objective parity.
+# Presolve: certificate soundness and objective parity.
 # ---------------------------------------------------------------------------
 
-import numpy as np
 
-from repro.legalization.constraint_graph import build_constraint_arrays
-from repro.legalization.macro_lp import (
-    _INFEASIBLE,
-    _solve_axis,
-    _warm_presolve,
-)
+def _no_highs(*args, **kwargs):
+    raise AssertionError("the presolve should have settled this axis")
 
 
 def _axis_instance(centers, width, spacing):
@@ -149,24 +203,25 @@ def _axis_instance(centers, width, spacing):
     return indices, h_arcs, targets, half
 
 
-def test_presolve_certifies_infeasible_axis():
+def test_presolve_certifies_infeasible_axis(monkeypatch):
     # Three 3-wide macros + spacing 1 need 11 units; only 10 exist.
     indices, arcs, targets, half = _axis_instance(
         [2.0, 5.0, 8.0], width=10.0, spacing=1.0
     )
-    verdict, _ = _warm_presolve(indices, targets, half, arcs, 10.0)
-    assert verdict == _INFEASIBLE
+    cold = _solve_axis(arcs, targets, half, 10.0 - half)
+    monkeypatch.setattr(macro_lp, "linprog", _no_highs)
+    assert _Axis(indices, arcs, targets, half, 10.0).solve() is None
     # The cold solve agrees, so the fast-fail changes nothing observable.
-    assert _solve_axis(arcs, targets, half, 10.0) is None
+    assert cold is None
 
 
-def test_presolve_optimal_clamp_matches_cold_solve_objective():
+def test_presolve_optimal_clamp_matches_cold_solve_objective(monkeypatch):
     # Already separated: the clamp shortcut must return the targets.
     indices, arcs, targets, half = _axis_instance(
         [2.0, 8.0, 14.0], width=20.0, spacing=1.0
     )
-    verdict, warm = _warm_presolve(indices, targets, half, arcs, 20.0)
-    assert verdict == "optimal"
+    monkeypatch.setattr(macro_lp, "linprog", _no_highs)
+    warm = _Axis(indices, arcs, targets, half, 20.0).solve()
     assert np.allclose(warm, targets)
 
 
@@ -178,14 +233,12 @@ def test_presolve_optimal_clamp_matches_cold_solve_objective():
     st.sampled_from([0.0, 1.0, 2.0]),
 )
 def test_warm_axis_solve_matches_cold_objective(centers, spacing):
-    """Warm and cold axis solves agree on feasibility and objective value."""
+    """Presolved and cold axis solves agree on feasibility and objective."""
     indices, arcs, targets, half = _axis_instance(
         centers, width=40.0, spacing=spacing
     )
-    cold = _solve_axis(arcs, targets, half, 40.0)
-    warm = _solve_axis(
-        arcs, targets, half, 40.0, ids=indices, warm_start=True
-    )
+    cold = _solve_axis(arcs, targets, half, 40.0 - half)
+    warm = _Axis(indices, arcs, targets, half, 40.0).solve()
     assert (cold is None) == (warm is None)
     if cold is None:
         return

@@ -3,8 +3,10 @@
 One small end-to-end flow (place → legalize → detailed-place on a 5×5
 qubit grid), analysis-kernel guards (legalize + MST trace build +
 crossing count on 12×12 and 16×16 grids), a 24×24 legalize-only guard
-(576 qubits — the BENCH_scaling ceiling), the full 24×24 flow with its
-one layout-metric pass, one cluster pass and one trace build, a
+(576 qubits — the BENCH_scaling ceiling), a qubit-LP guard
+(``legalize_qubits`` alone on the GP'd 48×48 grid, 2,304 qubits, in
+``test_legalize_qubits_48x48_within_budget``), the full 24×24 flow with
+its one layout-metric pass, one cluster pass and one trace build, a
 batched trace-build guard (``build_traces`` alone on the finished 24×24
 layout, its clusters handed in), a global-placement guard
 (``GlobalPlacer.run`` alone on the built 32×32 layout, in
@@ -96,6 +98,14 @@ KERNEL_16_BUDGET_S = 10.0
 #: cold full-graph solve); trips only on a complexity-class regression
 #: in the LP assembly, presolve or resonator pass.
 LEGALIZE_24_BUDGET_S = 20.0
+
+#: Budget for the qubit LP alone (``legalize_qubits``: every spacing
+#: attempt's constraint arrays, transitive reduction, presolve sweeps,
+#: solve and snap repair) on the GP'd 48x48 grid (2,304 qubits), seconds.
+#: Typical: ~1.0 s on a 2-vCPU host, most of it the reduction's dense
+#: reachability; trips only on a complexity-class regression, e.g. a
+#: sweep that walks every arc per node.
+LEGALIZE_QUBITS_48_BUDGET_S = 10.0
 
 #: Budget for the full 24x24 flow (build, GP, legalize, DP and the one
 #: layout-metric pass: DP flags no window, so the dp report reuses the lg
@@ -249,6 +259,28 @@ def test_legalize_24x24_within_budget():
     assert elapsed < LEGALIZE_24_BUDGET_S, (
         f"legalization took {elapsed:.2f}s on a 24x24 grid "
         f"(budget {LEGALIZE_24_BUDGET_S}s) — LP/resonator regression?"
+    )
+
+
+@pytest.mark.perf_smoke
+def test_legalize_qubits_48x48_within_budget():
+    cfg = QGDPConfig()
+    netlist, grid = build_layout(grid_topology(48), cfg)
+    GlobalPlacer(cfg).run(netlist, grid)
+
+    t0 = time.perf_counter()
+    result = legalize_qubits(netlist, grid, cfg)
+    elapsed = time.perf_counter() - t0
+
+    assert result.feasible
+    assert qubit_spacing_violations(netlist, cfg.min_qubit_spacing) == []
+    assert all(
+        (q.x - q.w / 2.0) % cfg.lb == 0.0 and (q.y - q.h / 2.0) % cfg.lb == 0.0
+        for q in netlist.qubits
+    )
+    assert elapsed < LEGALIZE_QUBITS_48_BUDGET_S, (
+        f"qubit legalization took {elapsed:.2f}s on a 48x48 grid "
+        f"(budget {LEGALIZE_QUBITS_48_BUDGET_S}s) — qubit-LP regression?"
     )
 
 

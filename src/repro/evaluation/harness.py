@@ -130,15 +130,17 @@ def plan_engine_evaluations(
     """
     eval_config = eval_config or EvaluationConfig()
     cfg_dict = config_to_dict(eval_config.config)
+    texts = {"config": canonical_json(cfg_dict)}  # encoded once per plan
     graph = JobGraph()
     keys = {}
     for topology_name in topology_names:
         chains = add_layout_jobs(
-            graph, topology_name, engine_names, cfg_dict, detailed=True
+            graph, topology_name, engine_names, cfg_dict,
+            detailed=True, texts=texts,
         )
         for engine_name, chain in chains.items():
             keys[(topology_name, engine_name)] = [
-                (layout.key, graph.add(analysis_job(layout)).key)
+                (layout.key, graph.add(analysis_job(layout, texts)).key)
                 for layout in chain
             ]
     return (graph, keys)

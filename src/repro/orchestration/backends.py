@@ -258,10 +258,10 @@ class DirBackend(StoreBackend):
 
     def get_text(self, kind: str, key: str) -> Optional[str]:
         try:
-            with open(self._path(kind, key), "r", encoding="utf-8") as fh:
-                return fh.read()
-        except OSError:
-            return None
+            with open(self._path(kind, key), "rb") as fh:
+                return fh.read().decode("utf-8")
+        except (OSError, UnicodeDecodeError):
+            return None  # absent, or unreadable: not UTF-8 text
 
     def put_text(self, kind: str, key: str, text: str) -> None:
         path = self._path(kind, key)
@@ -697,9 +697,10 @@ class TieredBackend(StoreBackend):
     * ``entries`` reports the union of both layers (the remote is
       authoritative for anything the local layer hasn't seen yet).
 
-    ``has`` consults local first, then remote — against an *empty*
-    local layer every hit is therefore proof the remote served it,
-    which is exactly what the backend-parity acceptance test leans on.
+    ``has`` consults local first, then remote, and copies nothing —
+    against an *empty* local layer every hit is therefore proof the
+    remote served it, which is exactly what the backend-parity
+    acceptance test leans on.
 
     With ``degrade=True`` (the default) a remote outage that survives
     the remote's own retry budget no longer aborts the run: reads fall
@@ -793,9 +794,12 @@ class TieredBackend(StoreBackend):
         """Local first, then one batched remote fetch for the misses.
 
         Remote hits are written back to the local layer (same
-        read-through contract as :meth:`get_text`), so a warm resume
-        check costs one batch per :attr:`RemoteHTTPBackend.batch_size`
-        chunk, then nothing.
+        read-through contract as :meth:`get_text`), so a text crosses
+        the network once per batch of :attr:`RemoteHTTPBackend
+        .batch_size` and never again.  Only texts that were read are
+        written back: :meth:`has_many` copies nothing, so a warm resume
+        that only checks an artifact exists leaves it upstream (``repro
+        cache pull`` pre-warms a local layer with everything).
         """
         wanted = list(pairs)
         out: Dict[Tuple[str, str], Optional[str]] = {}
@@ -944,7 +948,7 @@ def sync_stores(
                 stats.skipped += 1
                 continue
             text = src.get_text(entry.kind, entry.key)
-            if text is None:  # vanished mid-walk (concurrent gc); skip honestly
+            if text is None:  # vanished mid-walk, or unreadable: skip honestly
                 stats.skipped += 1
                 continue
             dst.put_text(entry.kind, entry.key, text)

@@ -14,8 +14,9 @@ Cache interaction: with ``resume=True``, jobs whose payload already
 exists in the artifact store are not executed at all; they are counted
 as *cached* in the returned :class:`RunStats` (the run-manifest counters
 the resume acceptance test checks), and only the payloads the run reads
-are decoded.  The executor only ever speaks the store's fetch/get/put
-API — which persistence backend sits underneath
+are read and decoded; the rest are only checked for existence.  The
+executor only ever speaks the store's fetch/has_many/get/put API —
+which persistence backend sits underneath
 (directory, SQLite, a remote cache server, a tiered stack; see
 :mod:`repro.orchestration.backends`) is invisible here, and the
 backend-parity suite holds every backend to byte-identical results.
@@ -294,14 +295,18 @@ def run_jobs(
     failed attempt for ``retries``.  Each attempt reports its own
     ``"start"``.
 
-    With ``resume=True`` the run decodes only the payloads it reads:
-    one batched :meth:`~repro.orchestration.store.ArtifactStore.fetch`
-    finds which artifacts exist, then one pass in reverse graph order
-    starts from the read set ``outputs``.  A job in the read set is
-    cached when its payload decodes and pending otherwise; a job outside
-    it is cached when it was fetched.  Every pending job adds its deps to
-    the read set, so a missing or corrupt artifact is recomputed from
-    decoded inputs, and a corrupt artifact nothing reads stays cached.
+    With ``resume=True`` the run reads only the texts it decodes: one
+    batched :meth:`~repro.orchestration.store.ArtifactStore.fetch` pulls
+    the texts of ``outputs`` and one batched
+    :meth:`~repro.orchestration.store.ArtifactStore.has_many` checks
+    whether the other artifacts exist.  Then one pass in reverse graph
+    order starts from the read set ``outputs``.  A job in the read set
+    is cached when its payload decodes and pending otherwise; a job
+    outside it is cached when its artifact exists.  Every pending job
+    adds its deps to the read set, and a dep that was not fetched is
+    read with ``get``, so a missing or corrupt artifact is recomputed
+    from decoded inputs, and a corrupt artifact nothing reads stays
+    cached.
     """
     if retries < 0:
         raise ValueError(f"retries must be >= 0, got {retries}")
@@ -316,11 +321,13 @@ def run_jobs(
     stats = RunStats(total=len(graph))
     results: Dict[str, dict] = {}
 
-    found: Set[str] = (
-        store.fetch([(job.kind, job.key) for job in ordered])
-        if resume
-        else set()
-    )
+    found: Set[str] = set()
+    if resume:
+        found = store.fetch(
+            [(job.kind, job.key) for job in ordered if job.key in wanted]
+        ) | store.has_many(
+            [(job.kind, job.key) for job in ordered if job.key not in wanted]
+        )
     read = set(wanted)
     pending_keys: Set[str] = set()
     for job in reversed(ordered):

@@ -10,6 +10,12 @@ version, its code-relevant parameters and the keys of its dependencies
 key).  The key doubles as the artifact-store address, so re-running a
 sweep with identical parameters finds every stage output already on
 disk.
+
+A planner shares a few large params documents across many jobs (its
+config, its noise model, its mapping-seed list).  It encodes each once
+per plan and hands the texts to :meth:`Job.create`, which splices them
+into the canonical text instead of encoding the same value again; the
+key is the same either way.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Mapping, Optional
 
 #: The stage kinds a sweep decomposes into, with their payload versions.
 #: Bump a kind's version whenever its payload changes for the same params
@@ -29,18 +35,54 @@ KIND_VERSIONS = {
 JOB_KINDS = tuple(KIND_VERSIONS)
 
 
+#: The one canonical encoder; ``json.dumps`` would build one per call.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def canonical_json(obj: object) -> str:
     """Deterministic JSON encoding used for hashing (sorted keys, no ws)."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return _ENCODER.encode(obj)
 
 
-def job_key(kind: str, params: dict, dep_keys: tuple = ()) -> str:
-    """Stable content hash of a job: kind + version + params + dep keys."""
-    version, deps = KIND_VERSIONS[kind], list(dep_keys)
-    payload = canonical_json(
-        {"kind": kind, "version": version, "params": params, "deps": deps}
+def _params_json(params: dict, texts: Mapping[str, str]) -> str:
+    """``canonical_json(params)``, with ``texts[name]`` as a value's text."""
+    if not all(isinstance(name, str) for name in params):
+        # json sorts such names by value, before it turns them into text.
+        return canonical_json(params)
+    fields = ",".join(
+        canonical_json(name)
+        + ":"
+        + (texts[name] if name in texts else canonical_json(params[name]))
+        for name in sorted(params)
     )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    return "{" + fields + "}"
+
+
+def job_key(
+    kind: str,
+    params: dict,
+    dep_keys: tuple = (),
+    texts: Optional[Mapping[str, str]] = None,
+) -> str:
+    """Stable content hash of a job: kind + version + params + dep keys.
+
+    The SHA-256 of ``canonical_json({"kind": kind, "version": version,
+    "params": params, "deps": list(dep_keys)})``, built from its sorted
+    pieces.  ``texts`` maps a param name to the canonical text of that
+    param's value, for documents a planner shares across jobs and
+    encodes once; the text is spliced in, and must be
+    ``canonical_json(params[name])``.  Names not in ``params`` are
+    ignored, and so is all of ``texts`` when a param name is not a
+    ``str``: then the whole params dict is encoded, as json sorts such
+    names by value.
+    """
+    deps = ",".join(map(canonical_json, dep_keys))
+    text = (
+        f'{{"deps":[{deps}],"kind":{canonical_json(kind)},'
+        f'"params":{_params_json(params, texts or {})},'
+        f'"version":{canonical_json(KIND_VERSIONS[kind])}}}'
+    )
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 @dataclass(frozen=True)
@@ -58,16 +100,23 @@ class Job:
     deps: tuple = ()
 
     @classmethod
-    def create(cls, kind: str, params: dict, deps: tuple = ()) -> "Job":
-        """Build a job, deriving its content-addressed key."""
+    def create(
+        cls,
+        kind: str,
+        params: dict,
+        deps: tuple = (),
+        texts: Optional[Mapping[str, str]] = None,
+    ) -> "Job":
+        """Build a job, deriving its content-addressed key.
+
+        ``texts`` are the canonical texts of params values the planner
+        shares across jobs, by param name (see :func:`job_key`).
+        """
         if kind not in JOB_KINDS:
             raise ValueError(f"unknown job kind {kind!r}; expected {JOB_KINDS}")
-        return cls(
-            kind=kind,
-            key=job_key(kind, params, tuple(deps)),
-            params=params,
-            deps=tuple(deps),
-        )
+        deps = tuple(deps)
+        key = job_key(kind, params, deps, texts)
+        return cls(kind=kind, key=key, params=params, deps=deps)
 
 
 @dataclass

@@ -124,19 +124,42 @@ class ArtifactStore:
         a corrupt artifact counts as present here and reads as None
         there.
         """
-        found: Set[str] = set()
-        misses: List[Tuple[str, str]] = []
-        for kind, key in pairs:
-            if key in self._memory or key in self._texts:
-                found.add(key)
-            else:
-                misses.append((kind, key))
+        found, misses = self._held(pairs)
         if self.backend is not None and misses:
             for (_kind, key), text in self.backend.get_many(misses).items():
                 if text is not None:
                     self._texts[key] = text
                     found.add(key)
         return found
+
+    def has_many(self, pairs: Iterable[Tuple[str, str]]) -> Set[str]:
+        """Which of several artifacts exist, reading none of them.
+
+        Keys in memory or fetched count as present; the rest go through
+        the backend's :meth:`~repro.orchestration.backends.StoreBackend
+        .has_many`, which remote backends batch like ``get_many``.
+        Returns the keys present.  Nothing is read, so a corrupt
+        artifact counts as present, and a tiered store writes nothing
+        back to its local layer.
+        """
+        found, misses = self._held(pairs)
+        if self.backend is not None and misses:
+            probed = self.backend.has_many(misses)
+            found.update(key for (_kind, key), hit in probed.items() if hit)
+        return found
+
+    def _held(
+        self, pairs: Iterable[Tuple[str, str]]
+    ) -> Tuple[Set[str], List[Tuple[str, str]]]:
+        """Split pairs into keys held in memory and pairs to ask the backend."""
+        held: Set[str] = set()
+        misses: List[Tuple[str, str]] = []
+        for kind, key in pairs:
+            if key in self._memory or key in self._texts:
+                held.add(key)
+            else:
+                misses.append((kind, key))
+        return held, misses
 
     def prefetch(
         self, pairs: Iterable[Tuple[str, str]]

@@ -30,7 +30,7 @@ from __future__ import annotations
 import hashlib
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Union
+from typing import Callable, Iterable, Mapping, Optional, Union
 
 from repro.circuits.registry import get_benchmark
 from repro.orchestration.coordinator import (
@@ -162,6 +162,7 @@ def add_layout_jobs(
     engines: Iterable[str],
     config: dict,
     detailed: bool,
+    texts: Optional[Mapping[str, str]] = None,
 ) -> dict:
     """Add one topology's gp → lg → dp jobs to ``graph``.
 
@@ -171,29 +172,34 @@ def add_layout_jobs(
     ``{engine: [lg, dp]}``; the last job of each chain is the engine's
     final layout.  Every planner builds its layout jobs here, so
     fidelity sweeps and ``repro tables`` runs over one cache share their
-    gp/lg/dp artifacts.
+    gp/lg/dp artifacts.  ``texts`` holds the planner's canonical text of
+    ``config`` under ``"config"`` (see :func:`~repro.orchestration.jobs
+    .job_key`), so each job splices it in instead of encoding it again.
     """
     gp = graph.add(
         Job.create(
             "gp",
             {"topology": topology, "config": config, "seed": config["seed"]},
+            texts=texts,
         )
     )
     chains = {}
     for engine in engines:
         params = {"topology": topology, "engine": engine, "config": config}
-        lg = graph.add(Job.create("lg", params, deps=(gp.key,)))
+        lg = graph.add(Job.create("lg", params, (gp.key,), texts))
         chains[engine] = [lg]
         if detailed and engine == "qgdp":
             chains[engine].append(
-                graph.add(Job.create("dp", params, deps=(lg.key,)))
+                graph.add(Job.create("dp", params, (lg.key,), texts))
             )
     return chains
 
 
-def analysis_job(layout: Job) -> Job:
+def analysis_job(
+    layout: Job, texts: Optional[Mapping[str, str]] = None
+) -> Job:
     """The ``analyze`` job of a layout job, as every planner plans it."""
-    return Job.create("analyze", layout.params, deps=(layout.key,))
+    return Job.create("analyze", layout.params, (layout.key,), texts)
 
 
 def plan_sweep(spec: SweepSpec) -> SweepPlan:
@@ -202,10 +208,16 @@ def plan_sweep(spec: SweepSpec) -> SweepPlan:
     cells = {}
     seeds = [spec.mapping_seed(k) for k in range(spec.num_seeds)]
     widths = {name: get_benchmark(name).num_qubits for name in spec.benchmarks}
+    # Most jobs' params carry these documents: encode each once per plan.
+    texts = {
+        "config": canonical_json(spec.config),
+        "noise": canonical_json(spec.noise),
+        "seeds": canonical_json(seeds),
+    }
     for topo_name in spec.topologies:
         topology = get_topology(topo_name)
         chains = add_layout_jobs(
-            graph, topo_name, spec.engines, spec.config, spec.detailed
+            graph, topo_name, spec.engines, spec.config, spec.detailed, texts
         )
 
         # Transpilations are engine-independent: one job per benchmark
@@ -223,11 +235,12 @@ def plan_sweep(spec: SweepSpec) -> SweepPlan:
                         "benchmark": bench_name,
                         "seeds": seeds,
                     },
+                    texts=texts,
                 )
             ).key
 
         for engine_name, chain in chains.items():
-            analysis = graph.add(analysis_job(chain[-1]))
+            analysis = graph.add(analysis_job(chain[-1], texts))
             for bench_name, transpile_key in transpile_keys.items():
                 cell_job = graph.add(
                     Job.create(
@@ -240,6 +253,7 @@ def plan_sweep(spec: SweepSpec) -> SweepPlan:
                             "noise": spec.noise,
                         },
                         deps=(analysis.key, transpile_key),
+                        texts=texts,
                     )
                 )
                 cells[(topo_name, bench_name, engine_name)] = cell_job.key
@@ -430,8 +444,12 @@ def run_fleet_sweep(
         )
     cells = {}
     try:
+        # One batched read of every cell's text, not one request each.
+        found = store.fetch(
+            [("fidelity", key) for key in plan.cells.values()]
+        )
         for cell_id, key in plan.cells.items():
-            payload = store.get("fidelity", key)
+            payload = store.get("fidelity", key) if key in found else None
             if payload is None:
                 raise FleetError(
                     f"fleet store {store.describe()} is missing the "

@@ -9,12 +9,20 @@ crossed the network) must produce
 * a ``--resume`` rerun with **zero recomputed jobs** against each
   backend — including a resume from a store populated only by
   ``repro cache push``.
+
+A tiered resume writes back to its local layer exactly the texts it
+read, and only checks that the rest exist upstream.
 """
 
 import pytest
 
 from repro.core.config import QGDPConfig
-from repro.evaluation import EvaluationConfig, sweep_spec
+from repro.evaluation import (
+    EvaluationConfig,
+    plan_engine_evaluations,
+    run_engine_evaluations,
+    sweep_spec,
+)
 from repro.orchestration import (
     ArtifactStore,
     CacheServer,
@@ -22,6 +30,7 @@ from repro.orchestration import (
     RemoteHTTPBackend,
     RunSink,
     TieredStore,
+    plan_sweep,
     run_sweep,
     sync_stores,
 )
@@ -32,10 +41,12 @@ ENGINES = ["qgdp"]
 
 
 @pytest.fixture(scope="module")
-def spec():
-    eval_config = EvaluationConfig(
-        num_seeds=2, config=QGDPConfig(gp_iterations=60)
-    )
+def eval_config():
+    return EvaluationConfig(num_seeds=2, config=QGDPConfig(gp_iterations=60))
+
+
+@pytest.fixture(scope="module")
+def spec(eval_config):
     return sweep_spec(TOPOLOGIES, BENCHMARKS, ENGINES, eval_config)
 
 
@@ -86,8 +97,12 @@ def test_sqlite_backend_bit_identical_and_resumable(
     assert _results_bytes(warm, storage_root / "sqlite_warm") == reference_bytes
 
 
+def _pairs(backend):
+    return {(entry.kind, entry.key) for entry in backend.entries()}
+
+
 def test_http_backend_tiered_bit_identical_and_resumable(
-    spec, storage_root, dir_result
+    spec, eval_config, storage_root, dir_result
 ):
     _reference, reference_bytes = dir_result
     with CacheServer(DirBackend(str(storage_root / "served"))) as server:
@@ -99,21 +114,41 @@ def test_http_backend_tiered_bit_identical_and_resumable(
             _results_bytes(cold, storage_root / "http_out") == reference_bytes
         )
         assert cold.stats.computed == cold.stats.total > 0
+        # The tables add qGDP's dp layout and its analysis upstream.
+        tables = run_engine_evaluations(
+            TOPOLOGIES, ENGINES, eval_config, store=cold_store, resume=True
+        )
+        assert tables.stats.computed == 2
 
         # Resume through a *fresh, empty* local layer: every cache hit
         # was necessarily served over HTTP by the remote.
-        warm_store = TieredStore(
-            f"dir:{storage_root / 'tier_local_warm'}", server.url
-        )
+        warm_root = str(storage_root / "tier_local_warm")
+        warm_store = TieredStore(f"dir:{warm_root}", server.url)
         warm = run_sweep(spec, store=warm_store, resume=True)
         assert warm.stats.computed == 0
         assert warm.stats.cached == warm.stats.total
         assert (
             _results_bytes(warm, storage_root / "http_warm") == reference_bytes
         )
-        # ... and the read-through warmed the new local layer.
-        local = DirBackend(str(storage_root / "tier_local_warm"))
-        assert len(local.entries()) == warm.stats.total
+        # ... and the read-through wrote back exactly the texts the rows
+        # read; the other artifacts were only checked upstream.
+        local = DirBackend(warm_root)
+        cells = {("fidelity", key) for key in plan_sweep(spec).cells.values()}
+        assert _pairs(local) == cells
+
+        # The tables read their lg, dp and analyze texts through the same
+        # local layer, which now holds those too, and compute nothing.
+        warm_tables = run_engine_evaluations(
+            TOPOLOGIES, ENGINES, eval_config, resume=True,
+            store=TieredStore(f"dir:{warm_root}", server.url),
+        )
+        assert warm_tables.stats.computed == 0
+        assert warm_tables.evaluations == tables.evaluations
+        graph, keys = plan_engine_evaluations(TOPOLOGIES, ENGINES, eval_config)
+        read = {(graph[key].kind, key) for chain in keys.values()
+                for pair in chain for key in pair}
+        assert {kind for kind, _key in read} == {"lg", "dp", "analyze"}
+        assert _pairs(local) == cells | read
 
 
 def test_remote_only_resume_without_local_layer(spec, storage_root, dir_result):

@@ -89,6 +89,25 @@ def test_dir_backend_matches_historical_layout(tmp_path):
     assert {(e.kind, e.key) for e in made.entries()} == {("lg", "abc")}
 
 
+def _write_bytes(root, kind, key, data):
+    os.makedirs(os.path.join(root, kind), exist_ok=True)
+    with open(os.path.join(root, kind, f"{key}.json"), "wb") as fh:
+        fh.write(data)
+
+
+def test_dir_backend_reads_text_that_is_not_utf8_as_absent(tmp_path):
+    root = str(tmp_path / "cache")
+    made = DirBackend(root)
+    _write_bytes(root, "fidelity", "bad", b'{"samples": [\xff]}')
+    made.put_text("fidelity", "good", '{"samples": ["\u00e9"]}')
+    assert made.has("fidelity", "bad")
+    assert made.get_text("fidelity", "bad") is None
+    assert made.get_many([("fidelity", "bad"), ("fidelity", "good")]) == {
+        ("fidelity", "bad"): None,
+        ("fidelity", "good"): '{"samples": ["\u00e9"]}',
+    }
+
+
 def test_sqlite_backend_persists_across_instances(tmp_path):
     path = str(tmp_path / "cache.db")
     with SqliteBackend(path) as first:
@@ -106,6 +125,20 @@ def test_sqlite_backend_concurrent_instances(tmp_path):
         b.put_text("gp", "from-b", '{"n": 2}')
         assert a.get_text("gp", "from-b") == '{"n": 2}'
         assert b.get_text("gp", "from-a") == '{"n": 1}'
+
+
+def test_tiered_has_many_copies_nothing(tmp_path):
+    local = DirBackend(str(tmp_path / "local"))
+    remote = DirBackend(str(tmp_path / "remote"))
+    remote.put_text("gp", "upstream", '{"x": 1}')
+    local.put_text("lg", "here", '{"y": 2}')
+    store = ArtifactStore(backend=TieredBackend(local, remote))
+    pairs = [("gp", "upstream"), ("lg", "here"), ("gp", "absent")]
+    assert store.has_many(pairs) == {"upstream", "here"}
+    assert {(e.kind, e.key) for e in local.entries()} == {("lg", "here")}
+    # A read does copy: only texts that were read reach the local layer.
+    assert store.fetch([("gp", "upstream")]) == {"upstream"}
+    assert local.get_text("gp", "upstream") == '{"x": 1}'
 
 
 def test_tiered_backend_write_back_and_dual_write(tmp_path):
@@ -185,6 +218,22 @@ def test_sync_stores_round_trip(tmp_path):
     back = sync_stores(f"sqlite:{tmp_path}/dst.db", f"dir:{tmp_path}/back")
     assert back.copied == 2
     assert open(tmp_path / "back" / "gp" / "a.json").read() == '{"x": 1}'
+
+
+def test_sync_stores_skips_text_that_is_not_utf8(tmp_path):
+    root = str(tmp_path / "src")
+    source = DirBackend(root)
+    source.put_text("fidelity", "a", '{"x": 1}')
+    _write_bytes(root, "fidelity", "b", b'{"x": \xff}')
+    source.put_text("fidelity", "c", '{"x": 3}')
+
+    stats = sync_stores(source, f"dir:{tmp_path}/dst")
+    assert (stats.copied, stats.skipped) == (2, 1)
+    copied = DirBackend(str(tmp_path / "dst"))
+    assert {(e.kind, e.key) for e in copied.entries()} == {
+        ("fidelity", "a"),
+        ("fidelity", "c"),
+    }
 
 
 def test_sync_stores_closes_only_the_backends_it_opens(tmp_path, monkeypatch):

@@ -8,6 +8,7 @@ two-worker fleet over a real HTTP server compared bit-for-bit against a
 serial run.
 """
 
+import math
 import threading
 from collections import Counter
 
@@ -24,6 +25,7 @@ from repro.orchestration import (
     FleetError,
     Job,
     JobGraph,
+    RemoteHTTPBackend,
     RetryPolicy,
     SqliteBackend,
     SweepSpec,
@@ -429,6 +431,37 @@ def test_two_workers_complete_a_fleet_sweep(fleet_server):
     fleet = result.manifest["fleet"]
     assert set(fleet["workers"]) >= {"w1", "w2"}
     assert result.manifest["run_id"].endswith("-fleet")
+
+
+def test_fleet_read_back_is_one_request_per_batch(fleet_server):
+    spec = SweepSpec(
+        topologies=("grid",),
+        benchmarks=("bv-4", "qaoa-4", "ising-4"),
+        engines=("qgdp", "tetris"),
+        num_seeds=2,
+        config=_CFG,
+    )
+    # Fill the fleet's store, then mark every job done as a fleet would.
+    serial = run_sweep(
+        spec, store=ArtifactStore(backend=RemoteHTTPBackend(fleet_server.url))
+    )
+    client = FleetClient(fleet_server.url)
+    client.enqueue(serialize_graph(plan_sweep(spec).graph))
+    while True:
+        reply = client.lease("filler", max_jobs=50)
+        if not reply["jobs"]:
+            break
+        for job in reply["jobs"]:
+            client.complete("filler", job["key"], "computed")
+
+    backend = RemoteHTTPBackend(fleet_server.url, batch_size=4)
+    result = run_fleet_sweep(
+        spec, client, store=ArtifactStore(backend=backend), poll_s=0.01
+    )
+    cells = len(plan_sweep(spec).cells)
+    assert cells == 6
+    assert backend.requests == math.ceil(cells / backend.batch_size)
+    assert result.rows == serial.rows
 
 
 def test_fleet_sweep_reports_permanent_failures(fleet_server):

@@ -121,3 +121,25 @@ def test_fetched_text_is_served_after_its_file_is_deleted(tmp_path):
     assert store.fetch([("fidelity", "k")]) == {"k"}
     os.remove(os.path.join(root, "fidelity", "k.json"))
     assert store.get("fidelity", "k") == {"samples": [0.5]}
+
+
+def test_has_many_reports_keys_without_reading_them(tmp_path, monkeypatch):
+    root = str(tmp_path / "cache")
+    ArtifactStore(root).put("gp", "on_disk", {"x": 1})
+    ArtifactStore(root).put("lg", "fetched", {"z": 3})
+    with open(os.path.join(root, "gp", "bad.json"), "w") as fh:
+        fh.write("{not json")
+    store = ArtifactStore(root)
+    store.put("lg", "in_memory", {"y": 2})
+    assert store.fetch([("lg", "fetched")]) == {"fetched"}
+
+    def no_reads(kind, key):
+        raise AssertionError(f"has_many read {kind}/{key}")
+
+    monkeypatch.setattr(store.backend, "get_text", no_reads)
+    found = store.has_many(
+        [("gp", "on_disk"), ("lg", "in_memory"), ("lg", "fetched"),
+         ("gp", "bad"), ("gp", "absent")]
+    )
+    assert found == {"on_disk", "in_memory", "fetched", "bad"}
+    assert ArtifactStore().has_many([("gp", "on_disk")]) == set()

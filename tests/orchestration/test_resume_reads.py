@@ -1,10 +1,12 @@
-"""A resumed run decodes only the artifacts it reads.
+"""A resumed run reads and decodes only the artifacts it reads.
 
 ``run_jobs`` resolves a resume in one reverse pass over the graph from
-the payloads its caller reads (``outputs``): those are decoded, and a
-job nothing pending reads is cached when its artifact exists.  So a
-corrupt artifact is recomputed by the first run that reads it, a
-missing one is always recomputed, and the rows never change.
+the payloads its caller reads (``outputs``): those are read and
+decoded, and a job nothing pending reads is cached when its artifact
+exists, which is checked without reading it.  So a corrupt artifact
+(not JSON, or not even UTF-8 text) is recomputed by the first run that
+reads it, a missing one is always recomputed, and the rows never
+change.
 """
 
 import json
@@ -21,6 +23,7 @@ TOPOLOGIES = ["aspen11"]
 BENCHMARKS = ["bv-4"]
 ENGINES = ["qgdp", "tetris"]
 CORRUPT = "{not json"
+NOT_UTF8 = b'{"samples": [\xff\xfe]}'
 
 
 @pytest.fixture(scope="module")
@@ -87,6 +90,26 @@ def test_corrupt_cell_recomputes_only_that_cell(spec, filled, cache):
     assert resumed.rows == filled[1].rows
     with open(_path(cache, cell)) as fh:
         assert json.load(fh) == ArtifactStore(filled[0]).get("fidelity", cell.key)
+
+
+def test_cell_that_is_not_utf8_recomputes_only_that_cell(spec, filled, cache):
+    cell = _jobs(spec, "fidelity", engine="qgdp")[0]
+    with open(_path(cache, cell), "wb") as fh:
+        fh.write(NOT_UTF8)
+    resumed = run_sweep(spec, cache_dir=cache, resume=True)
+    assert _computed(resumed) == [cell.key]
+    assert resumed.rows == filled[1].rows
+
+
+def test_unread_artifact_that_is_not_utf8_leaves_rows_unchanged(
+    spec, filled, cache
+):
+    (gp,) = _jobs(spec, "gp")
+    with open(_path(cache, gp), "wb") as fh:
+        fh.write(NOT_UTF8)
+    resumed = run_sweep(spec, cache_dir=cache, resume=True)
+    assert resumed.stats.computed == 0
+    assert resumed.rows == filled[1].rows
 
 
 def test_missing_analysis_recomputes_its_corrupt_layout(spec, filled, cache):

@@ -21,9 +21,10 @@ DAG leased and completed in-process), a paper-protocol kernels guard
 (the cold sweep's 12 Abacus and 12 Tetris calls from GP snapshots, its
 42 transpile batches, 72 layout builds and 36 occupancy rebuilds) and a
 warm-resume guard (the paper protocol resumed from a filled cache,
-decoding only the payloads its rows read), each with a *generous*
-wall-clock budget — an order of magnitude above the
-implementations' typical time, but far below a genuine regression, so
+reading and decoding only the payloads its rows read, checking that the
+rest exist, and planned with each shared params document encoded once),
+each with a *generous* wall-clock budget — an order of magnitude above
+the implementations' typical time, but far below a genuine regression, so
 only a real hot-path, protocol-overhead or scheduler regression trips
 them.  Part of the tier-1 run; select just these guards with
 ``pytest -m perf_smoke``.
@@ -179,10 +180,18 @@ COORDINATOR_DRAIN_BUDGET_S = 0.25
 PAPER_KERNELS_BUDGET_S = 20.0
 
 #: Budget for resuming the full paper protocol (324 jobs) from a filled
-#: directory cache, planning included, in seconds.  Typical: ~0.04 s on
-#: a 2-vCPU host decoding only the 210 fidelity payloads the rows read
-#: (0.08–0.18 s when every one of the 324 payloads, 2.4 MB, was decoded).
+#: directory cache, planning included, in seconds.  Typical: ~0.010 s on
+#: a 2-vCPU host reading and decoding only the 210 fidelity payloads the
+#: rows read and checking that the other 114 artifacts exist (~0.018 s
+#: when all 324 texts, 2.4 MB, were read; 0.08–0.18 s when every one of
+#: them was also decoded).
 WARM_RESUME_BUDGET_S = 1.0
+
+#: Budget for planning the paper protocol's 324 jobs alone (``plan_sweep``,
+#: best of 5), in seconds: 10x the 3.5 ms measured on a 2-vCPU host with
+#: each shared params document (config, noise, seed list) encoded once
+#: per plan (7.3–7.8 ms when every job key encoded them again).
+PAPER_PLAN_BUDGET_S = 0.035
 
 
 @pytest.mark.perf_smoke
@@ -586,11 +595,28 @@ def test_paper_protocol_kernels_within_budget(monkeypatch):
     )
 
 
+class _CountingBackend(DirBackend):
+    """A directory backend that counts text reads and existence checks."""
+
+    def __init__(self, root: str) -> None:
+        super().__init__(root)
+        self.reads = 0
+        self.checks = 0
+
+    def get_text(self, kind: str, key: str):
+        self.reads += 1
+        return super().get_text(kind, key)
+
+    def has(self, kind: str, key: str) -> bool:
+        self.checks += 1
+        return super().has(kind, key)
+
+
 class _CountingStore(ArtifactStore):
     """A directory store that counts the payloads a run reads."""
 
     def __init__(self, root: str) -> None:
-        super().__init__(root)
+        super().__init__(backend=_CountingBackend(root))
         self.gets = 0
 
     def get(self, kind: str, key: str):
@@ -600,7 +626,9 @@ class _CountingStore(ArtifactStore):
 
 @pytest.mark.perf_smoke
 def test_paper_protocol_warm_resume_within_budget(tmp_path):
-    """A resumed paper sweep decodes only its 210 fidelity payloads."""
+    """A resumed paper sweep reads and decodes only its 210 fidelity
+    payloads, checks that the other 114 artifacts exist, and plans its
+    324 job keys without encoding a shared params document twice."""
     spec = SweepSpec(
         PAPER_TOPOLOGIES, PAPER_BENCHMARKS, PAPER_ENGINE_ORDER,
         num_seeds=50, detailed=True,
@@ -613,12 +641,24 @@ def test_paper_protocol_warm_resume_within_budget(tmp_path):
     warm = run_sweep(spec, store=store, resume=True)
     elapsed = time.perf_counter() - t0
 
+    plan_s = []
+    for _ in range(5):
+        t0 = time.perf_counter()
+        plan_sweep(spec)
+        plan_s.append(time.perf_counter() - t0)
+
     assert (warm.stats.total, warm.stats.computed) == (324, 0)
     assert warm.stats.by_kind["fidelity"]["cached"] == 210
     assert store.gets == 210
+    assert (store.backend.reads, store.backend.checks) == (210, 114)
     assert warm.rows == cold.rows
     assert elapsed < WARM_RESUME_BUDGET_S, (
         f"resuming the paper protocol took {elapsed:.2f}s "
         f"(budget {WARM_RESUME_BUDGET_S}s) — does the resume decode "
         "payloads the rows never read?"
+    )
+    assert min(plan_s) < PAPER_PLAN_BUDGET_S, (
+        f"planning the paper protocol took {min(plan_s) * 1e3:.1f} ms "
+        f"(best of 5; budget {PAPER_PLAN_BUDGET_S * 1e3:.0f} ms) — does "
+        "every job key encode the shared config again?"
     )

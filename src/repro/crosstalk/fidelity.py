@@ -40,25 +40,20 @@ class FidelityBreakdown:
     num_active_crossings: int
 
 
-def layout_fidelity(
-    inputs: dict,
-    transpiled: TranspiledCircuit,
-    delta_c: float,
-    params: NoiseParameters = DEFAULT_NOISE,
-) -> FidelityBreakdown:
-    """Eq. 7 from a layout's :func:`~repro.metrics.report.fidelity_inputs`
-    rows alone (an ``analyze`` payload carries them), folded in row order.
-    """
-    active_qubits = transpiled.active_qubits
-    active_edges = transpiled.active_edges
-    duration = transpiled.duration_ns
+def program_qubit_factor(
+    transpiled: TranspiledCircuit, params: NoiseParameters = DEFAULT_NOISE
+) -> float:
+    """Eq. 7's Π(1 - εq) over the program's active qubits, in set order.
 
-    # -- εq over active qubits ------------------------------------------
+    It reads the program alone, so one factor serves every layout the
+    program is scored on (:func:`crosstalk_fidelity`).
+    """
+    duration = transpiled.duration_ns
     # Decoherence charges each qubit its busy time plus a fraction of its
     # idle window: idling qubits dephase, but echo/dynamical-decoupling
     # keeps idle decay well below busy decay on real devices.
     qubit_factor = 1.0
-    for q in active_qubits:
+    for q in transpiled.active_qubits:
         busy = transpiled.timing.busy_ns.get(q, 0.0)
         idle = max(0.0, duration - busy)
         eps = qubit_error(
@@ -68,6 +63,42 @@ def layout_fidelity(
             params,
         )
         qubit_factor *= 1.0 - eps
+    return qubit_factor
+
+
+def layout_fidelity(
+    inputs: dict,
+    transpiled: TranspiledCircuit,
+    delta_c: float,
+    params: NoiseParameters = DEFAULT_NOISE,
+) -> FidelityBreakdown:
+    """Eq. 7 from a layout's :func:`~repro.metrics.report.fidelity_inputs`
+    rows alone (an ``analyze`` payload carries them), folded in row order.
+    """
+    return crosstalk_fidelity(
+        inputs,
+        transpiled,
+        program_qubit_factor(transpiled, params),
+        delta_c,
+        params,
+    )
+
+
+def crosstalk_fidelity(
+    inputs: dict,
+    transpiled: TranspiledCircuit,
+    qubit_factor: float,
+    delta_c: float,
+    params: NoiseParameters = DEFAULT_NOISE,
+) -> FidelityBreakdown:
+    """:func:`layout_fidelity` with the program's qubit factor given.
+
+    ``qubit_factor`` is :func:`program_qubit_factor` of ``transpiled``;
+    the εg and εe factors are folded from the layout's rows.
+    """
+    active_qubits = transpiled.active_qubits
+    active_edges = transpiled.active_edges
+    duration = transpiled.duration_ns
 
     # -- εg over violating qubit pairs -----------------------------------
     qubit_crosstalk_factor = 1.0

@@ -94,6 +94,7 @@ from repro.orchestration.sweep import (
     SweepPlan,
     SweepResult,
     SweepSpec,
+    cell_samples,
     plan_sweep,
     run_fleet_sweep,
     run_sweep,
@@ -140,6 +141,7 @@ __all__ = [
     "TieredStore",
     "WorkerStats",
     "backend_from_url",
+    "cell_samples",
     "config_from_dict",
     "config_to_dict",
     "diff_runs",

@@ -380,12 +380,19 @@ class SqliteBackend(StoreBackend):
                 time.sleep(0.005)
 
     def get_text(self, kind: str, key: str) -> Optional[str]:
+        # Read bytes: sqlite3 raises on a TEXT value that is not UTF-8.
         with self._lock:
             row = self._conn.execute(
-                "SELECT payload FROM artifacts WHERE kind = ? AND key = ?",
+                "SELECT CAST(payload AS BLOB) FROM artifacts"
+                " WHERE kind = ? AND key = ?",
                 (kind, key),
             ).fetchone()
-        return None if row is None else row[0]
+        if row is None:
+            return None
+        try:
+            return row[0].decode("utf-8")
+        except UnicodeDecodeError:
+            return None  # unreadable: not UTF-8 text
 
     def put_text(self, kind: str, key: str, text: str) -> None:
         with self._lock:

@@ -67,6 +67,7 @@ from repro.orchestration.store import ArtifactStore
 from repro.orchestration.sweep import (
     SweepSpec,
     cell_row,
+    cell_samples,
     cell_summary,
     plan_sweep,
 )
@@ -454,11 +455,13 @@ class JobService:
                 cell_id, key = run.cells[run.cells_done]
                 if states.get(key) != "done":
                     break
+                # A fidelity job serves its cells on every engine; the
+                # store decodes its payload once.
                 payload = self.store.get("fidelity", key)
                 if payload is None:
                     break  # store lagging the ledger: retry next poll
                 run.cells_done += 1
-                samples = payload["samples"]
+                samples = cell_samples(cell_id, payload)
                 if samples:
                     run.rows.append(cell_row(cell_id, cell_summary(samples)))
 

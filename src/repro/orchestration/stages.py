@@ -13,7 +13,7 @@ The gp, lg and dp runners each call one stage method of
 :meth:`QGDPFlow.run` chains, so a job chain and an in-process run agree.
 A ``transpile`` job maps one benchmark onto one topology once per
 mapping seed of the sweep, all on one topology build, and a ``fidelity``
-job folds its per-seed stats in seed order.
+job scores those programs on every engine's layout, in seed order.
 
 ``execute_job`` is the single dispatch point and is importable at module
 level so :class:`concurrent.futures.ProcessPoolExecutor` can pickle it.
@@ -30,7 +30,7 @@ from repro.compiler.transpiler import TranspiledCircuit, transpile
 from repro.core.config import QGDPConfig
 from repro.core.pipeline import QGDPFlow
 from repro.core.result import StageReport, decode_snapshot, encode_snapshot
-from repro.crosstalk.fidelity import layout_fidelity
+from repro.crosstalk.fidelity import crosstalk_fidelity, program_qubit_factor
 from repro.crosstalk.parameters import NoiseParameters
 from repro.legalization.bins import BinGrid
 from repro.metrics.report import analyze_layout
@@ -181,24 +181,32 @@ def run_analyze_job(params: dict, deps: list) -> dict:
 
 
 def run_fidelity_job(params: dict, deps: list) -> dict:
-    """Eq. 7 fidelity samples of one (topology, benchmark, engine) cell.
+    """Eq. 7 fidelity samples of one (topology, benchmark), per engine.
 
-    ``deps[0]`` is the layout's ``analyze`` payload, whose rows carry every
-    gap and frequency Eq. 7 reads; ``deps[1]`` is the benchmark's
-    ``transpile`` payload, one sample per seed in seed order.  No layout
-    is built.
+    ``deps[0]`` is the benchmark's ``transpile`` payload, one program per
+    seed in seed order; ``deps[1:]`` are the ``analyze`` payloads of the
+    layouts of ``params["engines"]``, in that order, whose rows carry
+    every gap and frequency Eq. 7 reads.  Each seed's stats are decoded
+    and its qubit factor computed once, then folded with every layout's
+    rows.  The payload maps each engine to its samples; no layout is
+    built.
     """
-    inputs = deps[0]["fidelity_inputs"]
     delta_c = params["config"]["delta_c"]
     noise = noise_from_dict(params["noise"])
-    return {
-        "samples": [
-            layout_fidelity(
-                inputs, transpile_stats_from_dict(stats), delta_c, noise
+    programs = []
+    for stats in deps[0]["stats"]:
+        transpiled = transpile_stats_from_dict(stats)
+        programs.append((transpiled, program_qubit_factor(transpiled, noise)))
+    samples = {}
+    for engine, analysis in zip(params["engines"], deps[1:]):
+        inputs = analysis["fidelity_inputs"]
+        samples[engine] = [
+            crosstalk_fidelity(
+                inputs, transpiled, qubit_factor, delta_c, noise
             ).fidelity
-            for stats in deps[1]["stats"]
+            for transpiled, qubit_factor in programs
         ]
-    }
+    return {"samples": samples}
 
 
 _RUNNERS = {

@@ -13,16 +13,17 @@ expands it into a content-addressed job graph:
   list, so its key does too),
 * one ``analyze`` job per (topology, engine) layout — the layout's one
   analysis (metrics and Eq. 7 rows), shared by that layout's cells — and
-* one ``fidelity`` job per (topology, benchmark, engine) cell, depending
-  on the layout's analysis and the benchmark's transpile job.
+* one ``fidelity`` job per (topology, benchmark) that fits, depending on
+  the benchmark's transpile job and every engine's analysis; its
+  payload holds the samples of the benchmark's cell on each engine.
 
 ``run_sweep`` executes the graph (serially or across worker processes,
 optionally against the disk artifact store) and assembles the cells in
 plan order, so results are deterministic regardless of scheduling.
-Sharding keeps ``1/n``-th of the cells plus the transitive upstream jobs
-they need; shards share the artifact cache, so a topology's GP or a
-benchmark's transpilations computed by one shard are a cache hit for
-the next.
+Sharding keeps ``1/n``-th of the fidelity jobs, with their cells, plus
+the transitive upstream jobs they need; shards share the artifact
+cache, so a topology's GP or a benchmark's transpilations computed by
+one shard are a cache hit for the next.
 """
 
 from __future__ import annotations
@@ -109,7 +110,12 @@ class SweepSpec:
 
 @dataclass
 class SweepPlan:
-    """A planned sweep: the job graph plus cell → fidelity-job wiring."""
+    """A planned sweep: the job graph plus cell → fidelity-job wiring.
+
+    A cell's fidelity job is its (topology, benchmark)'s, shared by the
+    cells of every engine; :func:`cell_samples` reads a cell's samples
+    from that job's payload.
+    """
 
     graph: JobGraph
     cells: dict  # (topology, benchmark, engine) -> fidelity job key
@@ -129,6 +135,22 @@ class SweepResult:
         return [
             cell_row(cell_id, cell) for cell_id, cell in self.cells.items()
         ]
+
+
+def cell_samples(cell_id: tuple, payload: dict) -> list:
+    """A cell's samples, from its (topology, benchmark)'s fidelity payload."""
+    return payload["samples"][cell_id[2]]
+
+
+def _summaries(cell_keys: Mapping, payloads: Mapping) -> dict:
+    """``{cell: cell_summary}`` in ``cell_keys`` order, from fidelity
+    payloads by key; a cell without samples is left out."""
+    cells = {}
+    for cell_id, key in cell_keys.items():
+        samples = cell_samples(cell_id, payloads[key])
+        if samples:
+            cells[cell_id] = cell_summary(samples)
+    return cells
 
 
 def cell_summary(samples: list) -> dict:
@@ -208,11 +230,15 @@ def plan_sweep(spec: SweepSpec) -> SweepPlan:
     cells = {}
     seeds = [spec.mapping_seed(k) for k in range(spec.num_seeds)]
     widths = {name: get_benchmark(name).num_qubits for name in spec.benchmarks}
+    # Fidelity params list the engines in sorted order, so the order a
+    # spec lists them in does not split keys.
+    engines = sorted(set(spec.engines))
     # Most jobs' params carry these documents: encode each once per plan.
     texts = {
         "config": canonical_json(spec.config),
         "noise": canonical_json(spec.noise),
         "seeds": canonical_json(seeds),
+        "engines": canonical_json(engines),
     }
     for topo_name in spec.topologies:
         topology = get_topology(topo_name)
@@ -221,8 +247,8 @@ def plan_sweep(spec: SweepSpec) -> SweepPlan:
         )
 
         # Transpilations are engine-independent: one job per benchmark
-        # that fits the device, covering every mapping seed, shared by
-        # every engine's cell.
+        # that fits the device, covering every mapping seed, scored on
+        # every engine's layout by one fidelity job.
         transpile_keys = {}
         for bench_name in spec.benchmarks:
             if widths[bench_name] > topology.num_qubits:
@@ -239,24 +265,29 @@ def plan_sweep(spec: SweepSpec) -> SweepPlan:
                 )
             ).key
 
-        for engine_name, chain in chains.items():
-            analysis = graph.add(analysis_job(chain[-1], texts))
-            for bench_name, transpile_key in transpile_keys.items():
-                cell_job = graph.add(
-                    Job.create(
-                        "fidelity",
-                        {
-                            "topology": topo_name,
-                            "benchmark": bench_name,
-                            "engine": engine_name,
-                            "config": spec.config,
-                            "noise": spec.noise,
-                        },
-                        deps=(analysis.key, transpile_key),
-                        texts=texts,
-                    )
+        analyses = {
+            engine: graph.add(analysis_job(chain[-1], texts)).key
+            for engine, chain in chains.items()
+        }
+        fidelity_keys = {}
+        for bench_name, transpile_key in transpile_keys.items():
+            fidelity_keys[bench_name] = graph.add(
+                Job.create(
+                    "fidelity",
+                    {
+                        "topology": topo_name,
+                        "benchmark": bench_name,
+                        "engines": engines,
+                        "config": spec.config,
+                        "noise": spec.noise,
+                    },
+                    deps=(transpile_key, *(analyses[e] for e in engines)),
+                    texts=texts,
                 )
-                cells[(topo_name, bench_name, engine_name)] = cell_job.key
+            ).key
+        for engine_name in chains:
+            for bench_name, key in fidelity_keys.items():
+                cells[(topo_name, bench_name, engine_name)] = key
     return SweepPlan(graph=graph, cells=cells)
 
 
@@ -299,8 +330,9 @@ def run_sweep(
     instead of recomputing it.  ``workers <= 1`` runs
     serially in-process (the debugging mode); larger values use a
     dependency-aware process pool.  ``shard=(i, n)`` keeps the i-th of n
-    deterministic cell slices (1-based).  ``retries`` re-runs flaky jobs
-    and ``timeout_s`` bounds each job attempt's wall clock in a
+    deterministic slices of the fidelity jobs (1-based), with their
+    cells, so no two shards compute one job.  ``retries`` re-runs flaky
+    jobs and ``timeout_s`` bounds each job attempt's wall clock in a
     terminatable child process (see :func:`repro.orchestration.executor
     .run_jobs`); attempts that failed — including timeouts, logged with
     ``error_type: "JobTimeout"`` — but recovered land in the manifest's
@@ -314,13 +346,12 @@ def run_sweep(
     graph, cell_keys = plan.graph, plan.cells
     if shard is not None:
         index, count = shard
-        selected = [
-            cell
-            for pos, cell in enumerate(cell_keys)
-            if pos % count == index - 1
-        ]
-        cell_keys = {cell: cell_keys[cell] for cell in selected}
-        graph = graph.restricted_to(cell_keys.values())
+        fidelity_jobs = list(dict.fromkeys(cell_keys.values()))  # plan order
+        kept = set(fidelity_jobs[index - 1 :: count])
+        cell_keys = {
+            cell: key for cell, key in cell_keys.items() if key in kept
+        }
+        graph = graph.restricted_to(kept)
 
     owns_store = store is None
     if owns_store:
@@ -342,11 +373,7 @@ def run_sweep(
         if owns_store:
             store.close()
 
-    cells = {}
-    for cell_id, key in cell_keys.items():
-        samples = results[key]["samples"]
-        if samples:
-            cells[cell_id] = cell_summary(samples)
+    cells = _summaries(cell_keys, results)
 
     run_id = spec.spec_hash[:12]
     if shard is not None:
@@ -391,8 +418,8 @@ def run_fleet_sweep(
 
     ``store`` (or ``cache_url``/``cache_dir``, defaulting to the
     coordinator's own artifact endpoints) is where the fidelity
-    payloads are read back from.  ``progress`` is called with each
-    status document while watching.
+    payloads are read back from, each once.  ``progress`` is called
+    with each status document while watching.
 
     The returned manifest is ``repro diff``-compatible: its
     ``jobs.entries`` ledger is the coordinator's completion ledger
@@ -442,13 +469,12 @@ def run_fleet_sweep(
         store = resolve_store(
             cache_url=cache_url or client.base_url, cache_dir=cache_dir
         )
-    cells = {}
+    payloads = {}
     try:
-        # One batched read of every cell's text, not one request each.
-        found = store.fetch(
-            [("fidelity", key) for key in plan.cells.values()]
-        )
-        for cell_id, key in plan.cells.items():
+        # One batched read of every fidelity job's text, each key once.
+        keys = dict.fromkeys(plan.cells.values())
+        found = store.fetch([("fidelity", key) for key in keys])
+        for key in keys:
             payload = store.get("fidelity", key) if key in found else None
             if payload is None:
                 raise FleetError(
@@ -457,12 +483,11 @@ def run_fleet_sweep(
                     "did the workers write to a different store?",
                     failures=failures,
                 )
-            samples = payload["samples"]
-            if samples:
-                cells[cell_id] = cell_summary(samples)
+            payloads[key] = payload
     finally:
         if owns_store:
             store.close()
+    cells = _summaries(plan.cells, payloads)
     stats.wall_s = time.perf_counter() - t0
 
     manifest = {

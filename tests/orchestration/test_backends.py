@@ -9,6 +9,7 @@ persistence, tier write-back, URL resolution and store syncing.
 
 import json
 import os
+import sqlite3
 
 import pytest
 
@@ -106,6 +107,27 @@ def test_dir_backend_reads_text_that_is_not_utf8_as_absent(tmp_path):
         ("fidelity", "bad"): None,
         ("fidelity", "good"): '{"samples": ["\u00e9"]}',
     }
+
+
+def test_sqlite_backend_reads_text_that_is_not_utf8_as_absent(tmp_path):
+    path = str(tmp_path / "cache.db")
+    made = SqliteBackend(path)
+    made.put_text("fidelity", "good", '{"samples": ["\u00e9"]}')
+    # Only a write from outside the backend stores such a row.
+    with sqlite3.connect(path) as conn:
+        conn.execute(
+            "INSERT INTO artifacts VALUES (?, ?, CAST(? AS TEXT), ?)",
+            ("fidelity", "bad", b'{"samples": [\xff]}', 0.0),
+        )
+    assert made.has("fidelity", "bad")
+    assert made.get_text("fidelity", "bad") is None
+    assert made.get_many([("fidelity", "bad"), ("fidelity", "good")]) == {
+        ("fidelity", "bad"): None,
+        ("fidelity", "good"): '{"samples": ["\u00e9"]}',
+    }
+    stats = sync_stores(made, f"dir:{tmp_path}/dst")
+    assert (stats.copied, stats.skipped) == (1, 1)
+    made.close()
 
 
 def test_sqlite_backend_persists_across_instances(tmp_path):

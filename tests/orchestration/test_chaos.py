@@ -2,7 +2,7 @@
 
 The choreography (see ISSUE acceptance criteria):
 
-1. A coordinator-backed cache server holds an 11-job sweep DAG.
+1. A coordinator-backed cache server holds a 9-job sweep DAG.
 2. Worker ``killer`` leases all three ready roots in one batch, completes
    exactly one, then SIGKILLs itself while still holding the other two
    leases — no drain, no release, like a machine losing power.

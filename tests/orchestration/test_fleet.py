@@ -454,13 +454,15 @@ def test_fleet_read_back_is_one_request_per_batch(fleet_server):
         for job in reply["jobs"]:
             client.complete("filler", job["key"], "computed")
 
-    backend = RemoteHTTPBackend(fleet_server.url, batch_size=4)
+    backend = RemoteHTTPBackend(fleet_server.url, batch_size=2)
     result = run_fleet_sweep(
         spec, client, store=ArtifactStore(backend=backend), poll_s=0.01
     )
-    cells = len(plan_sweep(spec).cells)
-    assert cells == 6
-    assert backend.requests == math.ceil(cells / backend.batch_size)
+    plan = plan_sweep(spec)
+    keys = set(plan.cells.values())
+    assert (len(plan.cells), len(keys)) == (6, 3)
+    # Each fidelity job's text is fetched once, serving both engines' cells.
+    assert backend.requests == math.ceil(len(keys) / backend.batch_size)
     assert result.rows == serial.rows
 
 

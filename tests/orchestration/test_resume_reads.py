@@ -6,7 +6,8 @@ decoded, and a job nothing pending reads is cached when its artifact
 exists, which is checked without reading it.  So a corrupt artifact
 (not JSON, or not even UTF-8 text) is recomputed by the first run that
 reads it, a missing one is always recomputed, and the rows never
-change.
+change.  A fidelity artifact holds the samples of one (topology,
+benchmark) on every engine, so a corrupt one recomputes that one job.
 """
 
 import json
@@ -20,7 +21,7 @@ from repro.evaluation import EvaluationConfig, run_engine_evaluations, sweep_spe
 from repro.orchestration import ArtifactStore, plan_sweep, run_jobs, run_sweep
 
 TOPOLOGIES = ["aspen11"]
-BENCHMARKS = ["bv-4"]
+BENCHMARKS = ["bv-4", "qaoa-4"]
 ENGINES = ["qgdp", "tetris"]
 CORRUPT = "{not json"
 NOT_UTF8 = b'{"samples": [\xff\xfe]}'
@@ -82,7 +83,7 @@ def test_unread_corrupt_artifacts_are_not_decoded(spec, filled, cache):
 
 
 def test_corrupt_cell_recomputes_only_that_cell(spec, filled, cache):
-    cell = _jobs(spec, "fidelity", engine="tetris")[0]
+    (cell,) = _jobs(spec, "fidelity", benchmark="bv-4")
     with open(_path(cache, cell), "w") as fh:
         fh.write(CORRUPT)
     resumed = run_sweep(spec, cache_dir=cache, resume=True)
@@ -93,7 +94,7 @@ def test_corrupt_cell_recomputes_only_that_cell(spec, filled, cache):
 
 
 def test_cell_that_is_not_utf8_recomputes_only_that_cell(spec, filled, cache):
-    cell = _jobs(spec, "fidelity", engine="qgdp")[0]
+    (cell,) = _jobs(spec, "fidelity", benchmark="qaoa-4")
     with open(_path(cache, cell), "wb") as fh:
         fh.write(NOT_UTF8)
     resumed = run_sweep(spec, cache_dir=cache, resume=True)
@@ -126,14 +127,14 @@ def test_missing_analysis_recomputes_its_corrupt_layout(spec, filled, cache):
 
 
 def test_missing_transpile_is_recomputed_under_cached_cells(spec, filled, cache):
-    (transpile,) = _jobs(spec, "transpile")
+    (transpile,) = _jobs(spec, "transpile", benchmark="bv-4")
     os.remove(_path(cache, transpile))
     resumed = run_sweep(spec, cache_dir=cache, resume=True)
     assert _computed(resumed) == [transpile.key]
     statuses = {e["key"]: e["status"] for e in resumed.stats.entries}
-    for cell in _jobs(spec, "fidelity"):
-        assert transpile.key in cell.deps
-        assert statuses[cell.key] == "cached"
+    (cell,) = _jobs(spec, "fidelity", benchmark="bv-4")
+    assert transpile.key in cell.deps
+    assert statuses[cell.key] == "cached"
     assert resumed.rows == filled[1].rows
     assert os.path.exists(_path(cache, transpile))
 

@@ -50,10 +50,10 @@ ALICE = ServiceToken("alice-secret", tenant="alice")
 BOB = ServiceToken("bob-secret", tenant="bob")
 
 
-def _spec_doc(engines=("qgdp",), num_seeds=2):
+def _spec_doc(engines=("qgdp",), num_seeds=2, benchmarks=("bv-4",)):
     return {
         "topologies": ["grid"],
-        "benchmarks": ["bv-4"],
+        "benchmarks": list(benchmarks),
         "engines": list(engines),
         "num_seeds": num_seeds,
         "config": _CFG,
@@ -443,8 +443,10 @@ def test_token_normalization_and_validation(tmp_path):
 
 
 def test_cancel_withdraws_only_exclusive_jobs(frozen_service):
-    doc_a = _spec_doc(engines=("qgdp", "tetris"))
-    doc_b = _spec_doc(engines=("qgdp",))
+    # A fidelity job's key lists the spec's engines, so a subset spec
+    # drops a benchmark, not an engine.
+    doc_a = _spec_doc(engines=("qgdp", "tetris"), benchmarks=("bv-4", "qaoa-4"))
+    doc_b = _spec_doc(engines=("qgdp", "tetris"))
     keys_a, keys_b = _plan_keys(doc_a), _plan_keys(doc_b)
     assert keys_b < keys_a  # B is a strict subset: pure overlap
     exclusive = keys_a - keys_b

@@ -7,8 +7,9 @@
 * A second ``--resume`` invocation of the same sweep must complete with
   **zero recomputed stage jobs**, verified through the cache-hit counters
   that end up in the run manifest.
-* Shards partition the cells deterministically and their union equals
-  the unsharded sweep.
+* Shards slice the fidelity jobs deterministically: no two shards
+  compute one job, their cells partition the full set, and their union
+  equals the unsharded sweep.
 """
 
 import pytest
@@ -74,7 +75,14 @@ def test_serial_resume_also_hits_cache(spec, cache_dir, parallel_result):
 def test_shards_partition_and_union_to_full(spec, cache_dir, parallel_result):
     one = run_sweep(spec, cache_dir=cache_dir, resume=True, shard=(1, 2))
     two = run_sweep(spec, cache_dir=cache_dir, resume=True, shard=(2, 2))
+    fidelity_one, fidelity_two = (
+        {e["key"] for e in shard.stats.entries if e["kind"] == "fidelity"}
+        for shard in (one, two)
+    )
+    assert fidelity_one and fidelity_two
+    assert fidelity_one.isdisjoint(fidelity_two)
     assert set(one.cells).isdisjoint(two.cells)
+    assert set(one.cells) | set(two.cells) == set(parallel_result.cells)
     merged = {**one.cells, **two.cells}
     assert merged == parallel_result.cells
     # Shards resumed from the shared cache recompute nothing.

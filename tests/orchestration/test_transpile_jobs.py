@@ -3,9 +3,10 @@
 * A transpile job's ``stats[k]`` equals the payload of a standalone
   ``transpile`` of its k-th seed on a freshly built topology, so the
   shortest-path memo its seeds share changes nothing.
-* The paper protocol plans 324 jobs, 42 of them ``transpile``; every
-  fidelity job depends on its layout's analysis and its benchmark's one
-  transpile job, and a benchmark wider than a device gets no job there.
+* The paper protocol plans 156 jobs, 42 of them ``transpile``; every
+  fidelity job depends on its benchmark's one transpile job and on every
+  engine's analysis, and a benchmark wider than a device gets no job
+  there.
 """
 
 import pytest
@@ -53,14 +54,16 @@ def test_paper_plan_has_one_transpile_job_per_topology_and_benchmark():
     )
     plan = plan_sweep(spec)
     graph = plan.graph
-    assert len(graph) == 324
+    assert len(graph) == 156
     transpiles = [job for job in graph.ordered() if job.kind == "transpile"]
     assert len(transpiles) == 42
     seeds = [spec.mapping_seed(k) for k in range(50)]
     assert all(job.params["seeds"] == seeds for job in transpiles)
-    for (topology, bench, _engine), key in plan.cells.items():
-        analysis, transpile_key = graph[key].deps
-        assert graph[analysis].kind == "analyze"
+    for (topology, bench, engine), key in plan.cells.items():
+        transpile_key, *analyses = graph[key].deps
+        engines = graph[key].params["engines"]
+        analysis = graph[analyses[engines.index(engine)]]
+        assert (analysis.kind, analysis.params["engine"]) == ("analyze", engine)
         job = graph[transpile_key]
         assert job.kind == "transpile"
         assert (job.params["topology"], job.params["benchmark"]) == (

@@ -20,9 +20,10 @@ guard (50 artifacts pushed and read back through a live
 DAG leased and completed in-process), a paper-protocol kernels guard
 (the cold sweep's 12 Abacus and 12 Tetris calls from GP snapshots, its
 42 transpile batches, 72 layout builds and 36 occupancy rebuilds) and a
-warm-resume guard (the paper protocol resumed from a filled cache,
-reading and decoding only the payloads its rows read, checking that the
-rest exist, and planned with each shared params document encoded once),
+warm-resume guard (the paper protocol's 156 jobs resumed from a filled
+cache, reading and decoding only the 42 fidelity payloads its rows
+read, checking that the rest exist, and planned with each shared params
+document encoded once),
 each with a *generous* wall-clock budget — an order of magnitude above
 the implementations' typical time, but far below a genuine regression, so
 only a real hot-path, protocol-overhead or scheduler regression trips
@@ -158,10 +159,10 @@ INTEGRATION_32_BUDGET_S = 3.0
 #: churn, payload re-encoding, server-side scans per artifact).
 CACHE_SERVER_BUDGET_S = 15.0
 
-#: Budget for draining a 2,592-job DAG (ten paper sweeps that differ in
+#: Budget for draining a 2,424-job DAG (28 paper sweeps that differ in
 #: their mapping seeds) through an in-process coordinator — one lease
 #: and one complete per job, nothing executed — in seconds.  Typical:
-#: ~0.02 s with the ready/deadline heaps and running state counts;
+#: ~0.016 s with the ready/deadline heaps and running state counts;
 #: ~1.3 s when lease and complete walk every job, which every local
 #: sweep would pay on top of its compute.
 COORDINATOR_DRAIN_BUDGET_S = 0.25
@@ -179,18 +180,20 @@ COORDINATOR_DRAIN_BUDGET_S = 0.25
 #: graph).
 PAPER_KERNELS_BUDGET_S = 20.0
 
-#: Budget for resuming the full paper protocol (324 jobs) from a filled
+#: Budget for resuming the full paper protocol (156 jobs) from a filled
 #: directory cache, planning included, in seconds.  Typical: ~0.010 s on
-#: a 2-vCPU host reading and decoding only the 210 fidelity payloads the
-#: rows read and checking that the other 114 artifacts exist (~0.018 s
-#: when all 324 texts, 2.4 MB, were read; 0.08–0.18 s when every one of
-#: them was also decoded).
+#: a 2-vCPU host reading and decoding only the 42 fidelity payloads the
+#: rows read and checking that the other 114 artifacts exist (~0.011 s
+#: with one fidelity payload per cell, 210 of them; ~0.018 s when all
+#: 324 texts of that plan, 2.4 MB, were read; 0.08–0.18 s when every one
+#: of them was also decoded).
 WARM_RESUME_BUDGET_S = 1.0
 
-#: Budget for planning the paper protocol's 324 jobs alone (``plan_sweep``,
+#: Budget for planning the paper protocol's 156 jobs alone (``plan_sweep``,
 #: best of 5), in seconds: 10x the 3.5 ms measured on a 2-vCPU host with
 #: each shared params document (config, noise, seed list) encoded once
-#: per plan (7.3–7.8 ms when every job key encoded them again).
+#: per plan and 324 jobs planned (7.3–7.8 ms when every job key encoded
+#: them again); 156 jobs plan in 2.4–3.5 ms there.
 PAPER_PLAN_BUDGET_S = 0.035
 
 
@@ -487,13 +490,14 @@ def test_cache_server_round_trip_within_budget(tmp_path):
 def test_coordinator_drain_within_budget():
     """Paper-protocol DAGs, one lease and one complete per job.
 
-    One paper sweep plans 324 jobs.  Nine more mapping-seed bases add
-    their own transpile and fidelity jobs on top of the shared layout
-    jobs, so the drain stays above the 2,382 jobs the sweep planned when
-    every mapping seed was a job; at 324 a quadratic lease would hide.
+    One paper sweep plans 156 jobs: 72 layout jobs and 84 transpile and
+    fidelity jobs.  Each of 28 mapping-seed bases adds its own 84 on top
+    of the shared layout jobs (72 + 84 x 28 = 2,424), so the drain stays
+    above the 2,382 jobs the sweep planned when every mapping seed was a
+    job; at 156 a quadratic lease would hide.
     """
     graph = JobGraph()
-    for base_seed in range(11, 21):
+    for base_seed in range(11, 39):
         spec = SweepSpec(
             PAPER_TOPOLOGIES, PAPER_BENCHMARKS, PAPER_ENGINE_ORDER,
             num_seeds=50, base_seed=base_seed, detailed=True,
@@ -626,9 +630,9 @@ class _CountingStore(ArtifactStore):
 
 @pytest.mark.perf_smoke
 def test_paper_protocol_warm_resume_within_budget(tmp_path):
-    """A resumed paper sweep reads and decodes only its 210 fidelity
+    """A resumed paper sweep reads and decodes only its 42 fidelity
     payloads, checks that the other 114 artifacts exist, and plans its
-    324 job keys without encoding a shared params document twice."""
+    156 job keys without encoding a shared params document twice."""
     spec = SweepSpec(
         PAPER_TOPOLOGIES, PAPER_BENCHMARKS, PAPER_ENGINE_ORDER,
         num_seeds=50, detailed=True,
@@ -647,10 +651,10 @@ def test_paper_protocol_warm_resume_within_budget(tmp_path):
         plan_sweep(spec)
         plan_s.append(time.perf_counter() - t0)
 
-    assert (warm.stats.total, warm.stats.computed) == (324, 0)
-    assert warm.stats.by_kind["fidelity"]["cached"] == 210
-    assert store.gets == 210
-    assert (store.backend.reads, store.backend.checks) == (210, 114)
+    assert (warm.stats.total, warm.stats.computed) == (156, 0)
+    assert warm.stats.by_kind["fidelity"]["cached"] == 42
+    assert store.gets == 42
+    assert (store.backend.reads, store.backend.checks) == (42, 114)
     assert warm.rows == cold.rows
     assert elapsed < WARM_RESUME_BUDGET_S, (
         f"resuming the paper protocol took {elapsed:.2f}s "
